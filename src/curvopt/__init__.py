@@ -36,12 +36,10 @@ from .objectives import (
     ManifoldObjective,
     MappedObjective,
     delta_constants,
-    grad_mapped,
     load_anchors,
     regularized,
     save_anchors,
     validate_constants,
-    value_mapped,
     with_constants,
 )
 from .axgd import (

@@ -12,8 +12,11 @@ over the coupling weight lambda so that the accepted step satisfies
 
     f(x_{i+1}) - f(x_i) <= gamma_hat <grad f(x_{i+1}), x_{i+1} - x_i> + eps_hat_i
 
-for some gamma_hat in [gamma_p, 1/gamma_n].  The objective ``f`` only needs
-``value(xt) -> float`` and ``grad(xt) -> ndarray``.
+for some gamma_hat in [gamma_p, 1/gamma_n].  The objective ``f`` needs
+``grad(xt) -> ndarray`` and ``value_and_grad(xt) -> (float, ndarray)``: each
+probe reads the gradient at the coupling point and both the value and the
+gradient at the candidate point.  ``value(xt) -> float`` is read only when
+``binary_line_search`` is not given the current value.
 """
 
 from __future__ import annotations
@@ -141,9 +144,8 @@ def _candidate(state, a_next, gamma_n, R_tilde, f, lam):
     grad_chi = f.grad(chi)
     zeta = state.z_t - step * grad_chi
     x_next = (1.0 - lam) * state.x_t + lam * mirror_dual_grad(zeta, R_tilde)
-    grad_next = f.grad(x_next)
+    f_next, grad_next = f.value_and_grad(x_next)
     z_next = state.z_t - step * grad_next
-    f_next = f.value(x_next)
     inner = float(np.dot(grad_next, x_next - state.x_t))
     return StepCandidate(lam, chi, grad_chi, x_next, grad_next, z_next, f_next, inner)
 

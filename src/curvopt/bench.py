@@ -80,6 +80,10 @@ class ExperimentConfig:
             raise ConfigError(f"solver: unknown value {self.solver!r}")
         if self.d < 1:
             raise ConfigError("d: must be a positive integer")
+        for key in ("epsilon", "R", "curvature", "condition"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
         if self.epsilon <= 0:
             raise ConfigError("epsilon: must be positive")
         if self.R <= 0:
@@ -294,13 +298,15 @@ def run_experiment(cfg, instance=None):
 
 
 def _round_sink(cfg, inst, rows, t0):
+    # Gaps are taken on the instance objective: the records of a
+    # regularization stage hold values of the regularized objective.
     state = {"iter": 0, "evals": 0}
 
     def on_round(rt):
         for rec in rt.records:
             state["iter"] += 1
             x = from_ball(rt.frame, rec.x)
-            gap, dist = _gap_and_dist(inst, x, rec.f_value)
+            gap, dist = _gap_and_dist(inst, x, float(inst.objective.value_c(x)))
             rows.append(
                 Row(
                     state["iter"],

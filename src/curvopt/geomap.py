@@ -14,7 +14,10 @@ constants over the ball that the solver consumes.
 
 Conventions: with r = |x~| and curvature sign K, the differential of the
 map at x has radial eigenvalue (1 + K r^2) and tangential eigenvalue
-sqrt(1 + K r^2) with respect to metric-orthonormal directions.
+sqrt(1 + K r^2) with respect to metric-orthonormal directions.  Gradients
+pull back by the chain rule through the closed-form inverse
+from_ball(x~) = M^{-1} (x~, 1) / sqrt(1 + K r^2), with no log map and no
+special case at the basepoint.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .manifolds import (
     TangentVector,
     distance,
     inner,
-    log_map,
     norm,
 )
 
@@ -204,13 +206,14 @@ def pushforward_vec(frame, v):
 
 
 def pullback_gradient(frame, grad, g=None, xt=None):
-    """Euclidean gradient of f = F o h^{-1} from the Riemannian gradient of F.
+    """Euclidean gradient of f = F o from_ball from the Riemannian gradient of F.
 
     Accepts either a TangentVector or a (point coords, gradient coords)
-    pair of arrays.  Decomposes the gradient at x into radial (toward/away
-    from x0) and tangential parts and divides them by the squared
-    eigenvalues of the map differential, then pushes through the
-    differential: radial / (1 + K r^2), tangential / sqrt(1 + K r^2).
+    pair of arrays.  By the chain rule grad f = J^T G g, where J is the
+    Jacobian of from_ball at x~ and G the ambient metric.  With q = G (M g),
+    M = frame.mat, and s2 = 1 + K |x~|^2 this is
+
+        grad f = (q[:d] - K x~ (x~ . q[:d] + q[d]) / s2) / sqrt(s2).
     """
     if isinstance(grad, TangentVector):
         x, g = grad.base.coords, grad.vec
@@ -219,27 +222,14 @@ def pullback_gradient(frame, grad, g=None, xt=None):
         if g is None:
             raise GeometryError("pullback_gradient needs gradient coordinates")
         g = np.asarray(g, dtype=float)
-    sign = frame.sign
-    if xt is None:
-        xt = to_ball(frame, x)
-    xt = np.asarray(xt, dtype=float)
-    K = float(sign)
-    r2 = np.sum(xt * xt, axis=-1)
-    s = 1.0 + K * r2
-    w = log_map(x, np.broadcast_to(frame.x0.coords, np.shape(x)), sign)
-    wn = norm(w, sign)
-    tiny = wn[..., None] <= 1e-14
-    u = np.where(tiny, 0.0, -w / np.maximum(wn[..., None], 1e-300))
-    c1 = inner(g, u, sign)
-    g_tan = g - c1[..., None] * u
-    scaled = (c1 / s**2)[..., None] * u + g_tan / s[..., None]
-    out = map_differential(frame, x, scaled)
-    if np.any(tiny):
-        # At the basepoint all eigenvalues are 1: the gradient in frame
-        # coordinates passes through unchanged.
-        ident = (g @ frame.mat.T)[..., :-1]
-        out = np.where(tiny, ident, out)
-    return out
+    xt = to_ball(frame, x) if xt is None else np.asarray(xt, dtype=float)
+    K = float(frame.sign)
+    q = g @ frame.mat.T
+    q[..., -1] *= K  # G = diag(1, ..., 1, K): the Minkowski flip of the last slot
+    qd = q[..., :-1]
+    s2 = 1.0 + K * (xt * xt).sum(-1, keepdims=True)
+    radial = (xt * qd).sum(-1, keepdims=True) + q[..., -1:]
+    return (qd - K * xt * radial / s2) / np.sqrt(s2)
 
 
 def angle_deformation(norm_xt, alpha_tilde, sign):

@@ -201,9 +201,6 @@ class TangentVector:
             exp_map(self.base.coords, self.vec, self.base.space.sign), self.base.space
         )
 
-    def inner_with(self, other):
-        return float(inner(self.vec, other.vec, self.base.space.sign))
-
 
 def pole(d, space):
     """The canonical pole (0, ..., 0, 1)."""

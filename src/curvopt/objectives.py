@@ -63,8 +63,9 @@ class ManifoldObjective(ABC):
     """Oracle contract: values, Riemannian gradients, declared constants.
 
     Subclasses implement the coordinate kernels ``value_c`` / ``grad_c``
-    (batched over leading axes); the object-level accessors wrap them.
-    Oracles must be pure.
+    (batched over leading axes) and may override ``value_and_grad_c``, which
+    the solvers call at points that need both, to share work between them;
+    the object-level accessors wrap the kernels.  Oracles must be pure.
     """
 
     space = None
@@ -80,11 +81,32 @@ class ManifoldObjective(ABC):
     def grad_c(self, x):
         """Riemannian gradient(s) as ambient coordinates, same shape as x."""
 
+    def value_and_grad_c(self, x):
+        """``(value_c(x), grad_c(x))``; override to share work between the two."""
+        return self.value_c(x), self.grad_c(x)
+
     def value(self, x: AmbientPoint) -> float:
         return float(self.value_c(x.coords))
 
     def riem_grad(self, x: AmbientPoint) -> TangentVector:
         return TangentVector(x, self.grad_c(x.coords))
+
+
+def _sqdist_terms(x, rows, sign, weights=1.0):
+    """c_j = <a_j, x>, distances theta_j and log-map coefficients w_j theta_j / |u_j|.
+
+    ``rows`` holds the points a_j, or a single one, with the last slot
+    multiplied by ``sign`` so that <a_j, x> is a plain matvec; |u_j| =
+    sqrt(|c_j^2 - 1|) is the norm of the tangential component of a_j at x.
+    """
+    c = x @ rows.T
+    if sign < 0:
+        theta = np.arccosh(np.maximum(-c, 1.0))
+        un = np.sqrt(np.maximum(c * c - 1.0, 1e-300))
+    else:
+        theta = np.arccos(np.clip(c, -1.0, 1.0))
+        un = np.sqrt(np.maximum(1.0 - c * c, 1e-300))
+    return c, theta, weights * theta / un
 
 
 class FrechetObjective(ManifoldObjective):
@@ -120,38 +142,29 @@ class FrechetObjective(ManifoldObjective):
         self.smoothness = self.delta.delta_n * w_sum
         self.strong_convexity = self.delta.delta_p * w_sum
         self.known_minimizer = anchors[0] if len(anchors) == 1 else None
-        # Metric-twisted anchor matrix so that <a_j, x> is a single matvec.
         self._anchor_metric = self.anchor_coords.copy()
-        if sign < 0:
-            self._anchor_metric[:, -1] = -self._anchor_metric[:, -1]
+        self._anchor_metric[:, -1] *= sign
 
-    def _theta_k(self, x):
-        """Distances theta_j and log-map coefficients w_j theta_j / |u_j|.
+    def _value(self, theta):
+        return 0.5 * np.sum(self.weights * theta**2, axis=-1)
 
-        Uses the closed form |u_j| = sqrt(|c_j^2 - 1|) for the norm of the
-        tangential component u_j of anchor a_j at x, c_j = <a_j, x>.
-        """
-        c = x @ self._anchor_metric.T
-        if self.space.sign < 0:
-            theta = np.arccosh(np.maximum(-c, 1.0))
-            un = np.sqrt(np.maximum(c * c - 1.0, 1e-300))
-        else:
-            theta = np.arccos(np.clip(c, -1.0, 1.0))
-            un = np.sqrt(np.maximum(1.0 - c * c, 1e-300))
-        return c, theta, self.weights * theta / un
+    def _grad(self, x, c, k):
+        # grad = -sum_j k_j (a_j - sign c_j x): the tangential directions
+        # toward the anchors, scaled by distance over tangential norm.
+        return -(k @ self.anchor_coords) + self.space.sign * np.sum(k * c, axis=-1)[..., None] * x
 
     def value_c(self, x):
-        x = np.asarray(x, dtype=float)
-        _, theta, _ = self._theta_k(x)
-        return 0.5 * np.sum(self.weights * theta**2, axis=-1)
+        return self._value(_sqdist_terms(x, self._anchor_metric, self.space.sign, self.weights)[1])
 
     def grad_c(self, x):
         x = np.asarray(x, dtype=float)
-        c, _, k = self._theta_k(x)
-        # grad = -sum_j k_j (a_j - sign c_j x): the tangential directions
-        # toward the anchors, scaled by distance over tangential norm.
-        sign = self.space.sign
-        return -(k @ self.anchor_coords) + sign * np.sum(k * c, axis=-1)[..., None] * x
+        c, _, k = _sqdist_terms(x, self._anchor_metric, self.space.sign, self.weights)
+        return self._grad(x, c, k)
+
+    def value_and_grad_c(self, x):
+        x = np.asarray(x, dtype=float)
+        c, theta, k = _sqdist_terms(x, self._anchor_metric, self.space.sign, self.weights)
+        return self._value(theta), self._grad(x, c, k)
 
 
 class RegularizedObjective(ManifoldObjective):
@@ -168,30 +181,25 @@ class RegularizedObjective(ManifoldObjective):
         self.strong_convexity = inner_obj.strong_convexity + mu_i * delta.delta_p
         self.known_minimizer = None
         self._center_metric = center.coords.copy()
-        if self.space.sign < 0:
-            self._center_metric[-1] = -self._center_metric[-1]
+        self._center_metric[-1] *= self.space.sign
 
-    def _theta_k(self, x):
-        c = x @ self._center_metric
-        if self.space.sign < 0:
-            theta = np.arccosh(np.maximum(-c, 1.0))
-            un = np.sqrt(np.maximum(c * c - 1.0, 1e-300))
-        else:
-            theta = np.arccos(np.clip(c, -1.0, 1.0))
-            un = np.sqrt(np.maximum(1.0 - c * c, 1e-300))
-        return c, theta, theta / un
+    def _reg_grad(self, x, c, k):
+        return -k[..., None] * (self.center.coords - self.space.sign * c[..., None] * x)
 
     def value_c(self, x):
-        x = np.asarray(x, dtype=float)
-        _, theta, _ = self._theta_k(x)
+        theta = _sqdist_terms(x, self._center_metric, self.space.sign)[1]
         return self.inner_obj.value_c(x) + 0.5 * self.mu_i * theta**2
 
     def grad_c(self, x):
         x = np.asarray(x, dtype=float)
-        c, _, k = self._theta_k(x)
-        sign = self.space.sign
-        reg = -k[..., None] * (self.center.coords - sign * c[..., None] * x)
-        return self.inner_obj.grad_c(x) + self.mu_i * reg
+        c, _, k = _sqdist_terms(x, self._center_metric, self.space.sign)
+        return self.inner_obj.grad_c(x) + self.mu_i * self._reg_grad(x, c, k)
+
+    def value_and_grad_c(self, x):
+        x = np.asarray(x, dtype=float)
+        c, theta, k = _sqdist_terms(x, self._center_metric, self.space.sign)
+        value, grad = self.inner_obj.value_and_grad_c(x)
+        return value + 0.5 * self.mu_i * theta**2, grad + self.mu_i * self._reg_grad(x, c, k)
 
 
 def regularized(obj, mu_i, center, delta):
@@ -229,6 +237,9 @@ class DeclaredConstants(ManifoldObjective):
 
     def grad_c(self, x):
         return self.inner_obj.grad_c(x)
+
+    def value_and_grad_c(self, x):
+        return self.inner_obj.value_and_grad_c(x)
 
 
 def with_constants(obj, smoothness=None, strong_convexity=None):
@@ -268,10 +279,6 @@ class MappedObjective:
         self.inner_obj = inner_obj
         self.frame = frame
 
-    @property
-    def R_tilde(self):
-        return self.frame.R_tilde
-
     def value(self, xt):
         return float(self.inner_obj.value_c(from_ball(self.frame, xt)))
 
@@ -283,17 +290,11 @@ class MappedObjective:
         g = self.inner_obj.grad_c(x)
         return pullback_gradient(self.frame, x, g, xt=xt)
 
-    def point(self, xt):
-        """Manifold point for mapped coordinates."""
-        return AmbientPoint(from_ball(self.frame, xt), self.inner_obj.space)
-
-
-def value_mapped(obj: MappedObjective, xt):
-    return obj.value(xt)
-
-
-def grad_mapped(obj: MappedObjective, xt):
-    return obj.grad(xt)
+    def value_and_grad(self, xt):
+        """``(value(xt), grad(xt))`` from one map to the manifold."""
+        x = from_ball(self.frame, xt)
+        value, g = self.inner_obj.value_and_grad_c(x)
+        return float(value), pullback_gradient(self.frame, x, g, xt=xt)
 
 
 # Anchor-set files: one anchor per line, d+1 whitespace-separated ambient

@@ -31,6 +31,9 @@ class Quadratic:
     def grad(self, x):
         return self.curv * (x - self.target)
 
+    def value_and_grad(self, x):
+        return self.value(x), self.grad(x)
+
 
 class ZeroGradient:
     R_tilde = 1.0
@@ -40,6 +43,9 @@ class ZeroGradient:
 
     def grad(self, x):
         return np.zeros_like(x)
+
+    def value_and_grad(self, x):
+        return self.value(x), self.grad(x)
 
 
 def quad_params(t=20, eps=1e-6):
@@ -224,6 +230,9 @@ class TestLineSearch:
 
             def grad(self, x):
                 return np.array([-6.5 * np.sin(13.0 * (x[0] - 0.3))])
+
+            def value_and_grad(self, x):
+                return self.value(x), self.grad(x)
 
         p = SolverParams(
             L_tilde=0.1, gamma_n=0.4, gamma_p=0.3, epsilon=1e-12, t=50, R_tilde=1.0

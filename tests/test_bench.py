@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvopt import solve_gconvex_via_sc, with_constants
 from curvopt.bench import (
     ConfigError,
     ExperimentConfig,
@@ -66,6 +67,23 @@ class TestConfig:
             ExperimentConfig(manifold="spherical", curvature=-1.0).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(epsilon=-1.0).validate()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("epsilon", math.nan),
+            ("epsilon", math.inf),
+            ("R", math.nan),
+            ("R", math.inf),
+            ("curvature", math.nan),
+            ("curvature", -math.inf),
+            ("condition", math.nan),
+            ("condition", math.inf),
+        ],
+    )
+    def test_validation_rejects_non_finite(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite"):
+            ExperimentConfig(**{key: value}).validate()
 
     def test_curvature_rescaling(self):
         cfg = ExperimentConfig(curvature=-4.0, R=0.5, seed=3)
@@ -141,6 +159,21 @@ class TestRunExperiment:
             report = run_experiment(cfg)
             assert report.final_gap <= eps
             assert report.total_evals > 0
+
+    def test_reduce_gc_final_gap_is_true_gap(self):
+        # Stage records hold values of the regularized objective; the
+        # reported gap must be F(x_end) - F* of the instance objective.
+        cfg = ExperimentConfig(
+            manifold="spherical", d=5, curvature=1.0, R=0.6, solver="reduce_gc",
+            epsilon=1e-3, seed=1,
+        )
+        inst = build_instance(cfg)
+        report = run_experiment(cfg, instance=inst)
+        F = with_constants(inst.objective, strong_convexity=0.0)
+        stages = []
+        solve_gconvex_via_sc(F, inst.x0, inst.R, cfg.epsilon, recenter=True, trace=stages.append)
+        true_gap = inst.objective.value(stages[-1].x_end) - inst.f_star
+        assert report.final_gap == pytest.approx(true_gap, rel=1e-9, abs=1e-15)
 
 
 class TestFitRateExponent:

@@ -205,17 +205,26 @@ class TestVectorMaps:
 
     def test_pullback_inverts_differential_adjoint(self, space, rng):
         # <grad f, dh(v)> must equal <grad F, v> for every tangent v: the
-        # pullback is the adjoint-inverse of the map differential.
+        # pullback is the adjoint-inverse of the map differential.  The
+        # frame's basepoint is off the pole; the points are interior ones,
+        # the basepoint itself and points at 0.999 R~ in ball coordinates.
         frame = random_frame(space, 3, 1.0, rng)
-        for _ in range(50):
-            x = AmbientPoint(
-                random_in_ball(frame.x0.coords, space.sign, 0.9, rng, 1)[0], space
-            )
-            g = random_tangent(x.coords, space.sign, rng)
-            v = random_tangent(x.coords, space.sign, rng)
-            gt = pullback_gradient(frame, x.coords, g)
-            lhs = gt @ map_differential(frame, x.coords, v)
+        assert not np.allclose(frame.x0.coords, pole(3, space).coords)
+        interior = random_in_ball(frame.x0.coords, space.sign, 0.9, rng, 50)
+        dirs = rng.standard_normal((20, 3))
+        rim = 0.999 * frame.R_tilde * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        points = np.vstack([interior, frame.x0.coords[None], from_ball(frame, rim)])
+        for x in points:
+            g = random_tangent(x, space.sign, rng)
+            v = random_tangent(x, space.sign, rng)
+            gt = pullback_gradient(frame, x, g)
+            lhs = gt @ map_differential(frame, x, v)
             assert lhs == pytest.approx(float(inner(g, v, space.sign)), rel=1e-9, abs=1e-12)
+        # The batched call agrees with the one-point calls.
+        g = random_tangent(points, space.sign, rng)
+        batched = pullback_gradient(frame, points, g)
+        single = np.stack([pullback_gradient(frame, x, gi) for x, gi in zip(points, g)])
+        assert np.max(np.abs(batched - single)) < 1e-14
 
 
 class TestAngleDeformation:

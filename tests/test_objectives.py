@@ -204,6 +204,43 @@ class TestDeclaredConstants:
             with_constants(F, strong_convexity=F.strong_convexity + 1.0)
 
 
+class TestValueAndGrad:
+    """The fused oracle returns exactly what the two separate calls return."""
+
+    def objectives(self, space):
+        center, F = frechet_instance(space, 3, 1.0, 4, seed=17, padding=0.3)
+        delta = delta_constants(float(space.sign), float(space.sign), 1.2)
+        declared = with_constants(F, strong_convexity=0.0)
+        return center, {
+            "frechet": F,
+            "regularized": regularized(F, 0.37, center, delta),
+            "declared": declared,
+            "regularized_declared": regularized(declared, 0.37, center, delta),
+        }
+
+    def test_matches_separate_calls_bitwise(self, space, rng):
+        center, objs = self.objectives(space)
+        x = random_in_ball(center.coords, space.sign, 1.0, rng, 64).reshape(4, 16, -1)
+        for name, obj in objs.items():
+            value, grad = obj.value_and_grad_c(x)
+            assert value.shape == (4, 16), name
+            assert np.array_equal(value, obj.value_c(x)), name
+            assert np.array_equal(grad, obj.grad_c(x)), name
+
+    def test_mapped_matches_separate_calls(self, space, rng):
+        center, objs = self.objectives(space)
+        frame = make_frame(center, 1.0)
+        dirs = rng.standard_normal((20, 3))
+        radii = frame.R_tilde * rng.uniform(0.0, 0.999, (20, 1))
+        points = np.vstack([np.zeros((1, 3)), radii * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)])
+        for name, obj in objs.items():
+            fmap = MappedObjective(obj, frame)
+            for xt in points:
+                value, grad = fmap.value_and_grad(xt)
+                assert type(value) is float and value == fmap.value(xt), name
+                assert np.array_equal(grad, fmap.grad(xt)), name
+
+
 class TestAnchorFiles:
     def test_roundtrip(self, tmp_path, space, rng):
         center = pole(3, space)
