@@ -8,14 +8,10 @@ from .manifolds import (
     AmbientPoint,
     CurvatureClass,
     GeometryError,
-    RescaledProblem,
-    TangentVector,
     distance,
     exp_map,
-    grad_half_sqdist,
     log_map,
     pole,
-    rescale_to_unit,
 )
 from .geomap import (
     DeformationConstants,
@@ -23,11 +19,9 @@ from .geomap import (
     angle_deformation,
     deformation_constants,
     from_ball,
-    from_ball_point,
     make_frame,
     mapped_distance,
     pullback_gradient,
-    pushforward_vec,
     to_ball,
 )
 from .objectives import (

@@ -65,12 +65,8 @@ class CheckResult:
         return f"{tag} {self.name}{where}: worst slack {self.worst:.3e} (allowed {self.bound:.3e})"
 
 
-def _space(sign):
-    return CurvatureClass.spherical() if sign == SPHERICAL else CurvatureClass.hyperbolic()
-
-
 def _cell_frame(sign, d, R):
-    space = _space(sign)
+    space = CurvatureClass(sign)
     return make_frame(pole(d, space), R), space
 
 

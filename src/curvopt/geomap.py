@@ -34,17 +34,12 @@ from .manifolds import (
     AmbientPoint,
     CurvatureClass,
     GeometryError,
-    TangentVector,
     distance,
     inner,
     norm,
 )
 
 BALL_TOL = 1e-9
-
-
-def _coords(x):
-    return x.coords if isinstance(x, AmbientPoint) else np.asarray(x, dtype=float)
 
 
 def _metric(n, sign):
@@ -128,7 +123,7 @@ def make_frame(x0, R):
 
 def to_ball(frame, x, tol=BALL_TOL):
     """Map manifold point(s) into the ball: x~ = (p_1..p_d)/p_{d+1}, p = frame x."""
-    xc = _coords(x)
+    xc = x.coords if isinstance(x, AmbientPoint) else np.asarray(x, dtype=float)
     dist = distance(frame.x0.coords, xc, frame.sign)
     if np.any(dist > frame.R + tol):
         raise GeometryError("point lies outside the R-ball of the frame")
@@ -146,11 +141,6 @@ def from_ball(frame, xt, tol=BALL_TOL):
     s = 1.0 / np.sqrt(np.maximum(1.0 + K * r2, 1e-300))
     p = np.concatenate([xt, np.ones(xt.shape[:-1] + (1,))], axis=-1) * s[..., None]
     return p @ frame.inv_mat.T
-
-
-def from_ball_point(frame, xt, tol=BALL_TOL):
-    """Single-point ``from_ball`` returning an AmbientPoint."""
-    return AmbientPoint(from_ball(frame, xt, tol=tol), frame.space)
 
 
 def mapped_distance(frame, xt, yt):
@@ -177,54 +167,39 @@ def mapped_distance(frame, xt, yt):
 
 
 def map_differential(frame, x, v):
-    """Differential of the map at x applied to tangent vector(s) v."""
-    xc = _coords(x)
-    vc = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    p = xc @ frame.mat.T
-    q = vc @ frame.mat.T
+    """Differential of the map at point(s) x applied to tangent vector(s) v."""
+    p = np.asarray(x, dtype=float) @ frame.mat.T
+    q = np.asarray(v, dtype=float) @ frame.mat.T
     return (q[..., :-1] * p[..., -1:] - p[..., :-1] * q[..., -1:]) / p[..., -1:] ** 2
 
 
 def pushforward(frame, x, v):
-    """Kernel form of the vector pushforward for coordinate arrays."""
+    """Image direction of tangent vector(s) v at x, rescaled to keep |v|.
+
+    The ray {x~ + t v~} is the image of the geodesic Exp_x(t v); the raw
+    differential already has the radial/tangential eigenvalue structure, so
+    only a renormalization to |v| is needed.
+    """
     vn = norm(v, frame.sign)[..., None]
     w = map_differential(frame, x, v)
     wn = np.linalg.norm(w, axis=-1, keepdims=True)
     return np.where(wn > 0, vn * w / np.maximum(wn, 1e-300), np.zeros_like(w))
 
 
-def pushforward_vec(frame, v):
-    """Image direction of a tangent vector, rescaled to keep its norm.
-
-    The ray {x~ + t v~} is the image of the geodesic Exp_x(t v); the raw
-    differential already has the radial/tangential eigenvalue structure, so
-    only a renormalization to |v| is needed.
-    """
-    if not isinstance(v, TangentVector):
-        raise GeometryError("pushforward_vec expects a TangentVector")
-    return pushforward(frame, v.base.coords, v.vec)
-
-
-def pullback_gradient(frame, grad, g=None, xt=None):
+def pullback_gradient(frame, x, g, xt=None):
     """Euclidean gradient of f = F o from_ball from the Riemannian gradient of F.
 
-    Accepts either a TangentVector or a (point coords, gradient coords)
-    pair of arrays.  By the chain rule grad f = J^T G g, where J is the
-    Jacobian of from_ball at x~ and G the ambient metric.  With q = G (M g),
+    ``x`` and ``g`` are the point(s) and the gradient(s) of F there as
+    ambient coordinates; ``xt`` is x in ball coordinates, computed when
+    omitted.  By the chain rule grad f = J^T G g, where J is the Jacobian
+    of from_ball at x~ and G the ambient metric.  With q = G (M g),
     M = frame.mat, and s2 = 1 + K |x~|^2 this is
 
         grad f = (q[:d] - K x~ (x~ . q[:d] + q[d]) / s2) / sqrt(s2).
     """
-    if isinstance(grad, TangentVector):
-        x, g = grad.base.coords, grad.vec
-    else:
-        x = np.asarray(grad, dtype=float)
-        if g is None:
-            raise GeometryError("pullback_gradient needs gradient coordinates")
-        g = np.asarray(g, dtype=float)
     xt = to_ball(frame, x) if xt is None else np.asarray(xt, dtype=float)
     K = float(frame.sign)
-    q = g @ frame.mat.T
+    q = np.asarray(g, dtype=float) @ frame.mat.T
     q[..., -1] *= K  # G = diag(1, ..., 1, K): the Minkowski flip of the last slot
     qd = q[..., :-1]
     s2 = 1.0 + K * (xt * xt).sum(-1, keepdims=True)

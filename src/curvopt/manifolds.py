@@ -3,17 +3,18 @@
 Points live in a numerically stable embedding: the unit sphere in R^{d+1}
 for curvature sign +1, or the upper sheet of the unit hyperboloid in
 Minkowski space R^{d,1} for curvature sign -1.  Every kernel below takes
-coordinate arrays of shape (..., d+1) and broadcasts over leading axes;
-the frozen dataclasses are thin validated wrappers around single points.
+coordinate arrays of shape (..., d+1) and broadcasts over leading axes,
+tangent vectors included; ``AmbientPoint`` is a thin validated wrapper
+around a single point.
 
-Curvatures other than +-1 are handled by ``rescale_to_unit``, which maps a
-problem with curvature K to the unit model while rescaling the radius and
-the smoothness/strong-convexity constants.
+Only the unit models are represented.  A problem of curvature K is the
+unit-model problem with every distance scaled by sqrt|K|, so callers scale
+the ball radius to sqrt|K| R (and smoothness and strong convexity by 1/|K|)
+before they get here, as ``bench.build_instance`` does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,6 @@ HYPERBOLIC = -1
 # drift outside their domain by rounding up to this amount; anything larger
 # signals a broken invariant and raises.
 DOMAIN_TOL = 1e-9
-
-_POINT_TOL = 1e-12
-_TANGENT_TOL = 1e-10
 
 
 class GeometryError(ValueError):
@@ -110,37 +108,23 @@ def log_map(x, y, sign):
     return np.where(n > 0, d * u / safe, np.zeros_like(u))
 
 
-def grad_half_sqdist(x, anchor, sign):
-    """Riemannian gradient of x -> d(x, anchor)^2 / 2, i.e. -log_map(x, anchor)."""
-    return -log_map(x, anchor, sign)
-
-
 @dataclass(frozen=True)
 class CurvatureClass:
-    """Curvature sign (+1 sphere, -1 hyperbolic) plus the raw curvature K != 0."""
+    """Curvature sign of the unit model: +1 sphere, -1 hyperbolic."""
 
     sign: int
-    raw_curvature: float
 
     def __post_init__(self):
         if self.sign not in (SPHERICAL, HYPERBOLIC):
             raise GeometryError("sign must be +1 or -1")
-        if self.raw_curvature == 0 or self.raw_curvature * self.sign <= 0:
-            raise GeometryError("raw_curvature must be nonzero and agree with sign")
 
     @classmethod
-    def spherical(cls, K=1.0):
-        return cls(SPHERICAL, K)
+    def spherical(cls):
+        return cls(SPHERICAL)
 
     @classmethod
-    def hyperbolic(cls, K=-1.0):
-        return cls(HYPERBOLIC, K)
-
-    @classmethod
-    def from_curvature(cls, K):
-        if K == 0:
-            raise GeometryError("K = 0 is Euclidean; use a flat-space solver")
-        return cls(SPHERICAL if K > 0 else HYPERBOLIC, K)
+    def hyperbolic(cls):
+        return cls(HYPERBOLIC)
 
 
 @dataclass(frozen=True)
@@ -164,42 +148,8 @@ class AmbientPoint:
     def distance_to(self, other):
         return float(distance(self.coords, other.coords, self.space.sign))
 
-    def log_to(self, other):
-        return TangentVector(self, log_map(self.coords, other.coords, self.space.sign))
-
-    def half_sqdist_grad(self, anchor):
-        """Gradient of F(x) = d(x, anchor)^2 / 2 at this point."""
-        return TangentVector(
-            self, grad_half_sqdist(self.coords, anchor.coords, self.space.sign)
-        )
-
     def isclose(self, other, tol=1e-9):
         return self.distance_to(other) <= tol
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """An ambient vector constrained to the tangent space at its base point."""
-
-    base: AmbientPoint
-    vec: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float)
-        if v.shape != self.base.coords.shape:
-            raise GeometryError("tangent vector shape must match its base point")
-        v = project_tangent(self.base.coords, v, self.base.space.sign)
-        v.flags.writeable = False
-        object.__setattr__(self, "vec", v)
-
-    @property
-    def norm(self):
-        return float(norm(self.vec, self.base.space.sign))
-
-    def exp(self):
-        return AmbientPoint(
-            exp_map(self.base.coords, self.vec, self.base.space.sign), self.base.space
-        )
 
 
 def pole(d, space):
@@ -207,35 +157,6 @@ def pole(d, space):
     c = np.zeros(d + 1)
     c[-1] = 1.0
     return AmbientPoint(c, space)
-
-
-@dataclass(frozen=True)
-class RescaledProblem:
-    """Problem constants after normalizing the curvature to +-1."""
-
-    unit_R: float
-    unit_L: float
-    unit_mu: float
-    space: CurvatureClass
-
-
-def rescale_to_unit(K, R, L, mu):
-    """Map (K, R, L, mu) to the unit-curvature model.
-
-    Distances scale by sqrt|K|, so the radius becomes sqrt|K| R while the
-    smoothness and strong-convexity moduli become L/|K| and mu/|K|.
-    """
-    if K == 0:
-        raise GeometryError("K = 0 is Euclidean and out of scope here")
-    if R <= 0:
-        raise GeometryError("R must be positive")
-    if not (L >= mu >= 0):
-        raise GeometryError("need L >= mu >= 0")
-    a = math.sqrt(abs(K))
-    unit_R = a * R
-    if K > 0 and unit_R >= math.pi / 2:
-        raise GeometryError("spherical radius sqrt(K) R must stay below pi/2")
-    return RescaledProblem(unit_R, L / abs(K), mu / abs(K), CurvatureClass.from_curvature(K))
 
 
 def random_tangent(x, sign, rng, size=None):

@@ -14,6 +14,7 @@ curvature distortion bounds on the squared-distance function.
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geomap import from_ball, pullback_gradient
-from .manifolds import AmbientPoint, GeometryError, TangentVector, distance
+from .manifolds import HYPERBOLIC, SPHERICAL, AmbientPoint, CurvatureClass, GeometryError, distance, inner
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,6 @@ class ManifoldObjective(ABC):
 
     def value(self, x: AmbientPoint) -> float:
         return float(self.value_c(x.coords))
-
-    def riem_grad(self, x: AmbientPoint) -> TangentVector:
-        return TangentVector(x, self.grad_c(x.coords))
 
 
 def _sqdist_terms(x, rows, sign, weights=1.0):
@@ -209,41 +207,27 @@ def regularized(obj, mu_i, center, delta):
     return RegularizedObjective(obj, mu_i, center, delta)
 
 
-class DeclaredConstants(ManifoldObjective):
-    """Same oracle, different declared constants (must remain valid bounds)."""
-
-    def __init__(self, inner_obj, smoothness=None, strong_convexity=None):
-        L = inner_obj.smoothness if smoothness is None else float(smoothness)
-        mu = (
-            inner_obj.strong_convexity
-            if strong_convexity is None
-            else float(strong_convexity)
-        )
-        if L < inner_obj.smoothness:
-            raise GeometryError("declared smoothness may only be loosened upward")
-        if mu > inner_obj.strong_convexity:
-            raise GeometryError("declared strong convexity may only be loosened downward")
-        if L < mu:
-            raise GeometryError("need L >= mu")
-        self.inner_obj = inner_obj
-        self.oracle_equivalent = getattr(inner_obj, "oracle_equivalent", inner_obj)
-        self.space = inner_obj.space
-        self.smoothness = L
-        self.strong_convexity = mu
-        self.known_minimizer = inner_obj.known_minimizer
-
-    def value_c(self, x):
-        return self.inner_obj.value_c(x)
-
-    def grad_c(self, x):
-        return self.inner_obj.grad_c(x)
-
-    def value_and_grad_c(self, x):
-        return self.inner_obj.value_and_grad_c(x)
-
-
 def with_constants(obj, smoothness=None, strong_convexity=None):
-    return DeclaredConstants(obj, smoothness, strong_convexity)
+    """A shallow copy of ``obj`` that declares looser constants.
+
+    Smoothness may only go up and strong convexity only down, so the
+    declared constants stay valid bounds for the shared oracle.  The copy's
+    ``oracle_equivalent`` is the original objective, whose tighter
+    constants ``reference_optimum`` uses.
+    """
+    L = obj.smoothness if smoothness is None else float(smoothness)
+    mu = obj.strong_convexity if strong_convexity is None else float(strong_convexity)
+    if L < obj.smoothness:
+        raise GeometryError("declared smoothness may only be loosened upward")
+    if mu > obj.strong_convexity:
+        raise GeometryError("declared strong convexity may only be loosened downward")
+    if L < mu:
+        raise GeometryError("need L >= mu")
+    out = copy.copy(obj)
+    out.oracle_equivalent = getattr(obj, "oracle_equivalent", obj)
+    out.smoothness = L
+    out.strong_convexity = mu
+    return out
 
 
 def validate_constants(obj, center, R, n=2000, rng=None):
@@ -255,7 +239,7 @@ def validate_constants(obj, center, R, n=2000, rng=None):
     scale.  Useful for user-supplied oracles, whose declared constants are
     otherwise trusted.
     """
-    from .manifolds import inner, log_map, random_in_ball
+    from .manifolds import log_map, random_in_ball
 
     rng = rng or np.random.default_rng(0)
     sign = obj.space.sign
@@ -299,6 +283,11 @@ class MappedObjective:
 
 # Anchor-set files: one anchor per line, d+1 whitespace-separated ambient
 # coordinates, with a header line `# class=<spherical|hyperbolic> d=<int>`.
+# Rows must lie on the unit model as written: |<p,p> - sign| <= ANCHOR_TOL |p|^2
+# in the ambient metric, |p|^2 being the rounding scale of <p,p>.
+ANCHOR_TOL = 1e-9
+_CLASS_SIGNS = {"spherical": SPHERICAL, "hyperbolic": HYPERBOLIC}
+
 
 def save_anchors(path, space, anchors):
     name = "spherical" if space.sign > 0 else "hyperbolic"
@@ -312,12 +301,10 @@ def save_anchors(path, space, anchors):
 
 def load_anchors(path, space=None):
     """Read an anchor file; returns (CurvatureClass, list[AmbientPoint])."""
-    from .manifolds import CurvatureClass
-
     header = None
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -325,7 +312,7 @@ def load_anchors(path, space=None):
                 if header is None:
                     header = line
                 continue
-            rows.append([float(v) for v in line.split()])
+            rows.append((lineno, [float(v) for v in line.split()]))
     if header is None:
         raise GeometryError("anchor file is missing its header line")
     fields = dict(
@@ -333,18 +320,24 @@ def load_anchors(path, space=None):
     )
     name = fields.get("class")
     d = int(fields.get("d", "0"))
-    if name == "spherical":
-        file_space = CurvatureClass.spherical()
-    elif name == "hyperbolic":
-        file_space = CurvatureClass.hyperbolic()
-    else:
+    if name not in _CLASS_SIGNS:
         raise GeometryError(f"unknown manifold class {name!r} in anchor file")
+    file_space = CurvatureClass(_CLASS_SIGNS[name])
     if space is not None and space.sign != file_space.sign:
         raise GeometryError("anchor file class does not match the requested space")
     space = space or file_space
+    if not rows:
+        raise GeometryError(f"{path}: anchor file holds no anchors")
     anchors = []
-    for row in rows:
+    for lineno, row in rows:
         if len(row) != d + 1:
-            raise GeometryError("anchor row length does not match header dimension")
-        anchors.append(AmbientPoint(np.asarray(row), space))
+            raise GeometryError(f"{path}:{lineno}: anchor row length does not match d={d}")
+        p = np.asarray(row)
+        residual = abs(float(inner(p, p, space.sign)) - space.sign)
+        if not residual <= ANCHOR_TOL * float(p @ p):
+            raise GeometryError(
+                f"{path}:{lineno}: anchor is off the unit {name} model "
+                f"(|<p,p> - {space.sign}| = {residual:.3g})"
+            )
+        anchors.append(AmbientPoint(p, space))
     return space, anchors

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import axgd
-from .geomap import deformation_constants, from_ball_point, make_frame, to_ball
+from .geomap import deformation_constants, from_ball, make_frame, to_ball
 from .manifolds import SPHERICAL, AmbientPoint, GeometryError
 from .objectives import DeltaConstants, MappedObjective, delta_constants, regularized
 
@@ -29,20 +29,19 @@ class RestartPlan:
     """Restart schedule: per-round gap target mu R_k^2 / 4 halves d(., x*)^2."""
 
     rounds: int
-    recenter: bool
 
     def __post_init__(self):
         if self.rounds < 1:
             raise GeometryError("need at least one restart round")
 
 
-def make_restart_plan(mu, R, epsilon, recenter=True):
+def make_restart_plan(mu, R, epsilon):
     if mu <= 0:
         raise GeometryError("restart reduction needs strictly positive strong convexity")
     if epsilon <= 0 or R <= 0:
         raise GeometryError("epsilon and R must be positive")
     rounds = max(1, math.ceil(math.log2(mu * R * R / epsilon) - 1.0))
-    return RestartPlan(rounds=rounds, recenter=recenter)
+    return RestartPlan(rounds=rounds)
 
 
 @dataclass
@@ -69,7 +68,7 @@ def solve_strongly_gconvex(F, x0, R, epsilon, recenter=True, trace=None):
     the original ball.
     """
     mu = F.strong_convexity
-    plan = make_restart_plan(mu, R, epsilon, recenter)
+    plan = make_restart_plan(mu, R, epsilon)
     fixed_frame = None if recenter else make_frame(x0, R)
     x = x0
     for k in range(plan.rounds):
@@ -85,7 +84,7 @@ def solve_strongly_gconvex(F, x0, R, epsilon, recenter=True, trace=None):
         params = axgd.params_from_constants(dc, frame.R_tilde, eps_k)
         records = []
         xt = axgd.run(MappedObjective(F, frame), params, start, trace=records.append)
-        x = from_ball_point(frame, xt)
+        x = AmbientPoint(from_ball(frame, xt), F.space)
         if trace is not None:
             trace(RoundTrace(k, frame, R_k, eps_k, params, records, x))
     return x

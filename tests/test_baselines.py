@@ -67,13 +67,13 @@ class TestReferenceOptimum:
         assert f_star == 0.0
 
     def test_two_equal_anchors_geodesic_midpoint(self, space, rng):
-        from curvopt.manifolds import exp_map
+        from curvopt.manifolds import exp_map, log_map
 
         center = pole(2, space)
         coords = random_in_ball(center.coords, space.sign, 0.5, rng, 2)
         a, b = AmbientPoint(coords[0], space), AmbientPoint(coords[1], space)
         mid = AmbientPoint(
-            exp_map(a.coords, 0.5 * a.log_to(b).vec, space.sign), space
+            exp_map(a.coords, 0.5 * log_map(a.coords, b.coords, space.sign), space.sign), space
         )
         F = FrechetObjective([a, b], [0.5, 0.5], center, 0.8)
         x_star, _ = reference_optimum(F, center, 0.8)

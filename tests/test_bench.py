@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvopt import solve_gconvex_via_sc, with_constants
+from curvopt import axgd, solve_gconvex_via_sc, with_constants
 from curvopt.bench import (
     ConfigError,
     ExperimentConfig,
     build_instance,
     fit_rate_exponent,
+    main,
     parse_config,
     rgd_budget,
     run_experiment,
@@ -262,3 +264,58 @@ def test_sweep_series_monotone(tmp_path):
     assert evals == sorted(evals)
     for eps, _, gap in series:
         assert gap <= eps
+
+
+def _exhausted_line_search(*args, **kwargs):
+    raise axgd.LineSearchError("line-search probe budget exhausted")
+
+
+@pytest.mark.parametrize(
+    "config,anchors,line_search_fails",
+    [
+        ("anchors_file = {anchors}\n", "# class=hyperbolic d=2\n", False),
+        ("anchors_file = {anchors}.missing\n", None, False),
+        (
+            "manifold = spherical\ncurvature = 1.0\nR = 0.5\nanchors_file = {anchors}\n",
+            "# class=spherical d=2\n0 0 1\n0 0 2\n",
+            False,
+        ),
+        ("manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False),
+        ("curvature = 0\n", None, False),
+        ("epsilon = 1e-2\n", None, True),
+    ],
+    ids=[
+        "empty-anchor-file", "missing-anchor-file", "off-model-anchor",
+        "hemisphere", "flat", "line-search-error",
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(
+    tmp_path, capsys, monkeypatch, config, anchors, line_search_fails
+):
+    anchors_path = tmp_path / "anchors.txt"
+    if anchors is not None:
+        anchors_path.write_text(anchors)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config.format(anchors=anchors_path))
+    if line_search_fails:
+        monkeypatch.setattr(axgd, "binary_line_search", _exhausted_line_search)
+    code = main(["run", "--config", str(cfg), "--output", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_sweep_fits_rgd_without_log_deflation(tmp_path, capsys):
+    # The certified descent budget is c / eps: its exponent is fitted as it is.
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text("R = 0.5\nanchor_count = 4\ntreat_gconvex = true\nseed = 3\n")
+    argv = ["sweep", "--config", str(cfg), "--solver", "rgd", "--epsilons", "1e-2,1e-3,3e-4,1e-4"]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    series = [
+        (float(eps), int(n))
+        for eps, n in (re.match(r"epsilon=(\S+) grad_evals=(\d+)", line).groups() for line in lines[:-1])
+    ]
+    fitted = float(lines[-1].removeprefix("fitted_exponent="))
+    assert fitted == pytest.approx(fit_rate_exponent(series, deflate_log=False), abs=1e-4)
+    assert fitted == pytest.approx(1.0, abs=0.02)

@@ -2,26 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from curvopt import (
     AmbientPoint,
     CurvatureClass,
     GeometryError,
-    TangentVector,
     pole,
-    rescale_to_unit,
 )
+from curvopt.bench import ConfigError, ExperimentConfig
 from curvopt.manifolds import (
     HYPERBOLIC,
     SPHERICAL,
     distance,
     exp_map,
-    grad_half_sqdist,
     inner,
     log_map,
     norm,
+    project_tangent,
     random_in_ball,
     random_tangent,
 )
@@ -44,15 +41,16 @@ class TestInvariants:
             AmbientPoint([0.0, 0.0, -1.0], CurvatureClass.hyperbolic())
 
     def test_tangent_projection(self, space, rng):
-        x = pole(3, space)
-        v = TangentVector(x, rng.standard_normal(4))
-        assert abs(inner(x.coords, v.vec, space.sign)) < 1e-10
+        x = pole(3, space).coords
+        v = project_tangent(x, rng.standard_normal(4), space.sign)
+        assert abs(inner(x, v, space.sign)) < 1e-10
 
     def test_curvature_class_sign_agreement(self):
-        with pytest.raises(GeometryError):
-            CurvatureClass(SPHERICAL, -2.0)
-        with pytest.raises(GeometryError):
-            CurvatureClass.from_curvature(0.0)
+        assert CurvatureClass.spherical().sign == SPHERICAL
+        assert CurvatureClass.hyperbolic().sign == HYPERBOLIC
+        for sign in (0, 2, -0.5):
+            with pytest.raises(GeometryError):
+                CurvatureClass(sign)
 
 
 class TestDistance:
@@ -89,19 +87,16 @@ class TestDistance:
 
 class TestExpLog:
     def test_exp_zero_is_base(self, space):
-        x = pole(3, space)
-        v = TangentVector(x, np.zeros(4))
-        assert np.allclose(v.exp().coords, x.coords)
+        x = pole(3, space).coords
+        assert np.allclose(exp_map(x, np.zeros(4), space.sign), x)
 
     def test_exp_hyperbolic_closed_form(self):
-        sp = CurvatureClass.hyperbolic()
-        x = AmbientPoint([0.0, 1.0], sp)
-        y = TangentVector(x, [1.0, 0.0]).exp()
-        assert np.allclose(y.coords, [math.sinh(1.0), math.cosh(1.0)], atol=1e-12)
+        y = exp_map(np.array([0.0, 1.0]), np.array([1.0, 0.0]), HYPERBOLIC)
+        assert np.allclose(y, [math.sinh(1.0), math.cosh(1.0)], atol=1e-12)
 
     def test_log_zero_at_same_point(self, space):
-        x = pole(3, space)
-        assert np.allclose(x.log_to(x).vec, 0.0)
+        x = pole(3, space).coords
+        assert np.allclose(log_map(x, x, space.sign), 0.0)
 
     def test_roundtrip_many(self, space, rng):
         c = pole(5, space).coords
@@ -120,22 +115,27 @@ class TestExpLog:
 
 
 class TestGradHalfSqdist:
+    """The gradient of x -> d(x, a)^2 / 2 is -log_map(x, a)."""
+
     def test_zero_at_anchor(self, space):
-        x = pole(3, space)
-        assert np.allclose(x.half_sqdist_grad(x).vec, 0.0)
+        x = pole(3, space).coords
+        assert np.allclose(-log_map(x, x, space.sign), 0.0)
 
     def test_equals_minus_log(self, space, rng):
+        # Closed form: -theta u / |u|, u = a - sign <x, a> x the tangential
+        # part of a at x, |u| = sin(theta) or sinh(theta).
         c = pole(3, space).coords
         x, a = random_in_ball(c, space.sign, 1.0, rng, 2)
-        assert np.allclose(
-            grad_half_sqdist(x, a, space.sign), -log_map(x, a, space.sign), atol=1e-14
-        )
+        theta = float(distance(x, a, space.sign))
+        u = a - space.sign * float(inner(x, a, space.sign)) * x
+        un = math.sin(theta) if space.sign == SPHERICAL else math.sinh(theta)
+        assert np.allclose(-theta * u / un, -log_map(x, a, space.sign), atol=1e-14)
 
     def test_norm_equals_distance(self, space, rng):
         c = pole(3, space).coords
         pts = random_in_ball(c, space.sign, 1.0, rng, 400)
         x, a = pts[:200], pts[200:]
-        g = grad_half_sqdist(x, a, space.sign)
+        g = -log_map(x, a, space.sign)
         assert np.max(np.abs(norm(g, space.sign) - distance(x, a, space.sign))) < 1e-10
 
     def test_matches_finite_differences(self, space, rng):
@@ -143,7 +143,7 @@ class TestGradHalfSqdist:
         h = 1e-5
         for _ in range(50):
             x, a = random_in_ball(c, space.sign, 1.0, rng, 2)
-            g = grad_half_sqdist(x, a, space.sign)
+            g = -log_map(x, a, space.sign)
             u = random_tangent(x, space.sign, rng)
             fd = (
                 distance(exp_map(x, h * u, space.sign), a, space.sign) ** 2
@@ -153,38 +153,14 @@ class TestGradHalfSqdist:
 
 
 class TestRescaling:
-    def test_hyperbolic_example(self):
-        r = rescale_to_unit(-4.0, 0.5, 8.0, 2.0)
-        assert (r.unit_R, r.unit_L, r.unit_mu) == (1.0, 2.0, 0.5)
-
-    def test_unit_curvature_is_identity(self):
-        r = rescale_to_unit(-1.0, 0.7, 3.0, 1.0)
-        assert (r.unit_R, r.unit_L, r.unit_mu) == (0.7, 3.0, 1.0)
-
-    def test_spherical_example(self):
-        r = rescale_to_unit(0.25, 2.0, 1.0, 0.0)
-        assert (r.unit_R, r.unit_L, r.unit_mu) == (1.0, 4.0, 0.0)
-
     def test_rejects_flat_and_hemisphere_violation(self):
-        with pytest.raises(GeometryError):
-            rescale_to_unit(0.0, 1.0, 1.0, 0.0)
-        with pytest.raises(GeometryError):
-            rescale_to_unit(1.0, math.pi / 2, 1.0, 0.0)
-
-    @given(
-        K=st.floats(0.01, 50.0),
-        R=st.floats(0.01, 1.2),
-        L=st.floats(0.1, 100.0),
-        ratio=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_rescaling_properties(self, K, R, L, ratio):
-        mu = ratio * L
-        K_signed = -K  # hyperbolic side is unconstrained in R
-        r = rescale_to_unit(K_signed, R, L, mu)
-        assert math.isclose(r.unit_R, math.sqrt(K) * R, rel_tol=1e-12)
-        assert math.isclose(r.unit_L, L / K, rel_tol=1e-12)
-        assert r.unit_L >= r.unit_mu >= 0
+        with pytest.raises(ConfigError, match="^curvature:"):
+            ExperimentConfig(curvature=0.0).validate()
+        with pytest.raises(ConfigError, match="^R:"):
+            ExperimentConfig(manifold="spherical", curvature=1.0, R=math.pi / 2).validate()
+        with pytest.raises(ConfigError, match="^R:"):
+            ExperimentConfig(manifold="spherical", curvature=0.25, R=3.2).validate()
+        ExperimentConfig(manifold="spherical", curvature=0.25, R=3.1).validate()
 
     def test_distance_rescaling_consistency(self, rng):
         # Independent raw-curvature oracle: the curvature-K hyperboloid is

@@ -203,6 +203,18 @@ class TestDeclaredConstants:
         with pytest.raises(GeometryError):
             with_constants(F, strong_convexity=F.strong_convexity + 1.0)
 
+    def test_copy_shares_the_oracle(self, space, rng):
+        center, F = frechet_instance(space, 2, 1.0, 3, seed=15)
+        L, mu = F.smoothness, F.strong_convexity
+        F2 = with_constants(with_constants(F, smoothness=2 * L), strong_convexity=0.0)
+        assert type(F2) is type(F)
+        assert (F.smoothness, F.strong_convexity) == (L, mu)
+        assert (F2.smoothness, F2.strong_convexity) == (2 * L, 0.0)
+        assert F2.oracle_equivalent is F
+        x = random_in_ball(center.coords, space.sign, 1.0, rng, 8)
+        assert np.array_equal(F2.grad_c(x), F.grad_c(x))
+        assert np.array_equal(F2.value_c(x), F.value_c(x))
+
 
 class TestValueAndGrad:
     """The fused oracle returns exactly what the two separate calls return."""
@@ -268,4 +280,13 @@ class TestAnchorFiles:
         path = tmp_path / "anchors.txt"
         path.write_text("0 0 1\n")
         with pytest.raises(GeometryError):
+            load_anchors(path)
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8])
+    def test_off_model_row_rejected(self, tmp_path, space, scale):
+        # Rows are checked as written, not renormalized onto the model.
+        name = "spherical" if space.sign > 0 else "hyperbolic"
+        path = tmp_path / "anchors.txt"
+        path.write_text(f"# class={name} d=2\n0 0 1\n0 0 {scale!r}\n")
+        with pytest.raises(GeometryError, match=":3: anchor is off the unit"):
             load_anchors(path)

@@ -32,7 +32,7 @@ def instance_with_offset_start(space, d, R, seed, n_anchors=4, anchor_radius=0.3
 
 class TestRestartPlan:
     def test_round_count(self):
-        plan = make_restart_plan(mu=1.0, R=1.0, epsilon=1e-6, recenter=True)
+        plan = make_restart_plan(mu=1.0, R=1.0, epsilon=1e-6)
         assert plan.rounds == math.ceil(math.log2(1e6) - 1.0)
 
     def test_minimum_one_round(self):
