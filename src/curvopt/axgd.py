@@ -74,6 +74,18 @@ class SolverParams:
         return self.A(self.t) * self.epsilon / (2.0 * (self.t - 1) * self.A(i))
 
 
+# Larger certified budgets come from configs no run can finish (hyperbolic
+# R = 20 certifies 2.4e49 axgd iterations); tests spend at most ~1.05e7.
+MAX_ITERATIONS = 10**8
+
+
+def ceil_budget(t):
+    """Round a certified iteration count up; ValueError above MAX_ITERATIONS."""
+    if not t <= MAX_ITERATIONS:
+        raise ValueError(f"certified budget t = {t:.3g} iterations exceeds {MAX_ITERATIONS:.0e}")
+    return max(1, math.ceil(t))
+
+
 def iteration_budget(L_tilde, gamma_n, gamma_p, epsilon, R_tilde, sigma=1.0):
     """Iterations sufficient for an epsilon-minimizer from the diameter bound.
 
@@ -83,7 +95,7 @@ def iteration_budget(L_tilde, gamma_n, gamma_p, epsilon, R_tilde, sigma=1.0):
     t = math.sqrt(
         2.0 * L_tilde * (2.0 * R_tilde) ** 2 / (sigma * gamma_n**2 * gamma_p * epsilon)
     )
-    return max(1, math.ceil(t))
+    return ceil_budget(t)
 
 
 def params_from_constants(dc, R_tilde, epsilon, t=None, sigma=1.0):
@@ -117,9 +129,9 @@ class SolverState:
 
 
 def mirror_dual_grad(z, R_tilde):
-    """Dual gradient of the ball-restricted quadratic mirror map: projection."""
+    """Dual gradient of the ball-restricted quadratic mirror map: projection of one 1-D z."""
     z = np.asarray(z, dtype=float)
-    n = np.linalg.norm(z)
+    n = math.sqrt(z.dot(z))
     if n <= R_tilde:
         return z
     return (R_tilde / n) * z
@@ -146,7 +158,7 @@ def _candidate(state, a_next, gamma_n, R_tilde, f, lam):
     x_next = (1.0 - lam) * state.x_t + lam * mirror_dual_grad(zeta, R_tilde)
     f_next, grad_next = f.value_and_grad(x_next)
     z_next = state.z_t - step * grad_next
-    inner = float(np.dot(grad_next, x_next - state.x_t))
+    inner = float(grad_next.dot(x_next - state.x_t))
     return StepCandidate(lam, chi, grad_chi, x_next, grad_next, z_next, f_next, inner)
 
 
@@ -295,7 +307,7 @@ def run(f, params, x0_tilde, trace=None):
                 x=state.x_t.copy(),
                 x_prev=x0.copy(),
                 f_value=cand.f_next,
-                grad_norm=float(np.linalg.norm(cand.grad_next)),
+                grad_norm=math.sqrt(cand.grad_next.dot(cand.grad_next)),
                 grad_evals=state.grad_evals,
                 lam=1.0,
                 gamma_hat=math.nan,
@@ -330,7 +342,7 @@ def run(f, params, x0_tilde, trace=None):
                     x=state.x_t.copy(),
                     x_prev=x_prev.copy(),
                     f_value=cand.f_next,
-                    grad_norm=float(np.linalg.norm(cand.grad_next)),
+                    grad_norm=math.sqrt(cand.grad_next.dot(cand.grad_next)),
                     grad_evals=state.grad_evals,
                     lam=res.lam,
                     gamma_hat=res.gamma_hat,

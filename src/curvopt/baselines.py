@@ -57,9 +57,10 @@ def rgd_run(F, x0, R, params, trace=None):
     for k in range(params.max_iters + 1):
         g = F.grad_c(x)
         evals += 1
-        sq = g @ g
+        sq = float(g.dot(g))
         if sign < 0:
-            sq -= 2.0 * g[-1] * g[-1]
+            gl = float(g[-1])
+            sq -= 2.0 * gl * gl
         gn = math.sqrt(max(sq, 0.0))
         if trace is not None and (
             k % params.trace_stride == 0 or gn <= params.tol_grad or k == params.max_iters
@@ -72,12 +73,13 @@ def rgd_run(F, x0, R, params, trace=None):
         t = step * gn
         if sign < 0:
             x = math.cosh(t) * x - (math.sinh(t) / gn) * g
-            x = x / math.sqrt(max(-(x @ x - 2.0 * x[-1] * x[-1]), 1e-300))
-            outside = x @ cm < -cos_R
+            xl = float(x[-1])
+            x = x / math.sqrt(max(-(float(x.dot(x)) - 2.0 * xl * xl), 1e-300))
+            outside = float(x.dot(cm)) < -cos_R
         else:
             x = math.cos(t) * x - (math.sin(t) / gn) * g
-            x = x / np.linalg.norm(x)
-            outside = x @ cm < cos_R
+            x = x / math.sqrt(x.dot(x))
+            outside = float(x.dot(cm)) < cos_R
         if outside:
             u = log_map(center, x, sign)
             un = float(norm(u, sign))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -238,12 +239,12 @@ def rgd_budget(F, R, epsilon):
     L = F.smoothness
     Delta = 2.0 * L * R * R
     if F.strong_convexity > 0:
-        return max(1, math.ceil(L / F.strong_convexity * math.log(max(Delta / epsilon, 2.0))))
+        return axgd.ceil_budget(L / F.strong_convexity * math.log(max(Delta / epsilon, 2.0)))
     if F.space.sign == HYPERBOLIC:
         zeta = 2.0 * R / math.tanh(2.0 * R)
     else:
         zeta = 1.0
-    return max(1, math.ceil(2.0 * zeta * L * R * R / epsilon))
+    return axgd.ceil_budget(2.0 * zeta * L * R * R / epsilon)
 
 
 def run_experiment(cfg, instance=None):
@@ -299,25 +300,16 @@ def run_experiment(cfg, instance=None):
 def _round_sink(cfg, inst, rows, t0):
     # Gaps are taken on the instance objective: the records of a
     # regularization stage hold values of the regularized objective.
-    state = {"iter": 0, "evals": 0}
+    spent = 0
 
     def on_round(rt):
+        nonlocal spent
         for rec in rt.records:
-            state["iter"] += 1
             x = from_ball(rt.frame, rec.x)
             gap, dist = _gap_and_dist(inst, x, float(inst.objective.value_c(x)))
-            rows.append(
-                Row(
-                    state["iter"],
-                    state["evals"] + rec.grad_evals,
-                    gap,
-                    dist,
-                    rec.lam,
-                    rec.gamma_hat,
-                    _now(cfg, t0),
-                )
-            )
-        state["evals"] += rt.grad_evals
+            evals = spent + rec.grad_evals
+            rows.append(Row(len(rows) + 1, evals, gap, dist, rec.lam, rec.gamma_hat, _now(cfg, t0)))
+        spent += rt.grad_evals
 
     return on_round
 
@@ -325,14 +317,8 @@ def _round_sink(cfg, inst, rows, t0):
 def _run_restart(cfg, inst, rows, t0):
     if inst.objective.strong_convexity <= 0:
         raise ConfigError("restart_sc needs a strongly convex instance")
-    solve_strongly_gconvex(
-        inst.objective,
-        inst.x0,
-        inst.R,
-        cfg.epsilon,
-        recenter=True,
-        trace=_round_sink(cfg, inst, rows, t0),
-    )
+    trace = _round_sink(cfg, inst, rows, t0)
+    solve_strongly_gconvex(inst.objective, inst.x0, inst.R, cfg.epsilon, trace=trace)
 
 
 def _run_reduce_gc(cfg, inst, rows, t0):
@@ -345,9 +331,7 @@ def _run_reduce_gc(cfg, inst, rows, t0):
         for rt in st.rounds:
             round_sink(rt)
 
-    solve_gconvex_via_sc(
-        F, inst.x0, inst.R, cfg.epsilon, recenter=True, trace=on_stage
-    )
+    solve_gconvex_via_sc(F, inst.x0, inst.R, cfg.epsilon, trace=on_stage)
 
 
 def fit_rate_exponent(series, deflate_log=True):
@@ -370,8 +354,6 @@ def fit_rate_exponent(series, deflate_log=True):
 
 
 def run_sweep(cfg, epsilons, output_dir):
-    import os
-
     os.makedirs(output_dir, exist_ok=True)
     inst = build_instance(cfg)
     series = []

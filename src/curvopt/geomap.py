@@ -134,12 +134,11 @@ def to_ball(frame, x, tol=BALL_TOL):
 def from_ball(frame, xt, tol=BALL_TOL):
     """Inverse map; returns ambient coordinates on the model manifold."""
     xt = np.asarray(xt, dtype=float)
-    r2 = np.sum(xt * xt, axis=-1)
-    if np.any(np.sqrt(r2) > frame.R_tilde + tol):
+    r2 = (xt * xt).sum(-1)
+    if (np.sqrt(r2) > frame.R_tilde + tol).any():
         raise GeometryError("ball coordinates exceed the frame radius")
-    K = float(frame.sign)
-    s = 1.0 / np.sqrt(np.maximum(1.0 + K * r2, 1e-300))
-    p = np.concatenate([xt, np.ones(xt.shape[:-1] + (1,))], axis=-1) * s[..., None]
+    s = 1.0 / np.sqrt(np.maximum(1.0 + frame.sign * r2, 1e-300))
+    p = np.concatenate([xt * s[..., None], s[..., None]], axis=-1)
     return p @ frame.inv_mat.T
 
 

@@ -91,18 +91,19 @@ class ManifoldObjective(ABC):
 
 
 def _sqdist_terms(x, rows, sign, weights=1.0):
-    """c_j = <a_j, x>, distances theta_j and log-map coefficients w_j theta_j / |u_j|.
+    """c_j = cos d(x, a_j) (cosh on the hyperboloid), theta_j and w_j theta_j / |u_j|.
 
-    ``rows`` holds the points a_j, or a single one, with the last slot
-    multiplied by ``sign`` so that <a_j, x> is a plain matvec; |u_j| =
-    sqrt(|c_j^2 - 1|) is the norm of the tangential component of a_j at x.
+    ``rows`` holds the cosine rows of the points a_j, or of one: a_j on the
+    sphere, a_j with its first d slots negated on the hyperboloid, so that
+    c = x @ rows.T.  u_j = a_j - c_j x, the tangential component of a_j at
+    x, has norm sqrt(|c_j^2 - 1|).
     """
     c = x @ rows.T
     if sign < 0:
-        theta = np.arccosh(np.maximum(-c, 1.0))
+        theta = np.arccosh(np.maximum(c, 1.0))
         un = np.sqrt(np.maximum(c * c - 1.0, 1e-300))
     else:
-        theta = np.arccos(np.clip(c, -1.0, 1.0))
+        theta = np.arccos(c.clip(-1.0, 1.0))
         un = np.sqrt(np.maximum(1.0 - c * c, 1e-300))
     return c, theta, weights * theta / un
 
@@ -140,28 +141,28 @@ class FrechetObjective(ManifoldObjective):
         self.smoothness = self.delta.delta_n * w_sum
         self.strong_convexity = self.delta.delta_p * w_sum
         self.known_minimizer = anchors[0] if len(anchors) == 1 else None
-        self._anchor_metric = self.anchor_coords.copy()
-        self._anchor_metric[:, -1] *= sign
+        self._anchor_rows = self.anchor_coords.copy()
+        self._anchor_rows[:, :-1] *= sign
 
     def _value(self, theta):
-        return 0.5 * np.sum(self.weights * theta**2, axis=-1)
+        return 0.5 * (self.weights * theta**2).sum(-1)
 
     def _grad(self, x, c, k):
-        # grad = -sum_j k_j (a_j - sign c_j x): the tangential directions
-        # toward the anchors, scaled by distance over tangential norm.
-        return -(k @ self.anchor_coords) + self.space.sign * np.sum(k * c, axis=-1)[..., None] * x
+        # grad = -sum_j k_j u_j = sum_j k_j (c_j x - a_j): the tangential
+        # directions toward the anchors, scaled by distance over tangential norm.
+        return (k * c).sum(-1, keepdims=True) * x - k @ self.anchor_coords
 
     def value_c(self, x):
-        return self._value(_sqdist_terms(x, self._anchor_metric, self.space.sign, self.weights)[1])
+        return self._value(_sqdist_terms(x, self._anchor_rows, self.space.sign, self.weights)[1])
 
     def grad_c(self, x):
         x = np.asarray(x, dtype=float)
-        c, _, k = _sqdist_terms(x, self._anchor_metric, self.space.sign, self.weights)
+        c, _, k = _sqdist_terms(x, self._anchor_rows, self.space.sign, self.weights)
         return self._grad(x, c, k)
 
     def value_and_grad_c(self, x):
         x = np.asarray(x, dtype=float)
-        c, theta, k = _sqdist_terms(x, self._anchor_metric, self.space.sign, self.weights)
+        c, theta, k = _sqdist_terms(x, self._anchor_rows, self.space.sign, self.weights)
         return self._value(theta), self._grad(x, c, k)
 
 
@@ -178,24 +179,24 @@ class RegularizedObjective(ManifoldObjective):
         self.smoothness = inner_obj.smoothness + mu_i * delta.delta_n
         self.strong_convexity = inner_obj.strong_convexity + mu_i * delta.delta_p
         self.known_minimizer = None
-        self._center_metric = center.coords.copy()
-        self._center_metric[-1] *= self.space.sign
+        self._center_row = center.coords.copy()
+        self._center_row[:-1] *= self.space.sign
 
     def _reg_grad(self, x, c, k):
-        return -k[..., None] * (self.center.coords - self.space.sign * c[..., None] * x)
+        return -k[..., None] * (self.center.coords - c[..., None] * x)
 
     def value_c(self, x):
-        theta = _sqdist_terms(x, self._center_metric, self.space.sign)[1]
+        theta = _sqdist_terms(x, self._center_row, self.space.sign)[1]
         return self.inner_obj.value_c(x) + 0.5 * self.mu_i * theta**2
 
     def grad_c(self, x):
         x = np.asarray(x, dtype=float)
-        c, _, k = _sqdist_terms(x, self._center_metric, self.space.sign)
+        c, _, k = _sqdist_terms(x, self._center_row, self.space.sign)
         return self.inner_obj.grad_c(x) + self.mu_i * self._reg_grad(x, c, k)
 
     def value_and_grad_c(self, x):
         x = np.asarray(x, dtype=float)
-        c, theta, k = _sqdist_terms(x, self._center_metric, self.space.sign)
+        c, theta, k = _sqdist_terms(x, self._center_row, self.space.sign)
         value, grad = self.inner_obj.value_and_grad_c(x)
         return value + 0.5 * self.mu_i * theta**2, grad + self.mu_i * self._reg_grad(x, c, k)
 
@@ -312,7 +313,10 @@ def load_anchors(path, space=None):
                 if header is None:
                     header = line
                 continue
-            rows.append((lineno, [float(v) for v in line.split()]))
+            try:
+                rows.append((lineno, [float(v) for v in line.split()]))
+            except ValueError as err:
+                raise GeometryError(f"{path}:{lineno}: {err}") from None
     if header is None:
         raise GeometryError("anchor file is missing its header line")
     fields = dict(

@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -271,26 +272,31 @@ def _exhausted_line_search(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "config,anchors,line_search_fails",
+    "config,anchors,line_search_fails,where",
     [
-        ("anchors_file = {anchors}\n", "# class=hyperbolic d=2\n", False),
-        ("anchors_file = {anchors}.missing\n", None, False),
+        ("anchors_file = {anchors}\n", "# class=hyperbolic d=2\n", False, "{anchors}:"),
+        ("anchors_file = {anchors}.missing\n", None, False, "{anchors}.missing"),
         (
             "manifold = spherical\ncurvature = 1.0\nR = 0.5\nanchors_file = {anchors}\n",
             "# class=spherical d=2\n0 0 1\n0 0 2\n",
             False,
+            "{anchors}:3:",
         ),
-        ("manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False),
-        ("curvature = 0\n", None, False),
-        ("epsilon = 1e-2\n", None, True),
+        ("anchors_file = {anchors}\n", "# class=hyperbolic d=2\n0 0 1\n0 0 abc\n", False, "{anchors}:3:"),
+        ("manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False, "R:"),
+        ("curvature = 0\n", None, False, "curvature:"),
+        ("epsilon = 1e-2\n", None, True, "line-search"),
+        # Certified budgets of 2.4e49 (axgd) and 1.05e8 (rgd) iterations.
+        ("R = 20\nepsilon = 1e-2\n", None, False, "certified budget t = 2.45e+49"),
+        ("R = 20\nepsilon = 1e-2\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 1.05e+08"),
     ],
     ids=[
-        "empty-anchor-file", "missing-anchor-file", "off-model-anchor",
-        "hemisphere", "flat", "line-search-error",
+        "empty-anchor-file", "missing-anchor-file", "off-model-anchor", "non-numeric-anchor",
+        "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(
-    tmp_path, capsys, monkeypatch, config, anchors, line_search_fails
+    tmp_path, capsys, monkeypatch, config, anchors, line_search_fails, where
 ):
     anchors_path = tmp_path / "anchors.txt"
     if anchors is not None:
@@ -299,10 +305,13 @@ def test_bad_input_exits_2_with_one_error_line(
     cfg.write_text(config.format(anchors=anchors_path))
     if line_search_fails:
         monkeypatch.setattr(axgd, "binary_line_search", _exhausted_line_search)
+    start = time.perf_counter()
     code = main(["run", "--config", str(cfg), "--output", str(tmp_path / "out.csv")])
     err = capsys.readouterr().err
+    assert time.perf_counter() - start < 10.0
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert where.format(anchors=anchors_path) in err, err
 
 
 def test_sweep_fits_rgd_without_log_deflation(tmp_path, capsys):

@@ -282,6 +282,12 @@ class TestAnchorFiles:
         with pytest.raises(GeometryError):
             load_anchors(path)
 
+    def test_non_numeric_row_rejected(self, tmp_path):
+        path = tmp_path / "anchors.txt"
+        path.write_text("# class=hyperbolic d=2\n0 0 1\n\n0 0 abc\n")
+        with pytest.raises(GeometryError, match=r"anchors\.txt:4: could not convert string to float: 'abc'"):
+            load_anchors(path)
+
     @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-8])
     def test_off_model_row_rejected(self, tmp_path, space, scale):
         # Rows are checked as written, not renormalized onto the model.
