@@ -14,10 +14,13 @@ constants over the ball that the solver consumes.
 
 Conventions: with r = |x~| and curvature sign K, the differential of the
 map at x has radial eigenvalue (1 + K r^2) and tangential eigenvalue
-sqrt(1 + K r^2) with respect to metric-orthonormal directions.  Gradients
-pull back by the chain rule through the closed-form inverse
-from_ball(x~) = M^{-1} (x~, 1) / sqrt(1 + K r^2), with no log map and no
-special case at the basepoint.
+sqrt(1 + K r^2) with respect to metric-orthonormal directions.  The inverse
+is closed-form: from_ball(x~) = M^{-1} p with frame coordinates
+p = (x~, 1) / sqrt(1 + K r^2).  ``pullback_gradient`` pulls a Riemannian
+gradient back through it by the chain rule, with no log map and no special
+case at the basepoint; ``objectives.MappedObjective`` skips the pullback
+for the library's squared-distance objectives, whose mapped gradient it
+evaluates in closed form from p.
 """
 
 from __future__ import annotations
@@ -131,15 +134,23 @@ def to_ball(frame, x, tol=BALL_TOL):
     return p[..., :-1] / p[..., -1:]
 
 
-def from_ball(frame, xt, tol=BALL_TOL):
-    """Inverse map; returns ambient coordinates on the model manifold."""
+def frame_coords(frame, xt, tol=BALL_TOL):
+    """Frame coordinates p = s (x~, 1), s = 1 / sqrt(1 + K |x~|^2), of ball point(s).
+
+    p is the image of the manifold point under the frame isometry, so
+    from_ball(x~) = M^{-1} p; ball coordinates beyond R~ + tol raise.
+    """
     xt = np.asarray(xt, dtype=float)
     r2 = (xt * xt).sum(-1)
     if (np.sqrt(r2) > frame.R_tilde + tol).any():
         raise GeometryError("ball coordinates exceed the frame radius")
-    s = 1.0 / np.sqrt(np.maximum(1.0 + frame.sign * r2, 1e-300))
-    p = np.concatenate([xt * s[..., None], s[..., None]], axis=-1)
-    return p @ frame.inv_mat.T
+    s = (1.0 / np.sqrt(np.maximum(1.0 + frame.sign * r2, 1e-300)))[..., None]
+    return np.concatenate([xt * s, s], axis=-1)
+
+
+def from_ball(frame, xt, tol=BALL_TOL):
+    """Inverse map; returns ambient coordinates on the model manifold."""
+    return frame_coords(frame, xt, tol) @ frame.inv_mat.T
 
 
 def mapped_distance(frame, xt, yt):

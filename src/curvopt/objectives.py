@@ -9,7 +9,11 @@ accelerated solver works on.
 
 The built-in test family is the weighted Frechet mean objective
 F(x) = sum_j w_j d(x, a_j)^2 / 2, whose constants follow from the
-curvature distortion bounds on the squared-distance function.
+curvature distortion bounds on the squared-distance function.  It and its
+regularized and re-declared copies are sums of weighted squared distances,
+so ``MappedObjective`` evaluates them in closed form in ball coordinates;
+any other objective is mapped through the chain ``from_ball``,
+``value_and_grad_c``, ``pullback_gradient``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomap import from_ball, pullback_gradient
+from .geomap import frame_coords, from_ball, pullback_gradient
 from .manifolds import HYPERBOLIC, SPHERICAL, AmbientPoint, CurvatureClass, GeometryError, distance, inner
 
 
@@ -65,8 +69,8 @@ class ManifoldObjective(ABC):
 
     Subclasses implement the coordinate kernels ``value_c`` / ``grad_c``
     (batched over leading axes) and may override ``value_and_grad_c``, which
-    the solvers call at points that need both, to share work between them;
-    the object-level accessors wrap the kernels.  Oracles must be pure.
+    ``MappedObjective`` calls at points that need both, to share work between
+    them; the object-level accessors wrap the kernels.  Oracles must be pure.
     """
 
     space = None
@@ -89,6 +93,15 @@ class ManifoldObjective(ABC):
     def value(self, x: AmbientPoint) -> float:
         return float(self.value_c(x.coords))
 
+    def _cosine_rows(self):
+        """``(rows, weights)`` when F(x) = sum_j w_j d(x, a_j)^2 / 2, else None.
+
+        ``rows`` are the cosine rows of ``_sqdist_terms``.  MappedObjective
+        evaluates such an objective in closed form; a subclass that changes
+        the oracle of one that returns rows must return None.
+        """
+        return None
+
 
 def _sqdist_terms(x, rows, sign, weights=1.0):
     """c_j = cos d(x, a_j) (cosh on the hyperboloid), theta_j and w_j theta_j / |u_j|.
@@ -106,6 +119,10 @@ def _sqdist_terms(x, rows, sign, weights=1.0):
         theta = np.arccos(c.clip(-1.0, 1.0))
         un = np.sqrt(np.maximum(1.0 - c * c, 1e-300))
     return c, theta, weights * theta / un
+
+
+def _sqdist_value(theta, weights):
+    return 0.5 * (weights * theta**2).sum(-1)
 
 
 class FrechetObjective(ManifoldObjective):
@@ -144,26 +161,19 @@ class FrechetObjective(ManifoldObjective):
         self._anchor_rows = self.anchor_coords.copy()
         self._anchor_rows[:, :-1] *= sign
 
-    def _value(self, theta):
-        return 0.5 * (self.weights * theta**2).sum(-1)
-
-    def _grad(self, x, c, k):
-        # grad = -sum_j k_j u_j = sum_j k_j (c_j x - a_j): the tangential
-        # directions toward the anchors, scaled by distance over tangential norm.
-        return (k * c).sum(-1, keepdims=True) * x - k @ self.anchor_coords
+    def _cosine_rows(self):
+        return self._anchor_rows, self.weights
 
     def value_c(self, x):
-        return self._value(_sqdist_terms(x, self._anchor_rows, self.space.sign, self.weights)[1])
+        theta = _sqdist_terms(x, self._anchor_rows, self.space.sign, self.weights)[1]
+        return _sqdist_value(theta, self.weights)
 
     def grad_c(self, x):
         x = np.asarray(x, dtype=float)
         c, _, k = _sqdist_terms(x, self._anchor_rows, self.space.sign, self.weights)
-        return self._grad(x, c, k)
-
-    def value_and_grad_c(self, x):
-        x = np.asarray(x, dtype=float)
-        c, theta, k = _sqdist_terms(x, self._anchor_rows, self.space.sign, self.weights)
-        return self._value(theta), self._grad(x, c, k)
+        # grad = -sum_j k_j u_j = sum_j k_j (c_j x - a_j): the tangential
+        # directions toward the anchors, scaled by distance over tangential norm.
+        return (k * c).sum(-1, keepdims=True) * x - k @ self.anchor_coords
 
 
 class RegularizedObjective(ManifoldObjective):
@@ -182,8 +192,12 @@ class RegularizedObjective(ManifoldObjective):
         self._center_row = center.coords.copy()
         self._center_row[:-1] *= self.space.sign
 
-    def _reg_grad(self, x, c, k):
-        return -k[..., None] * (self.center.coords - c[..., None] * x)
+    def _cosine_rows(self):
+        inner = self.inner_obj._cosine_rows()
+        if inner is None:
+            return None
+        rows, weights = inner
+        return np.vstack([rows, self._center_row]), np.append(weights, self.mu_i)
 
     def value_c(self, x):
         theta = _sqdist_terms(x, self._center_row, self.space.sign)[1]
@@ -192,13 +206,8 @@ class RegularizedObjective(ManifoldObjective):
     def grad_c(self, x):
         x = np.asarray(x, dtype=float)
         c, _, k = _sqdist_terms(x, self._center_row, self.space.sign)
-        return self.inner_obj.grad_c(x) + self.mu_i * self._reg_grad(x, c, k)
-
-    def value_and_grad_c(self, x):
-        x = np.asarray(x, dtype=float)
-        c, theta, k = _sqdist_terms(x, self._center_row, self.space.sign)
-        value, grad = self.inner_obj.value_and_grad_c(x)
-        return value + 0.5 * self.mu_i * theta**2, grad + self.mu_i * self._reg_grad(x, c, k)
+        reg_grad = -k[..., None] * (self.center.coords - c[..., None] * x)
+        return self.inner_obj.grad_c(x) + self.mu_i * reg_grad
 
 
 def regularized(obj, mu_i, center, delta):
@@ -258,28 +267,72 @@ def validate_constants(obj, center, R, n=2000, rng=None):
 
 
 class MappedObjective:
-    """The constrained Euclidean problem f = F o h^{-1} on the frame's ball."""
+    """The constrained Euclidean problem f = F o h^{-1} on the frame's ball.
+
+    An objective with cosine rows (``ManifoldObjective._cosine_rows``) is
+    evaluated in closed form in ball coordinates.  Let M be the frame
+    matrix, p = s (x~, 1) with s = (1 + K |x~|^2)^(-1/2) the frame
+    coordinates of x~ (``frame_coords``), so h^{-1}(x~) = M^{-1} p.  The
+    rows, rotated into the frame once, [B | b] = rows M^{-1}, give the
+    cosines from p directly:
+
+        c_j = C_K(theta_j) = rows_j . M^{-1} p = s (B_j . x~ + b_j),
+
+    and f = sum_j w_j theta_j^2 / 2.  With C_K = cos (K = 1) or cosh
+    (K = -1), d theta / dc = -K / sqrt|c^2 - 1|, so df/dc_j = -K k_j with
+    k_j = w_j theta_j / sqrt|c_j^2 - 1| as in ``_sqdist_terms``.  Since
+    grad s = -K s^3 x~, grad c_j = s B_j - K s^2 c_j x~, and
+
+        grad f = -K s (k^T B - K s (k . c) x~)
+               = s ((k . c) p[:d] - K k^T B)          (K^2 = 1, p[:d] = s x~).
+
+    No point or gradient is mapped between the ball and the manifold.  Any
+    other objective goes through the chain: ``from_ball``, then
+    ``value_c``/``grad_c``/``value_and_grad_c``, then ``pullback_gradient``.
+    """
 
     def __init__(self, inner_obj, frame):
         self.inner_obj = inner_obj
         self.frame = frame
+        self._rows = None
+        terms = inner_obj._cosine_rows()
+        if terms is not None:
+            rows, self._weights = terms
+            self._rows = rows @ frame.inv_mat
+            self._B = self._rows[:, :-1].copy()
+
+    def _terms(self, xt):
+        """p, c, theta and k at ball point(s) xt, batched over leading axes."""
+        p = frame_coords(self.frame, xt)
+        return (p,) + _sqdist_terms(p, self._rows, self.frame.sign, self._weights)
+
+    def _grad(self, p, c, k):
+        kc = (k * c).sum(-1, keepdims=True)
+        return p[..., -1:] * (kc * p[..., :-1] - self.frame.sign * (k @ self._B))
 
     def value(self, xt):
-        return float(self.inner_obj.value_c(from_ball(self.frame, xt)))
+        return float(self.value_many(xt))
 
     def value_many(self, xt):
-        return self.inner_obj.value_c(from_ball(self.frame, xt))
+        if self._rows is None:
+            return self.inner_obj.value_c(from_ball(self.frame, xt))
+        return _sqdist_value(self._terms(xt)[2], self._weights)
 
     def grad(self, xt):
-        x = from_ball(self.frame, xt)
-        g = self.inner_obj.grad_c(x)
-        return pullback_gradient(self.frame, x, g, xt=xt)
+        if self._rows is None:
+            x = from_ball(self.frame, xt)
+            return pullback_gradient(self.frame, x, self.inner_obj.grad_c(x), xt=xt)
+        p, c, _, k = self._terms(xt)
+        return self._grad(p, c, k)
 
     def value_and_grad(self, xt):
-        """``(value(xt), grad(xt))`` from one map to the manifold."""
-        x = from_ball(self.frame, xt)
-        value, g = self.inner_obj.value_and_grad_c(x)
-        return float(value), pullback_gradient(self.frame, x, g, xt=xt)
+        """``(value(xt), grad(xt))`` from one evaluation of the kernel."""
+        if self._rows is None:
+            x = from_ball(self.frame, xt)
+            value, g = self.inner_obj.value_and_grad_c(x)
+            return float(value), pullback_gradient(self.frame, x, g, xt=xt)
+        p, c, theta, k = self._terms(xt)
+        return float(_sqdist_value(theta, self._weights)), self._grad(p, c, k)
 
 
 # Anchor-set files: one anchor per line, d+1 whitespace-separated ambient

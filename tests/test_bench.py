@@ -286,13 +286,14 @@ def _exhausted_line_search(*args, **kwargs):
         ("manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False, "R:"),
         ("curvature = 0\n", None, False, "curvature:"),
         ("epsilon = 1e-2\n", None, True, "line-search"),
-        # Certified budgets of 2.4e49 (axgd) and 1.05e8 (rgd) iterations.
-        ("R = 20\nepsilon = 1e-2\n", None, False, "certified budget t = 2.45e+49"),
-        ("R = 20\nepsilon = 1e-2\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 1.05e+08"),
+        # Certified budgets of 2.1e37 (axgd) and 3.3e8 (rgd) iterations.
+        ("R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 2.09e+37"),
+        ("R = 15\nepsilon = 1e-3\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 3.34e+08"),
+        ("R = 1000\n", None, False, "R:"),
     ],
     ids=[
         "empty-anchor-file", "missing-anchor-file", "off-model-anchor", "non-numeric-anchor",
-        "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget",
+        "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget", "radius",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(

@@ -15,8 +15,10 @@ from curvopt import (
     regularized,
     with_constants,
 )
+from curvopt import geomap, objectives
+from curvopt.geomap import BALL_TOL, from_ball, pullback_gradient
 from curvopt.manifolds import distance, exp_map, inner, log_map, random_in_ball, random_tangent
-from curvopt.objectives import load_anchors, save_anchors
+from curvopt.objectives import ManifoldObjective, load_anchors, save_anchors
 from curvopt.baselines import reference_optimum
 
 from conftest import frechet_instance
@@ -251,6 +253,117 @@ class TestValueAndGrad:
                 value, grad = fmap.value_and_grad(xt)
                 assert type(value) is float and value == fmap.value(xt), name
                 assert np.array_equal(grad, fmap.grad(xt)), name
+
+
+class TestClosedFormMapping:
+    """Squared-distance objectives are mapped in closed form, equal to the chain rule."""
+
+    def objectives(self, space, d):
+        center, F = frechet_instance(space, d, 1.0, 6, seed=40 + d, padding=0.3)
+        delta = delta_constants(float(space.sign), float(space.sign), 1.2)
+        declared = with_constants(F, smoothness=2 * F.smoothness, strong_convexity=0.0)
+        return center, {
+            "frechet": F,
+            "regularized": regularized(F, 0.37, center, delta),
+            "declared": declared,
+            "regularized_declared": regularized(declared, 0.37, center, delta),
+        }
+
+    def frames(self, space, center, rng):
+        off = exp_map(center.coords, 0.3 * random_tangent(center.coords, space.sign, rng), space.sign)
+        return [make_frame(center, 1.0), make_frame(AmbientPoint(off, space), 0.7)]
+
+    def ball_points(self, frame, rng, n=30):
+        """The origin, n - 10 points inside the ball and 10 at 0.999 R~."""
+        dirs = rng.standard_normal((n, frame.d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = frame.R_tilde * np.concatenate([rng.uniform(0.0, 0.999, n - 10), np.full(10, 0.999)])
+        return np.vstack([np.zeros(frame.d), radii[:, None] * dirs])
+
+    @staticmethod
+    def chain(obj, frame, xt):
+        x = from_ball(frame, xt)
+        value, grad = obj.value_and_grad_c(x)
+        return value, pullback_gradient(frame, x, grad, xt=xt)
+
+    @pytest.mark.parametrize("d", [2, 5, 10])
+    def test_matches_chain(self, space, rng, d):
+        center, objs = self.objectives(space, d)
+        for frame in self.frames(space, center, rng):
+            xt = self.ball_points(frame, rng)
+            for name, obj in objs.items():
+                fmap = MappedObjective(obj, frame)
+                value, grad = self.chain(obj, frame, xt)
+                scale = np.linalg.norm(grad, axis=-1)
+                assert np.all(np.abs(fmap.value_many(xt) - value) <= 1e-13 * value), name
+                assert np.all(np.linalg.norm(fmap.grad(xt) - grad, axis=-1) <= 1e-13 * scale), name
+                for j, one in enumerate(xt):
+                    v1, g1 = fmap.value_and_grad(one)
+                    assert abs(v1 - value[j]) <= 1e-13 * value[j], (name, j)
+                    assert np.linalg.norm(g1 - grad[j]) <= 1e-13 * scale[j], (name, j)
+
+    def test_custom_objective_takes_the_chain(self, space, rng):
+        center, objs = self.objectives(space, 3)
+        frechet = objs["frechet"]
+
+        class Custom(ManifoldObjective):
+            space = frechet.space
+            smoothness = frechet.smoothness
+
+            def value_c(self, x):
+                return frechet.value_c(x)
+
+            def grad_c(self, x):
+                return frechet.grad_c(x)
+
+        custom = Custom()
+        delta = delta_constants(float(space.sign), float(space.sign), 1.2)
+        for frame in self.frames(space, center, rng):
+            xt = self.ball_points(frame, rng, n=12)
+            for obj in (custom, regularized(custom, 0.37, center, delta)):
+                fmap = MappedObjective(obj, frame)
+                value, grad = self.chain(obj, frame, xt)
+                assert np.array_equal(fmap.value_many(xt), value)
+                assert np.array_equal(fmap.grad(xt), grad)
+                for one in xt:
+                    x = from_ball(frame, one)
+                    assert fmap.value(one) == float(obj.value_c(x))
+                    assert np.array_equal(fmap.grad(one), pullback_gradient(frame, x, obj.grad_c(x), xt=one))
+                    value, grad = self.chain(obj, frame, one)
+                    v1, g1 = fmap.value_and_grad(one)
+                    assert v1 == float(value) and np.array_equal(g1, grad)
+
+    def test_point_beyond_radius_raises(self, space):
+        center, objs = self.objectives(space, 3)
+        frame = make_frame(center, 1.0)
+        e = np.eye(3)[0]
+        for obj in objs.values():
+            fmap = MappedObjective(obj, frame)
+            fmap.value_and_grad((frame.R_tilde + 0.5 * BALL_TOL) * e)
+            beyond = (frame.R_tilde + 2 * BALL_TOL) * e
+            for call in (fmap.value, fmap.value_many, fmap.grad, fmap.value_and_grad):
+                with pytest.raises(GeometryError):
+                    call(beyond)
+            with pytest.raises(GeometryError):
+                fmap.grad(np.stack([np.zeros(3), beyond]))
+
+    def test_library_objective_skips_the_chain(self, space, rng, monkeypatch):
+        center, objs = self.objectives(space, 3)
+        frame = make_frame(center, 1.0)
+        xt = self.ball_points(frame, rng, n=12)
+        expected = [self.chain(objs["frechet"], frame, one) for one in xt]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form must not map through the manifold")
+
+        for module in (geomap, objectives):
+            monkeypatch.setattr(module, "from_ball", forbidden)
+            monkeypatch.setattr(module, "pullback_gradient", forbidden)
+        fmap = MappedObjective(objs["frechet"], frame)
+        for one, (value, grad) in zip(xt, expected):
+            v1, g1 = fmap.value_and_grad(one)
+            assert v1 == pytest.approx(float(value), rel=1e-13)
+            assert np.allclose(g1, grad, rtol=0.0, atol=1e-13 * np.linalg.norm(grad))
 
 
 class TestAnchorFiles:
