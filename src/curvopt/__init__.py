@@ -16,11 +16,9 @@ from .manifolds import (
 from .geomap import (
     DeformationConstants,
     MapFrame,
-    angle_deformation,
     deformation_constants,
     from_ball,
     make_frame,
-    mapped_distance,
     pullback_gradient,
     to_ball,
 )
@@ -40,7 +38,6 @@ from .axgd import (
     LineSearchError,
     SolverParams,
     SolverState,
-    axgd_step,
     binary_line_search,
     iteration_budget,
     mirror_dual_grad,
@@ -49,9 +46,8 @@ from .axgd import (
 )
 from .reductions import (
     RegularizationPlan,
-    RestartPlan,
     make_regularization_plan,
-    make_restart_plan,
+    restart_rounds,
     solve_gconvex_via_sc,
     solve_strongly_gconvex,
 )

@@ -39,7 +39,7 @@ class LineSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Schedule constants: a_i = i sigma gamma_n^2 gamma_p / (2 L_tilde)."""
+    """Schedule constants: a_i = i gamma_n^2 gamma_p / (2 L_tilde)."""
 
     L_tilde: float
     gamma_n: float
@@ -47,7 +47,6 @@ class SolverParams:
     epsilon: float
     t: int
     R_tilde: float
-    sigma: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.gamma_n <= 1 and 0 < self.gamma_p <= 1):
@@ -59,7 +58,7 @@ class SolverParams:
 
     @property
     def rate(self):
-        return self.sigma * self.gamma_n**2 * self.gamma_p / (2.0 * self.L_tilde)
+        return self.gamma_n**2 * self.gamma_p / (2.0 * self.L_tilde)
 
     def a(self, i):
         return i * self.rate
@@ -86,30 +85,25 @@ def ceil_budget(t):
     return max(1, math.ceil(t))
 
 
-def iteration_budget(L_tilde, gamma_n, gamma_p, epsilon, R_tilde, sigma=1.0):
+def iteration_budget(L_tilde, gamma_n, gamma_p, epsilon, R_tilde):
     """Iterations sufficient for an epsilon-minimizer from the diameter bound.
 
     t = ceil(sqrt(2 L_tilde (2 R_tilde)^2 / (gamma_n^2 gamma_p epsilon)));
     the start-to-optimum distance is bounded by the ball diameter.
     """
-    t = math.sqrt(
-        2.0 * L_tilde * (2.0 * R_tilde) ** 2 / (sigma * gamma_n**2 * gamma_p * epsilon)
-    )
+    t = math.sqrt(2.0 * L_tilde * (2.0 * R_tilde) ** 2 / (gamma_n**2 * gamma_p * epsilon))
     return ceil_budget(t)
 
 
-def params_from_constants(dc, R_tilde, epsilon, t=None, sigma=1.0):
-    """SolverParams from deformation constants, auto-deriving t if omitted."""
-    if t is None:
-        t = iteration_budget(dc.L_tilde, dc.gamma_n, dc.gamma_p, epsilon, R_tilde, sigma)
+def params_from_constants(dc, R_tilde, epsilon):
+    """SolverParams from deformation constants, with the certified budget t."""
     return SolverParams(
         L_tilde=dc.L_tilde,
         gamma_n=dc.gamma_n,
         gamma_p=dc.gamma_p,
         epsilon=epsilon,
-        t=t,
+        t=iteration_budget(dc.L_tilde, dc.gamma_n, dc.gamma_p, epsilon, R_tilde),
         R_tilde=R_tilde,
-        sigma=sigma,
     )
 
 
@@ -158,22 +152,6 @@ def _candidate(state, a_next, gamma_n, R_tilde, f, lam):
     z_next = state.z_t - step * grad_next
     inner = float(grad_next.dot(x_next - state.x_t))
     return StepCandidate(lam, x_next, grad_next, z_next, f_next, inner)
-
-
-def axgd_step(state, params, f, lam):
-    """Advance one iteration with a fixed lambda; two gradient evaluations."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError("lambda must lie in [0, 1]")
-    a_next = params.a(state.i + 1)
-    cand = _candidate(state, a_next, params.gamma_n, params.R_tilde, f, lam)
-    new = SolverState(
-        i=state.i + 1,
-        x_t=cand.x_next,
-        z_t=cand.z_next,
-        A=state.A + a_next,
-        grad_evals=state.grad_evals + 2,
-    )
-    return new, cand
 
 
 @dataclass
@@ -296,34 +274,17 @@ def run(f, params, x0_tilde, trace=None):
     if np.linalg.norm(x0) > params.R_tilde + 1e-9:
         raise ValueError("start point lies outside the feasible ball")
     state = SolverState.initial(x0)
-
-    state, cand = axgd_step(state, params, f, 1.0)
-    if trace is not None:
-        trace(
-            IterationRecord(
-                i=1,
-                x=state.x_t.copy(),
-                x_prev=x0.copy(),
-                f_value=cand.f_next,
-                grad_norm=math.sqrt(cand.grad_next.dot(cand.grad_next)),
-                grad_evals=state.grad_evals,
-                lam=1.0,
-                gamma_hat=math.nan,
-                eps_hat=math.nan,
-                residual=math.nan,
-                probes=1,
-            )
-        )
-
-    f_curr = cand.f_next
-    for i in range(1, params.t):
-        eps_hat_i = params.eps_hat(i)
-        try:
-            res = binary_line_search(state, params, f, eps_hat_i, f_curr=f_curr)
-        except LineSearchError as err:
-            raise LineSearchError(
-                f"iteration {i}: {err}", err.bracket, err.residual, i
-            ) from err
+    for i in range(params.t):
+        if i == 0:
+            cand = _candidate(state, params.a(1), params.gamma_n, params.R_tilde, f, 1.0)
+            res = LineSearchResult(1.0, math.nan, math.nan, 1, cand, math.nan)
+        else:
+            try:
+                res = binary_line_search(state, params, f, params.eps_hat(i), f_curr=f_curr)
+            except LineSearchError as err:
+                raise LineSearchError(
+                    f"iteration {i}: {err}", err.bracket, err.residual, i
+                ) from err
         cand = res.candidate
         x_prev = state.x_t
         state = SolverState(

@@ -87,21 +87,21 @@ def rgd_run(F, x0, R, params, trace=None):
     return AmbientPoint(x, F.space)
 
 
-def reference_optimum(F, x0, R, tol_grad=1e-12, max_iters=2_000_000):
+def reference_optimum(F, x0, R):
     """High-precision (x*, F(x*)) oracle for acceptance checks.
 
     Uses the analytic minimizer when the objective knows one, otherwise
-    polishes with gradient descent at step 1/L down to ``tol_grad``.
-    Wrappers that merely re-declare constants are unwrapped so the step
-    size comes from the tightest valid smoothness bound.
+    polishes with gradient descent at step 1/L down to a gradient norm of
+    1e-12.  Wrappers that merely re-declare constants are unwrapped so the
+    step size comes from the tightest valid smoothness bound.
     """
     F_ref = getattr(F, "oracle_equivalent", F)
     if F_ref.known_minimizer is not None:
         x_star = F_ref.known_minimizer
         return x_star, float(F_ref.value_c(x_star.coords))
-    params = RgdParams(step=1.0 / F_ref.smoothness, max_iters=max_iters, tol_grad=tol_grad)
+    params = RgdParams(step=1.0 / F_ref.smoothness, max_iters=2_000_000, tol_grad=1e-12)
     x_star = rgd_run(F_ref, x0, R, params)
     g = F_ref.grad_c(x_star.coords)
-    if float(norm(g, F_ref.space.sign)) > tol_grad:
+    if float(norm(g, F_ref.space.sign)) > params.tol_grad:
         raise GeometryError("reference optimum search did not converge")
     return x_star, float(F_ref.value_c(x_star.coords))

@@ -3,7 +3,8 @@
 Subcommands:
 
   bench run    --config FILE [--solver S] [--epsilon E] [--seed N] [--output F]
-  bench sweep  --config FILE --epsilons 1e-2,1e-3,... --output-dir DIR
+  bench sweep  --config FILE [--solver S] [--seed N] --output-dir DIR
+               (--epsilons 1e-2,1e-3,... | --conditions 10,100,...)
   bench verify [--samples N] [--seed N]
 
 Config files are flat ``key=value`` lines with ``#`` comments; CLI flags
@@ -17,7 +18,9 @@ Runs are deterministic for a fixed seed; wall_ns is written as 0 unless
 Solvers are run for the iteration budget their declared regime certifies
 (the accelerated budget for g-convex targets, the linear-convergence
 budget for strongly convex ones), and reported gradient-evaluation counts
-are the evaluations actually spent.
+are the evaluations actually spent.  A sweep varies epsilon or the
+declared condition ratio L/mu over one config and fits the exponent of
+the evaluation counts against 1/epsilon or L/mu.
 """
 
 from __future__ import annotations
@@ -84,6 +87,10 @@ class ExperimentConfig:
             raise ConfigError(f"solver: unknown value {self.solver!r}")
         if self.d < 1:
             raise ConfigError("d: must be a positive integer")
+        if self.anchor_count < 1:
+            raise ConfigError("anchor_count: must be a positive integer")
+        if self.seed < 0:
+            raise ConfigError("seed: must be a non-negative integer")
         for key in ("epsilon", "R", "curvature", "condition"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
@@ -363,21 +370,34 @@ def fit_rate_exponent(series, deflate_log=True):
     return float(slope)
 
 
-def run_sweep(cfg, epsilons, output_dir):
+def run_sweep(cfg, key, values, output_dir):
+    """Run ``cfg`` once per value of the config ``key`` ("epsilon" or "condition").
+
+    Writes one CSV trace per point and ``{solver}_summary.csv``, and returns
+    the (value, grad_evals, final_gap) series.  Every point config is
+    checked before the first solve, and so is the axis: it must hold a
+    value, and 4 or more points, enough to fit an exponent, must span two
+    decades.
+    """
+    if not values:
+        raise ConfigError(f"{key}: the sweep needs at least one value")
+    points = [replace(cfg, output=None, **{key: v}).validate() for v in values]
+    if len(values) >= 4 and max(values) / min(values) < 100.0:
+        raise ConfigError(f"{key}: a sweep of 4 or more points must span at least two decades")
     os.makedirs(output_dir, exist_ok=True)
-    inst = build_instance(cfg)
+    # The condition sets the declared L, so only an epsilon sweep shares one instance.
+    inst = build_instance(cfg) if key == "epsilon" else None
+    tag = {"epsilon": "eps", "condition": "cond"}[key]
     series = []
-    for eps in epsilons:
-        sub = replace(cfg, epsilon=eps, output=None)
-        report = run_experiment(sub, instance=inst)
-        path = os.path.join(output_dir, f"{cfg.solver}_eps{eps:g}.csv")
-        report.write_csv(path)
-        series.append((eps, report.total_evals, report.final_gap))
+    for value, point in zip(values, points):
+        report = run_experiment(point, instance=inst)
+        report.write_csv(os.path.join(output_dir, f"{cfg.solver}_{tag}{value:g}.csv"))
+        series.append((value, report.total_evals, report.final_gap))
     summary = os.path.join(output_dir, f"{cfg.solver}_summary.csv")
     with open(summary, "w", newline="\n") as fh:
-        fh.write("epsilon,grad_evals,f_gap\n")
-        for eps, evals, gap in series:
-            fh.write(f"{eps:.17g},{evals},{gap:.17g}\n")
+        fh.write(f"{key},grad_evals,f_gap\n")
+        for value, evals, gap in series:
+            fh.write(f"{value:.17g},{evals},{gap:.17g}\n")
     return series
 
 
@@ -401,20 +421,27 @@ def _cmd_sweep(args):
         cfg.solver = args.solver
     if args.seed is not None:
         cfg.seed = args.seed
-    epsilons = [float(v) for v in args.epsilons.split(",") if v]
-    series = run_sweep(cfg, epsilons, args.output_dir)
-    for eps, evals, gap in series:
-        print(f"epsilon={eps:g} grad_evals={evals} final_gap={gap:.6e}")
+    key, text = ("epsilon", args.epsilons) if args.epsilons is not None else ("condition", args.conditions)
+    series = run_sweep(cfg, key, [float(v) for v in text.split(",") if v], args.output_dir)
+    for value, evals, gap in series:
+        print(f"{key}={value:g} grad_evals={evals} final_gap={gap:.6e}")
     if len(series) >= 4:
-        # The certified descent budget 2 zeta L R^2 / eps has no log(1/eps)
-        # factor to strip; the other solvers' counts are deflated by it.
-        deflate = cfg.solver != "rgd"
-        slope = fit_rate_exponent([(e, n) for e, n, _ in series], deflate_log=deflate)
+        if key == "condition":
+            # The condition raises L at a fixed mu, so no budget's log
+            # factor changes along this axis.
+            points, deflate = [(1.0 / c, n) for c, n, _ in series], False
+        else:
+            # The certified descent budget 2 zeta L R^2 / eps has no log(1/eps)
+            # factor to strip; the other solvers' counts are deflated by it.
+            points, deflate = [(e, n) for e, n, _ in series], cfg.solver != "rgd"
+        slope = fit_rate_exponent(points, deflate_log=deflate)
         print(f"fitted_exponent={slope:.4f}")
     return 0
 
 
 def _cmd_verify(args):
+    if args.samples < 1:
+        raise ConfigError(f"--samples: must be a positive integer, got {args.samples}")
     results = checks.run_grid(n=args.samples, seed=args.seed)
     worst = {}
     for res in results:
@@ -442,11 +469,13 @@ def main(argv=None):
     p_run.add_argument("--output")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run an epsilon sweep")
+    p_sweep = sub.add_parser("sweep", help="run an epsilon or condition-ratio sweep")
     p_sweep.add_argument("--config")
     p_sweep.add_argument("--solver", choices=SOLVERS)
     p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--epsilons", required=True)
+    axis = p_sweep.add_mutually_exclusive_group(required=True)
+    axis.add_argument("--epsilons")
+    axis.add_argument("--conditions")
     p_sweep.add_argument("--output-dir", required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 

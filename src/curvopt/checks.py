@@ -37,7 +37,7 @@ from .manifolds import (
     random_in_ball,
     random_tangent,
 )
-from .objectives import FrechetObjective, MappedObjective, delta_constants
+from .objectives import FrechetObjective, MappedObjective, definition_slacks, delta_constants
 
 # One row per curvature sign: (sign, list of ball radii). Spherical radii
 # stay below pi/2 so the ball remains inside an open hemisphere.
@@ -286,18 +286,9 @@ def check_definition_inequalities(sign, d, R, n, rng):
         delta = delta_constants(float(sign), float(sign), 2.0 * R)
         pairs.append((delta.delta_n, delta.delta_p))
     x, y = _sample_pairs(frame, n, rng)
-    fx, fy = F.value_c(x), F.value_c(y)
-    lin = inner(F.grad_c(x), log_map(x, y, sign), sign)
-    dd = distance(x, y, sign)
-    scale = 1.0 + np.abs(fx) + np.abs(fy)
-    worst = -math.inf
-    for L, mu in pairs:
-        upper = float(np.max((fy - fx - lin - 0.5 * L * dd**2) / scale))
-        lower = float(np.max((fx + lin + 0.5 * mu * dd**2 - fy) / scale))
-        worst = max(worst, upper, lower)
     return CheckResult(
         "smoothness/strong-convexity inequalities",
-        worst,
+        max(max(slacks) for slacks in definition_slacks(F, x, y, pairs)),
         1e-12,
         f"K={sign} d={d} R={R}",
     )

@@ -124,33 +124,33 @@ def make_frame(x0, R):
     return MapFrame(x0.space, x0, mat, float(R), float(R_tilde))
 
 
-def to_ball(frame, x, tol=BALL_TOL):
+def to_ball(frame, x):
     """Map manifold point(s) into the ball: x~ = (p_1..p_d)/p_{d+1}, p = frame x."""
     xc = x.coords if isinstance(x, AmbientPoint) else np.asarray(x, dtype=float)
     dist = distance(frame.x0.coords, xc, frame.sign)
-    if np.any(dist > frame.R + tol):
+    if np.any(dist > frame.R + BALL_TOL):
         raise GeometryError("point lies outside the R-ball of the frame")
     p = xc @ frame.mat.T
     return p[..., :-1] / p[..., -1:]
 
 
-def frame_coords(frame, xt, tol=BALL_TOL):
+def frame_coords(frame, xt):
     """Frame coordinates p = s (x~, 1), s = 1 / sqrt(1 + K |x~|^2), of ball point(s).
 
     p is the image of the manifold point under the frame isometry, so
-    from_ball(x~) = M^{-1} p; ball coordinates beyond R~ + tol raise.
+    from_ball(x~) = M^{-1} p; ball coordinates beyond R~ + BALL_TOL raise.
     """
     xt = np.asarray(xt, dtype=float)
     r2 = (xt * xt).sum(-1)
-    if (np.sqrt(r2) > frame.R_tilde + tol).any():
+    if (np.sqrt(r2) > frame.R_tilde + BALL_TOL).any():
         raise GeometryError("ball coordinates exceed the frame radius")
     s = (1.0 / np.sqrt(np.maximum(1.0 + frame.sign * r2, 1e-300)))[..., None]
     return np.concatenate([xt * s, s], axis=-1)
 
 
-def from_ball(frame, xt, tol=BALL_TOL):
+def from_ball(frame, xt):
     """Inverse map; returns ambient coordinates on the model manifold."""
-    return frame_coords(frame, xt, tol) @ frame.inv_mat.T
+    return frame_coords(frame, xt) @ frame.inv_mat.T
 
 
 def mapped_distance(frame, xt, yt):

@@ -69,19 +69,19 @@ def project_tangent(x, v, sign):
     return v - sign * c[..., None] * x
 
 
-def distance(x, y, sign, tol=DOMAIN_TOL):
+def distance(x, y, sign):
     """Geodesic distance: arccos<x,y> (sphere) / arccosh(-<x,y>_L) (hyperboloid).
 
     Arguments drifting outside the valid arccos/arccosh domain by more than
-    ``tol`` raise; smaller drift is clamped.
+    ``DOMAIN_TOL`` raise; smaller drift is clamped.
     """
     c = inner(x, y, sign)
     if sign == SPHERICAL:
-        if np.any(np.abs(c) > 1.0 + tol):
+        if np.any(np.abs(c) > 1.0 + DOMAIN_TOL):
             raise GeometryError("arccos argument outside [-1, 1] beyond tolerance")
         return np.arccos(np.clip(c, -1.0, 1.0))
     a = -c
-    if np.any(a < 1.0 - tol):
+    if np.any(a < 1.0 - DOMAIN_TOL):
         raise GeometryError("arccosh argument below 1 beyond tolerance")
     return np.arccosh(np.maximum(a, 1.0))
 

@@ -13,7 +13,7 @@ curvature distortion bounds on the squared-distance function.  It and its
 regularized and re-declared copies are sums of weighted squared distances,
 so ``MappedObjective`` evaluates them in closed form in ball coordinates;
 any other objective is mapped through the chain ``from_ball``,
-``value_and_grad_c``, ``pullback_gradient``.
+``value_c``/``grad_c``, ``pullback_gradient``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geomap import frame_coords, from_ball, pullback_gradient
-from .manifolds import HYPERBOLIC, SPHERICAL, AmbientPoint, CurvatureClass, GeometryError, distance, inner
+from .manifolds import (
+    HYPERBOLIC,
+    SPHERICAL,
+    AmbientPoint,
+    CurvatureClass,
+    GeometryError,
+    distance,
+    inner,
+    log_map,
+    random_in_ball,
+)
 
 
 @dataclass(frozen=True)
@@ -68,9 +78,8 @@ class ManifoldObjective(ABC):
     """Oracle contract: values, Riemannian gradients, declared constants.
 
     Subclasses implement the coordinate kernels ``value_c`` / ``grad_c``
-    (batched over leading axes) and may override ``value_and_grad_c``, which
-    ``MappedObjective`` calls at points that need both, to share work between
-    them; the object-level accessors wrap the kernels.  Oracles must be pure.
+    (batched over leading axes); the object-level accessor wraps them.
+    Oracles must be pure.
     """
 
     space = None
@@ -85,10 +94,6 @@ class ManifoldObjective(ABC):
     @abstractmethod
     def grad_c(self, x):
         """Riemannian gradient(s) as ambient coordinates, same shape as x."""
-
-    def value_and_grad_c(self, x):
-        """``(value_c(x), grad_c(x))``; override to share work between the two."""
-        return self.value_c(x), self.grad_c(x)
 
     def value(self, x: AmbientPoint) -> float:
         return float(self.value_c(x.coords))
@@ -249,21 +254,35 @@ def validate_constants(obj, center, R, n=2000, rng=None):
     scale.  Useful for user-supplied oracles, whose declared constants are
     otherwise trusted.
     """
-    from .manifolds import log_map, random_in_ball
-
     rng = rng or np.random.default_rng(0)
     sign = obj.space.sign
     x = random_in_ball(center.coords, sign, R, rng, n)
     y = random_in_ball(center.coords, sign, R, rng, n)
+    [(upper, lower)] = definition_slacks(obj, x, y, [(obj.smoothness, obj.strong_convexity)])
+    return {"smoothness": upper, "strong_convexity": lower}
+
+
+def definition_slacks(obj, x, y, pairs):
+    """Worst slacks of the two definition inequalities over point pairs (x, y).
+
+    Returns one ``(upper, lower)`` per ``(L, mu)`` in ``pairs``: the largest
+    F(y) - F(x) - <grad F(x), Log_x y> - L d^2 / 2 and
+    F(x) + <grad F(x), Log_x y> + mu d^2 / 2 - F(y), each relative to the
+    value scale 1 + |F(x)| + |F(y)|; positive means violated.  F, its
+    gradient, the log map and the distance are evaluated once for all pairs.
+    """
+    sign = obj.space.sign
     fx, fy = obj.value_c(x), obj.value_c(y)
     lin = inner(obj.grad_c(x), log_map(x, y, sign), sign)
     dd = distance(x, y, sign)
     scale = 1.0 + np.abs(fx) + np.abs(fy)
-    upper = float(np.max((fy - fx - lin - 0.5 * obj.smoothness * dd**2) / scale))
-    lower = float(
-        np.max((fx + lin + 0.5 * obj.strong_convexity * dd**2 - fy) / scale)
-    )
-    return {"smoothness": upper, "strong_convexity": lower}
+    return [
+        (
+            float(np.max((fy - fx - lin - 0.5 * L * dd**2) / scale)),
+            float(np.max((fx + lin + 0.5 * mu * dd**2 - fy) / scale)),
+        )
+        for L, mu in pairs
+    ]
 
 
 class MappedObjective:
@@ -288,7 +307,7 @@ class MappedObjective:
 
     No point or gradient is mapped between the ball and the manifold.  Any
     other objective goes through the chain: ``from_ball``, then
-    ``value_c``/``grad_c``/``value_and_grad_c``, then ``pullback_gradient``.
+    ``value_c``/``grad_c``, then ``pullback_gradient``.
     """
 
     def __init__(self, inner_obj, frame):
@@ -329,8 +348,8 @@ class MappedObjective:
         """``(value(xt), grad(xt))`` from one evaluation of the kernel."""
         if self._rows is None:
             x = from_ball(self.frame, xt)
-            value, g = self.inner_obj.value_and_grad_c(x)
-            return float(value), pullback_gradient(self.frame, x, g, xt=xt)
+            value = float(self.inner_obj.value_c(x))
+            return value, pullback_gradient(self.frame, x, self.inner_obj.grad_c(x), xt=xt)
         p, c, theta, k = self._terms(xt)
         return float(_sqdist_value(theta, self._weights)), self._grad(p, c, k)
 

@@ -24,24 +24,13 @@ from .manifolds import SPHERICAL, AmbientPoint, GeometryError
 from .objectives import DeltaConstants, MappedObjective, delta_constants, regularized
 
 
-@dataclass(frozen=True)
-class RestartPlan:
-    """Restart schedule: per-round gap target mu R_k^2 / 4 halves d(., x*)^2."""
-
-    rounds: int
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise GeometryError("need at least one restart round")
-
-
-def make_restart_plan(mu, R, epsilon):
+def restart_rounds(mu, R, epsilon):
+    """Restart rounds: each targets a gap of mu R_k^2 / 4, halving d(., x*)^2."""
     if mu <= 0:
         raise GeometryError("restart reduction needs strictly positive strong convexity")
     if epsilon <= 0 or R <= 0:
         raise GeometryError("epsilon and R must be positive")
-    rounds = max(1, math.ceil(math.log2(mu * R * R / epsilon) - 1.0))
-    return RestartPlan(rounds=rounds)
+    return max(1, math.ceil(math.log2(mu * R * R / epsilon) - 1.0))
 
 
 @dataclass
@@ -68,10 +57,10 @@ def solve_strongly_gconvex(F, x0, R, epsilon, recenter=True, trace=None):
     the original ball.
     """
     mu = F.strong_convexity
-    plan = make_restart_plan(mu, R, epsilon)
+    rounds = restart_rounds(mu, R, epsilon)
     fixed_frame = None if recenter else make_frame(x0, R)
     x = x0
-    for k in range(plan.rounds):
+    for k in range(rounds):
         R_k = R / 2 ** (k / 2.0)
         eps_k = mu * R_k * R_k / 4.0
         if recenter:

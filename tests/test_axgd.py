@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from curvopt.axgd import (
     LineSearchError,
     SolverParams,
     SolverState,
-    axgd_step,
     binary_line_search,
     iteration_budget,
     mirror_dual_grad,
@@ -54,6 +54,13 @@ def quad_params(t=20, eps=1e-6):
     )
 
 
+def first_step(f, p, x0):
+    """The state after the forced lambda = 1 step that opens ``axgd.run``."""
+    state = SolverState.initial(x0)
+    cand = axgd._candidate(state, p.a(1), p.gamma_n, p.R_tilde, f, 1.0)
+    return SolverState(i=1, x_t=cand.x_next, z_t=cand.z_next, A=p.a(1), grad_evals=2)
+
+
 class TestMirrorDualGrad:
     def test_interior_identity(self):
         z = np.array([0.3, -0.2])
@@ -92,7 +99,7 @@ class TestSchedule:
     def test_schedule_closed_forms(self):
         p = quad_params()
         for i in range(1, 10):
-            assert p.a(i) == pytest.approx(i * p.sigma * p.gamma_n**2 * p.gamma_p / (2 * p.L_tilde))
+            assert p.a(i) == pytest.approx(i * p.gamma_n**2 * p.gamma_p / (2 * p.L_tilde))
             assert p.A(i) == pytest.approx(sum(p.a(j) for j in range(1, i + 1)), rel=1e-12)
 
     @given(
@@ -103,10 +110,10 @@ class TestSchedule:
     )
     @settings(max_examples=300, deadline=None)
     def test_rate_hypothesis_inequality(self, L, gn, gp, i):
-        # L~ a_{i+1}^2 / (gamma_n sigma) <= a_{i+1} + A_i gamma_n gamma_p
+        # L~ a_{i+1}^2 / gamma_n <= a_{i+1} + A_i gamma_n gamma_p
         p = SolverParams(L_tilde=L, gamma_n=gn, gamma_p=gp, epsilon=1.0, t=2, R_tilde=1.0)
         a_next = p.a(i + 1)
-        lhs = L * a_next**2 / (gn * p.sigma)
+        lhs = L * a_next**2 / gn
         rhs = a_next + p.A(i) * gn * gp
         assert lhs <= rhs * (1 + 1e-12)
 
@@ -121,25 +128,21 @@ class TestSchedule:
 
 
 class TestStep:
-    def test_first_step_is_projected_mirror_step(self):
-        f = Quadratic(2.0, [0.5], 1.0)
-        p = quad_params(t=1)
-        x0 = np.array([-0.3])
-        state = SolverState.initial(x0)
-        new, cand = axgd_step(state, p, f, 1.0)
-        a1 = p.a(1)
-        expected = mirror_dual_grad(x0 - (a1 / p.gamma_n) * f.grad(x0), p.R_tilde)
-        assert np.allclose(new.x_t, expected, atol=1e-15)
-        assert new.grad_evals == 2
-
     def test_run_t1_single_mirror_step(self):
+        # The forced lambda = 1 first step is the projected mirror step.
         f = Quadratic(2.0, [0.5], 1.0)
         p = quad_params(t=1)
         x0 = np.array([-0.3])
-        out = axgd.run(f, p, x0)
+        recs = []
+        out = axgd.run(f, p, x0, trace=recs.append)
         a1 = p.a(1)
         expected = mirror_dual_grad(x0 - (a1 / p.gamma_n) * f.grad(x0), p.R_tilde)
         assert np.allclose(out, expected, atol=1e-15)
+        [rec] = recs
+        assert (rec.i, rec.lam, rec.probes, rec.grad_evals) == (1, 1.0, 1, 2)
+        assert math.isnan(rec.gamma_hat) and math.isnan(rec.eps_hat) and math.isnan(rec.residual)
+        assert np.array_equal(rec.x, out) and np.array_equal(rec.x_prev, x0)
+        assert rec.f_value == f.value(out)
 
     def test_zero_gradient_fixed_point(self):
         f = ZeroGradient()
@@ -150,12 +153,6 @@ class TestStep:
         assert np.allclose(out, x0, atol=1e-15)
         assert all(np.allclose(r.x, x0) for r in recs)
         assert all(r.probes == 1 for r in recs[1:])
-
-    def test_lambda_range_validated(self):
-        f = Quadratic(2.0, [0.5], 1.0)
-        p = quad_params()
-        with pytest.raises(ValueError):
-            axgd_step(SolverState.initial(np.array([0.0])), p, f, 1.5)
 
     def test_matches_hand_stepped_reference(self):
         # Independent scalar recursion of the discretization with
@@ -195,8 +192,7 @@ class TestLineSearch:
     def test_convex_endpoint_succeeds_first_probe(self):
         f = Quadratic(2.0, [0.5], 1.0)
         p = quad_params(t=20)
-        state = SolverState.initial(np.array([-0.6]))
-        state, _ = axgd_step(state, p, f, 1.0)
+        state = first_step(f, p, np.array([-0.6]))
         res = binary_line_search(state, p, f, p.eps_hat(1))
         assert res.probes == 1
         assert res.gamma_hat == pytest.approx(1.0)
@@ -205,8 +201,7 @@ class TestLineSearch:
     def test_gamma_hat_lambda_consistency(self):
         f = Quadratic(2.0, [0.5], 1.0)
         p = quad_params(t=20)
-        state = SolverState.initial(np.array([-0.6]))
-        state, _ = axgd_step(state, p, f, 1.0)
+        state = first_step(f, p, np.array([-0.6]))
         res = binary_line_search(state, p, f, p.eps_hat(1))
         step = p.a(state.i + 1) / p.gamma_n
         lam_back = step / (state.A * res.gamma_hat + step)
@@ -356,7 +351,7 @@ class TestRunInvariants:
         dist0_sq = float(np.sum((x0 - xt_star) ** 2))
         eps = 1e-3
         for t in (1, 3, 10, 30, 100, 300):
-            params = params_from_constants(dc, frame.R_tilde, eps, t=t)
+            params = replace(params_from_constants(dc, frame.R_tilde, eps), t=t)
             out = axgd.run(fmap, params, x0)
             gap = fmap.value(out) - f_star
             bound = (

@@ -3,13 +3,14 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvopt import axgd, solve_gconvex_via_sc, with_constants
+from curvopt import axgd, bench, solve_gconvex_via_sc, with_constants
 from curvopt.bench import (
     ConfigError,
     ExperimentConfig,
@@ -260,7 +261,7 @@ class TestCli:
 
 def test_sweep_series_monotone(tmp_path):
     cfg = ExperimentConfig(seed=9)
-    series = run_sweep(cfg, [1e-1, 1e-2, 1e-3], str(tmp_path))
+    series = run_sweep(cfg, "epsilon", [1e-1, 1e-2, 1e-3], str(tmp_path))
     evals = [n for _, n, _ in series]
     assert evals == sorted(evals)
     for eps, _, gap in series:
@@ -290,10 +291,14 @@ def _exhausted_line_search(*args, **kwargs):
         ("R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 2.09e+37"),
         ("R = 15\nepsilon = 1e-3\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 3.34e+08"),
         ("R = 1000\n", None, False, "R:"),
+        ("anchor_count = 0\n", None, False, "anchor_count:"),
+        ("anchor_count = -1\n", None, False, "anchor_count:"),
+        ("seed = -1\n", None, False, "seed:"),
     ],
     ids=[
         "empty-anchor-file", "missing-anchor-file", "off-model-anchor", "non-numeric-anchor",
         "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget", "radius",
+        "no-anchors", "negative-anchor-count", "negative-seed",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(
@@ -329,3 +334,71 @@ def test_sweep_fits_rgd_without_log_deflation(tmp_path, capsys):
     fitted = float(lines[-1].removeprefix("fitted_exponent="))
     assert fitted == pytest.approx(fit_rate_exponent(series, deflate_log=False), abs=1e-4)
     assert fitted == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_names_samples_below_one(capsys, samples):
+    assert main(["verify", "--samples", samples]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: --samples:"), err
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the sweep axis must be checked before the first solve")
+
+
+@pytest.mark.parametrize(
+    "axis,values,where",
+    [
+        ("--epsilons", "1e-2,1e-3,2e-3,3e-3", "epsilon: a sweep of 4 or more points"),
+        ("--epsilons", ",", "epsilon: the sweep needs"),
+        ("--epsilons", "1e-2,-1e-3", "epsilon: must be positive"),
+        ("--conditions", "10,20,30,40", "condition: a sweep of 4 or more points"),
+        ("--conditions", "", "condition: the sweep needs"),
+    ],
+)
+def test_sweep_axis_checked_before_any_solve(tmp_path, capsys, monkeypatch, axis, values, where):
+    monkeypatch.setattr(bench, "run_experiment", _no_solve)
+    outdir = tmp_path / "out"
+    assert main(["sweep", axis, values, "--output-dir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {where}"), err
+    assert not outdir.exists()
+
+
+def test_condition_sweep_points_match_runs(tmp_path, capsys, cfg_file):
+    outdir = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg_file), "--solver", "restart_sc", "--conditions", "10,300"]
+    assert main(argv + ["--output-dir", str(outdir)]) == 0
+    summary = (outdir / "restart_sc_summary.csv").read_text().splitlines()
+    assert summary[0] == "condition,grad_evals,f_gap" and len(summary) == 3
+    for cond in ("10", "300"):
+        single = tmp_path / f"cond{cond}.cfg"
+        single.write_text(f"{CFG_TEXT}solver = restart_sc\ncondition = {cond}\n")
+        run_csv = tmp_path / f"run{cond}.csv"
+        assert main(["run", "--config", str(single), "--output", str(run_csv)]) == 0
+        assert (outdir / f"restart_sc_cond{cond}.csv").read_bytes() == run_csv.read_bytes()
+    assert capsys.readouterr().out.startswith("condition=10 grad_evals=")
+
+
+def _help_text(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv + ["--help"])
+    return capsys.readouterr().out
+
+
+def test_readme_cli_block_matches_parser(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    documented, cmd = {}, None
+    for line in block.splitlines():
+        if line.startswith("bench "):
+            cmd = line.split()[1]
+            documented[cmd] = set()
+        if cmd is not None:
+            documented[cmd].update(re.findall(r"--[a-z][a-z-]*", line))
+    commands = re.search(r"\{([a-z,]+)\}", _help_text(capsys, [])).group(1).split(",")
+    parsed = {
+        c: set(re.findall(r"--[a-z][a-z-]*", _help_text(capsys, [c]))) - {"--help"} for c in commands
+    }
+    assert documented == parsed

@@ -128,8 +128,6 @@ class TestOracleKernels:
         value, grad = ref(obj, x)
         assert np.array_equal(obj.value_c(x), value)
         assert np.array_equal(obj.grad_c(x), grad)
-        fused = obj.value_and_grad_c(x)
-        assert np.array_equal(fused[0], value) and np.array_equal(fused[1], grad)
 
     def test_frechet(self, space, d, shape):
         _, F, pts, _ = _instance(space, d)

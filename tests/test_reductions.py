@@ -9,7 +9,7 @@ from curvopt.manifolds import random_in_ball
 from curvopt.objectives import delta_constants, regularized
 from curvopt.reductions import (
     make_regularization_plan,
-    make_restart_plan,
+    restart_rounds,
     solve_gconvex_via_sc,
     solve_strongly_gconvex,
 )
@@ -32,15 +32,14 @@ def instance_with_offset_start(space, d, R, seed, n_anchors=4, anchor_radius=0.3
 
 class TestRestartPlan:
     def test_round_count(self):
-        plan = make_restart_plan(mu=1.0, R=1.0, epsilon=1e-6)
-        assert plan.rounds == math.ceil(math.log2(1e6) - 1.0)
+        assert restart_rounds(mu=1.0, R=1.0, epsilon=1e-6) == math.ceil(math.log2(1e6) - 1.0)
 
     def test_minimum_one_round(self):
-        assert make_restart_plan(1.0, 1.0, 10.0).rounds == 1
+        assert restart_rounds(1.0, 1.0, 10.0) == 1
 
     def test_rejects_zero_mu(self):
         with pytest.raises(GeometryError):
-            make_restart_plan(0.0, 1.0, 1e-3)
+            restart_rounds(0.0, 1.0, 1e-3)
 
 
 class TestSolveStronglyGconvex:
