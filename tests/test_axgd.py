@@ -128,8 +128,21 @@ class TestSchedule:
 
 
 class TestStep:
+    def test_first_step_is_projected_mirror_step(self):
+        # The forced lambda = 1 step that opens a longer run is the projected
+        # mirror step and costs two gradient evaluations.
+        f = Quadratic(2.0, [0.5], 1.0)
+        p = quad_params(t=5)
+        x0 = np.array([-0.3])
+        recs = []
+        axgd.run(f, p, x0, trace=recs.append)
+        a1 = p.a(1)
+        expected = mirror_dual_grad(x0 - (a1 / p.gamma_n) * f.grad(x0), p.R_tilde)
+        first = recs[0]
+        assert np.allclose(first.x, expected, atol=1e-15)
+        assert (first.i, first.lam, first.grad_evals) == (1, 1.0, 2)
+
     def test_run_t1_single_mirror_step(self):
-        # The forced lambda = 1 first step is the projected mirror step.
         f = Quadratic(2.0, [0.5], 1.0)
         p = quad_params(t=1)
         x0 = np.array([-0.3])
