@@ -13,16 +13,18 @@ over the coupling weight lambda so that the accepted step satisfies
     f(x_{i+1}) - f(x_i) <= gamma_hat <grad f(x_{i+1}), x_{i+1} - x_i> + eps_hat_i
 
 for some gamma_hat in [gamma_p, 1/gamma_n].  The objective ``f`` needs
-``grad(xt) -> ndarray`` and ``value_and_grad(xt) -> (float, ndarray)``: each
-probe reads the gradient at the coupling point and both the value and the
-gradient at the candidate point.  ``value(xt) -> float`` is read only when
-``binary_line_search`` is not given the current value.
+``grad(xt) -> ndarray`` and ``value_and_grad(xt) -> (float, ndarray)``, each
+taking one 1-D point xt: each probe reads the gradient at the coupling
+point and both the value and the gradient at the candidate point.
+``value(xt) -> float`` is read only when ``binary_line_search`` is not
+given the current value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +58,13 @@ class SolverParams:
         if self.t < 1:
             raise ValueError("need at least one iteration")
 
-    @property
+    @cached_property
     def rate(self):
         return self.gamma_n**2 * self.gamma_p / (2.0 * self.L_tilde)
+
+    @cached_property
+    def _A_t(self):
+        return self.A(self.t)
 
     def a(self, i):
         return i * self.rate
@@ -70,7 +76,7 @@ class SolverParams:
         """Per-iteration slack A_t eps / (2 (t-1) A_i); needs t >= 2, i >= 1."""
         if self.t < 2:
             raise ValueError("eps_hat is vacuous for single-step runs")
-        return self.A(self.t) * self.epsilon / (2.0 * (self.t - 1) * self.A(i))
+        return self._A_t * self.epsilon / (2.0 * (self.t - 1) * self.A(i))
 
 
 # Larger certified budgets come from configs no run can finish (hyperbolic

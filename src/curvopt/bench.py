@@ -421,8 +421,12 @@ def _cmd_sweep(args):
         cfg.solver = args.solver
     if args.seed is not None:
         cfg.seed = args.seed
-    key, text = ("epsilon", args.epsilons) if args.epsilons is not None else ("condition", args.conditions)
-    series = run_sweep(cfg, key, [float(v) for v in text.split(",") if v], args.output_dir)
+    key = "epsilon" if args.epsilons is not None else "condition"
+    try:
+        values = [float(v) for v in getattr(args, f"{key}s").split(",") if v]
+    except ValueError as err:
+        raise ConfigError(f"--{key}s: {err}") from None
+    series = run_sweep(cfg, key, values, args.output_dir)
     for value, evals, gap in series:
         print(f"{key}={value:g} grad_evals={evals} final_gap={gap:.6e}")
     if len(series) >= 4:
@@ -442,6 +446,8 @@ def _cmd_sweep(args):
 def _cmd_verify(args):
     if args.samples < 1:
         raise ConfigError(f"--samples: must be a positive integer, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be a non-negative integer, got {args.seed}")
     results = checks.run_grid(n=args.samples, seed=args.seed)
     worst = {}
     for res in results:

@@ -19,8 +19,8 @@ is closed-form: from_ball(x~) = M^{-1} p with frame coordinates
 p = (x~, 1) / sqrt(1 + K r^2).  ``pullback_gradient`` pulls a Riemannian
 gradient back through it by the chain rule, with no log map and no special
 case at the basepoint; ``objectives.MappedObjective`` skips the pullback
-for the library's squared-distance objectives, whose mapped gradient it
-evaluates in closed form from p.
+for the library's squared-distance objectives, whose mapped value and
+gradient it evaluates in closed form from x~.
 """
 
 from __future__ import annotations
@@ -134,23 +134,19 @@ def to_ball(frame, x):
     return p[..., :-1] / p[..., -1:]
 
 
-def frame_coords(frame, xt):
-    """Frame coordinates p = s (x~, 1), s = 1 / sqrt(1 + K |x~|^2), of ball point(s).
+def from_ball(frame, xt):
+    """Inverse map: ambient coordinates M^{-1} p of ball point(s) x~ on the model.
 
-    p is the image of the manifold point under the frame isometry, so
-    from_ball(x~) = M^{-1} p; ball coordinates beyond R~ + BALL_TOL raise.
+    p = s (x~, 1), s = 1 / sqrt(1 + K |x~|^2), is the image of the manifold
+    point under the frame isometry; ball coordinates beyond R~ + BALL_TOL
+    raise.
     """
     xt = np.asarray(xt, dtype=float)
     r2 = (xt * xt).sum(-1)
     if (np.sqrt(r2) > frame.R_tilde + BALL_TOL).any():
         raise GeometryError("ball coordinates exceed the frame radius")
     s = (1.0 / np.sqrt(np.maximum(1.0 + frame.sign * r2, 1e-300)))[..., None]
-    return np.concatenate([xt * s, s], axis=-1)
-
-
-def from_ball(frame, xt):
-    """Inverse map; returns ambient coordinates on the model manifold."""
-    return frame_coords(frame, xt) @ frame.inv_mat.T
+    return np.concatenate([xt * s, s], axis=-1) @ frame.inv_mat.T
 
 
 def mapped_distance(frame, xt, yt):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geomap import frame_coords, from_ball, pullback_gradient
+from .geomap import BALL_TOL, from_ball, pullback_gradient
 from .manifolds import (
     HYPERBOLIC,
     SPHERICAL,
@@ -101,29 +101,28 @@ class ManifoldObjective(ABC):
     def _cosine_rows(self):
         """``(rows, weights)`` when F(x) = sum_j w_j d(x, a_j)^2 / 2, else None.
 
-        ``rows`` are the cosine rows of ``_sqdist_terms``.  MappedObjective
+        ``rows`` are the cosine rows of ``_theta_k``.  MappedObjective
         evaluates such an objective in closed form; a subclass that changes
         the oracle of one that returns rows must return None.
         """
         return None
 
 
-def _sqdist_terms(x, rows, sign, weights=1.0):
-    """c_j = cos d(x, a_j) (cosh on the hyperboloid), theta_j and w_j theta_j / |u_j|.
+def _theta_k(c, sign, weights=1.0):
+    """theta_j = d(x, a_j) and k_j = w_j theta_j / |u_j| from c_j = cos d(x, a_j).
 
-    ``rows`` holds the cosine rows of the points a_j, or of one: a_j on the
-    sphere, a_j with its first d slots negated on the hyperboloid, so that
-    c = x @ rows.T.  u_j = a_j - c_j x, the tangential component of a_j at
-    x, has norm sqrt(|c_j^2 - 1|).
+    On the hyperboloid c_j is cosh d(x, a_j).  Callers compute c = x @ rows.T
+    from the cosine rows of the points a_j, or of one: a_j on the sphere,
+    a_j with its first d slots negated on the hyperboloid.  u_j = a_j - c_j x,
+    the tangential component of a_j at x, has norm sqrt(|c_j^2 - 1|).
     """
-    c = x @ rows.T
     if sign < 0:
         theta = np.arccosh(np.maximum(c, 1.0))
         un = np.sqrt(np.maximum(c * c - 1.0, 1e-300))
     else:
         theta = np.arccos(c.clip(-1.0, 1.0))
         un = np.sqrt(np.maximum(1.0 - c * c, 1e-300))
-    return c, theta, weights * theta / un
+    return theta, weights * theta / un
 
 
 def _sqdist_value(theta, weights):
@@ -170,12 +169,13 @@ class FrechetObjective(ManifoldObjective):
         return self._anchor_rows, self.weights
 
     def value_c(self, x):
-        theta = _sqdist_terms(x, self._anchor_rows, self.space.sign, self.weights)[1]
+        theta = _theta_k(x @ self._anchor_rows.T, self.space.sign, self.weights)[0]
         return _sqdist_value(theta, self.weights)
 
     def grad_c(self, x):
         x = np.asarray(x, dtype=float)
-        c, _, k = _sqdist_terms(x, self._anchor_rows, self.space.sign, self.weights)
+        c = x @ self._anchor_rows.T
+        k = _theta_k(c, self.space.sign, self.weights)[1]
         # grad = -sum_j k_j u_j = sum_j k_j (c_j x - a_j): the tangential
         # directions toward the anchors, scaled by distance over tangential norm.
         return (k * c).sum(-1, keepdims=True) * x - k @ self.anchor_coords
@@ -205,12 +205,13 @@ class RegularizedObjective(ManifoldObjective):
         return np.vstack([rows, self._center_row]), np.append(weights, self.mu_i)
 
     def value_c(self, x):
-        theta = _sqdist_terms(x, self._center_row, self.space.sign)[1]
+        theta = _theta_k(x @ self._center_row, self.space.sign)[0]
         return self.inner_obj.value_c(x) + 0.5 * self.mu_i * theta**2
 
     def grad_c(self, x):
         x = np.asarray(x, dtype=float)
-        c, _, k = _sqdist_terms(x, self._center_row, self.space.sign)
+        c = x @ self._center_row
+        k = _theta_k(c, self.space.sign)[1]
         reg_grad = -k[..., None] * (self.center.coords - c[..., None] * x)
         return self.inner_obj.grad_c(x) + self.mu_i * reg_grad
 
@@ -290,68 +291,83 @@ class MappedObjective:
 
     An objective with cosine rows (``ManifoldObjective._cosine_rows``) is
     evaluated in closed form in ball coordinates.  Let M be the frame
-    matrix, p = s (x~, 1) with s = (1 + K |x~|^2)^(-1/2) the frame
-    coordinates of x~ (``frame_coords``), so h^{-1}(x~) = M^{-1} p.  The
-    rows, rotated into the frame once, [B | b] = rows M^{-1}, give the
-    cosines from p directly:
+    matrix and s = (1 + K |x~|^2)^(-1/2), so that h^{-1}(x~) = M^{-1} s (x~, 1).
+    The rows, rotated into the frame once, [B | b] = rows M^{-1}, give the
+    cosines straight from x~:
 
-        c_j = C_K(theta_j) = rows_j . M^{-1} p = s (B_j . x~ + b_j),
+        c_j = C_K(theta_j) = s (B_j . x~ + b_j),
 
     and f = sum_j w_j theta_j^2 / 2.  With C_K = cos (K = 1) or cosh
     (K = -1), d theta / dc = -K / sqrt|c^2 - 1|, so df/dc_j = -K k_j with
-    k_j = w_j theta_j / sqrt|c_j^2 - 1| as in ``_sqdist_terms``.  Since
-    grad s = -K s^3 x~, grad c_j = s B_j - K s^2 c_j x~, and
+    k_j = w_j theta_j / sqrt|c_j^2 - 1| as in ``_theta_k``.  Since
+    grad s = -K s^3 x~, grad c_j = s B_j - K s^2 c_j x~, and (K^2 = 1)
 
-        grad f = -K s (k^T B - K s (k . c) x~)
-               = s ((k . c) p[:d] - K k^T B)          (K^2 = 1, p[:d] = s x~).
+        grad f = s^2 (k . c) x~ - K s B^T k.
 
-    No point or gradient is mapped between the ball and the manifold.  Any
-    other objective goes through the chain: ``from_ball``, then
-    ``value_c``/``grad_c``, then ``pullback_gradient``.
+    No point or gradient is mapped between the ball and the manifold.  The
+    solver calls the oracle on one 1-D point at a time, where numpy's
+    per-call cost on a d-vector outweighs the arithmetic; there |x~|^2, s
+    and k . c are Python floats, and only c, theta, k and the gradient are
+    arrays.  A batch of points (leading axes) takes the same formulas with
+    s of shape (..., 1).  Any other objective goes through the chain:
+    ``from_ball``, then ``value_c``/``grad_c``, then ``pullback_gradient``.
     """
 
     def __init__(self, inner_obj, frame):
         self.inner_obj = inner_obj
         self.frame = frame
-        self._rows = None
+        self._BT = None
         terms = inner_obj._cosine_rows()
         if terms is not None:
             rows, self._weights = terms
-            self._rows = rows @ frame.inv_mat
-            self._B = self._rows[:, :-1].copy()
+            rows = rows @ frame.inv_mat
+            self._BT = rows[:, :-1].T.copy()
+            self._b = rows[:, -1].copy()
+            self._KB = frame.sign * rows[:, :-1]
 
     def _terms(self, xt):
-        """p, c, theta and k at ball point(s) xt, batched over leading axes."""
-        p = frame_coords(self.frame, xt)
-        return (p,) + _sqdist_terms(p, self._rows, self.frame.sign, self._weights)
+        """xt, s, c, theta and k at ball point(s) xt."""
+        xt = np.asarray(xt, dtype=float)
+        K = self.frame.sign
+        if xt.ndim == 1:
+            r2 = float(xt.dot(xt))
+            beyond = math.sqrt(r2) > self.frame.R_tilde + BALL_TOL
+            s = 1.0 / math.sqrt(max(1.0 + K * r2, 1e-300))
+        else:
+            r2 = (xt * xt).sum(-1, keepdims=True)
+            beyond = (np.sqrt(r2) > self.frame.R_tilde + BALL_TOL).any()
+            s = 1.0 / np.sqrt(np.maximum(1.0 + K * r2, 1e-300))
+        if beyond:
+            raise GeometryError("ball coordinates exceed the frame radius")
+        c = s * (xt.dot(self._BT) + self._b)
+        return (xt, s, c) + _theta_k(c, K, self._weights)
 
-    def _grad(self, p, c, k):
-        kc = (k * c).sum(-1, keepdims=True)
-        return p[..., -1:] * (kc * p[..., :-1] - self.frame.sign * (k @ self._B))
+    def _grad(self, xt, s, c, _theta, k):
+        kc = float(k.dot(c)) if xt.ndim == 1 else (k * c).sum(-1, keepdims=True)
+        return (s * s * kc) * xt - s * k.dot(self._KB)
 
     def value(self, xt):
         return float(self.value_many(xt))
 
     def value_many(self, xt):
-        if self._rows is None:
+        if self._BT is None:
             return self.inner_obj.value_c(from_ball(self.frame, xt))
-        return _sqdist_value(self._terms(xt)[2], self._weights)
+        return _sqdist_value(self._terms(xt)[3], self._weights)
 
     def grad(self, xt):
-        if self._rows is None:
+        if self._BT is None:
             x = from_ball(self.frame, xt)
             return pullback_gradient(self.frame, x, self.inner_obj.grad_c(x), xt=xt)
-        p, c, _, k = self._terms(xt)
-        return self._grad(p, c, k)
+        return self._grad(*self._terms(xt))
 
     def value_and_grad(self, xt):
         """``(value(xt), grad(xt))`` from one evaluation of the kernel."""
-        if self._rows is None:
+        if self._BT is None:
             x = from_ball(self.frame, xt)
             value = float(self.inner_obj.value_c(x))
             return value, pullback_gradient(self.frame, x, self.inner_obj.grad_c(x), xt=xt)
-        p, c, theta, k = self._terms(xt)
-        return float(_sqdist_value(theta, self._weights)), self._grad(p, c, k)
+        terms = self._terms(xt)
+        return float(_sqdist_value(terms[3], self._weights)), self._grad(*terms)
 
 
 # Anchor-set files: one anchor per line, d+1 whitespace-separated ambient

@@ -272,37 +272,46 @@ def _exhausted_line_search(*args, **kwargs):
     raise axgd.LineSearchError("line-search probe budget exhausted")
 
 
+RUN = ["run", "--config", "{cfg}", "--output", "{out}"]
+SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
+
+
 @pytest.mark.parametrize(
-    "config,anchors,line_search_fails,where",
+    "argv,config,anchors,line_search_fails,where",
     [
-        ("anchors_file = {anchors}\n", "# class=hyperbolic d=2\n", False, "{anchors}:"),
-        ("anchors_file = {anchors}.missing\n", None, False, "{anchors}.missing"),
+        (RUN, "anchors_file = {anchors}\n", "# class=hyperbolic d=2\n", False, "{anchors}:"),
+        (RUN, "anchors_file = {anchors}.missing\n", None, False, "{anchors}.missing"),
         (
+            RUN,
             "manifold = spherical\ncurvature = 1.0\nR = 0.5\nanchors_file = {anchors}\n",
             "# class=spherical d=2\n0 0 1\n0 0 2\n",
             False,
             "{anchors}:3:",
         ),
-        ("anchors_file = {anchors}\n", "# class=hyperbolic d=2\n0 0 1\n0 0 abc\n", False, "{anchors}:3:"),
-        ("manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False, "R:"),
-        ("curvature = 0\n", None, False, "curvature:"),
-        ("epsilon = 1e-2\n", None, True, "line-search"),
+        (RUN, "anchors_file = {anchors}\n", "# class=hyperbolic d=2\n0 0 1\n0 0 abc\n", False, "{anchors}:3:"),
+        (RUN, "manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False, "R:"),
+        (RUN, "curvature = 0\n", None, False, "curvature:"),
+        (RUN, "epsilon = 1e-2\n", None, True, "line-search"),
         # Certified budgets of 2.1e37 (axgd) and 3.3e8 (rgd) iterations.
-        ("R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 2.09e+37"),
-        ("R = 15\nepsilon = 1e-3\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 3.34e+08"),
-        ("R = 1000\n", None, False, "R:"),
-        ("anchor_count = 0\n", None, False, "anchor_count:"),
-        ("anchor_count = -1\n", None, False, "anchor_count:"),
-        ("seed = -1\n", None, False, "seed:"),
+        (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 2.09e+37"),
+        (RUN, "R = 15\nepsilon = 1e-3\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 3.34e+08"),
+        (RUN, "R = 1000\n", None, False, "R:"),
+        (RUN, "anchor_count = 0\n", None, False, "anchor_count:"),
+        (RUN, "anchor_count = -1\n", None, False, "anchor_count:"),
+        (RUN, "seed = -1\n", None, False, "seed:"),
+        (["verify", "--seed", "-1"], "", None, False, "--seed:"),
+        (SWEEP + ["--epsilons", "1e-2,abc"], "", None, False, "--epsilons: could not convert string to float: 'abc'"),
+        (SWEEP + ["--conditions", "10,x"], "", None, False, "--conditions: could not convert string to float: 'x'"),
     ],
     ids=[
         "empty-anchor-file", "missing-anchor-file", "off-model-anchor", "non-numeric-anchor",
         "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget", "radius",
-        "no-anchors", "negative-anchor-count", "negative-seed",
+        "no-anchors", "negative-anchor-count", "negative-seed", "verify-negative-seed",
+        "sweep-epsilon-not-a-number", "sweep-condition-not-a-number",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(
-    tmp_path, capsys, monkeypatch, config, anchors, line_search_fails, where
+    tmp_path, capsys, monkeypatch, argv, config, anchors, line_search_fails, where
 ):
     anchors_path = tmp_path / "anchors.txt"
     if anchors is not None:
@@ -312,12 +321,14 @@ def test_bad_input_exits_2_with_one_error_line(
     if line_search_fails:
         monkeypatch.setattr(axgd, "binary_line_search", _exhausted_line_search)
     start = time.perf_counter()
-    code = main(["run", "--config", str(cfg), "--output", str(tmp_path / "out.csv")])
+    out = tmp_path / "out"
+    code = main([arg.format(cfg=cfg, out=out) for arg in argv])
     err = capsys.readouterr().err
     assert time.perf_counter() - start < 10.0
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert where.format(anchors=anchors_path) in err, err
+    assert not out.exists()
 
 
 def test_sweep_fits_rgd_without_log_deflation(tmp_path, capsys):

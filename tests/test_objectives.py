@@ -289,8 +289,10 @@ class TestClosedFormMapping:
                 assert np.all(np.linalg.norm(fmap.grad(xt) - grad, axis=-1) <= 1e-13 * scale), name
                 for j, one in enumerate(xt):
                     v1, g1 = fmap.value_and_grad(one)
-                    assert abs(v1 - value[j]) <= 1e-13 * value[j], (name, j)
-                    assert np.linalg.norm(g1 - grad[j]) <= 1e-13 * scale[j], (name, j)
+                    for v in (v1, fmap.value(one)):
+                        assert abs(v - value[j]) <= 1e-13 * value[j], (name, j)
+                    for g in (g1, fmap.grad(one)):
+                        assert np.linalg.norm(g - grad[j]) <= 1e-13 * scale[j], (name, j)
 
     def test_custom_objective_takes_the_chain(self, space, rng):
         center, objs = self.objectives(space, 3)
