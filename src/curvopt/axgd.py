@@ -16,8 +16,6 @@ for some gamma_hat in [gamma_p, 1/gamma_n].  The objective ``f`` needs
 ``grad(xt) -> ndarray`` and ``value_and_grad(xt) -> (float, ndarray)``, each
 taking one 1-D point xt: each probe reads the gradient at the coupling
 point and both the value and the gradient at the candidate point.
-``value(xt) -> float`` is read only when ``binary_line_search`` is not
-given the current value.
 """
 
 from __future__ import annotations
@@ -176,13 +174,13 @@ def probe_bound(params, i, eps_hat):
     return 4.0 * math.log2(max(arg, 1.0)) + 4.0
 
 
-def binary_line_search(state, params, f, eps_hat_i, f_curr=None):
+def binary_line_search(state, params, f, eps_hat_i, f_curr):
     """Find lambda whose step satisfies the accepted-step inequality.
 
     Tries the endpoints gamma_hat = 1/gamma_n then gamma_hat = gamma_p; if
     neither passes, the endpoint inner products bracket a sign change and
     bisection on lambda keeps the bracket endpoints' signs opposite until
-    the residual drops below eps_hat_i.
+    the residual drops below eps_hat_i.  ``f_curr`` is f at ``state.x_t``.
     """
     if state.i < 1:
         raise ValueError("line search is only defined from iteration 1 on")
@@ -196,9 +194,6 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr=None):
 
     def gamma_of(lam):
         return step * (1.0 - lam) / (state.A * lam)
-
-    if f_curr is None:
-        f_curr = f.value(state.x_t)
 
     probes = 0
     cap = max(8, int(math.ceil(4.0 * probe_bound(params, state.i, eps_hat_i))))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import AmbientPoint, GeometryError, distance, exp_map, log_map, norm
+from .manifolds import AmbientPoint, GeometryError, exp_map, log_map, norm
 
 
 @dataclass(frozen=True)

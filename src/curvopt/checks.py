@@ -66,19 +66,18 @@ class CheckResult:
 
 
 def _cell_frame(sign, d, R):
-    space = CurvatureClass(sign)
-    return make_frame(pole(d, space), R), space
+    return make_frame(pole(d, CurvatureClass(sign)), R)
 
 
-def _sample_pairs(frame, n, rng, boundary_bias=True):
+def _sample_pairs(frame, n, rng):
     sign = frame.sign
     c = frame.x0.coords
-    x = random_in_ball(c, sign, frame.R, rng, n, boundary_bias=boundary_bias)
-    y = random_in_ball(c, sign, frame.R, rng, n, boundary_bias=boundary_bias)
+    x = random_in_ball(c, sign, frame.R, rng, n, boundary_bias=True)
+    y = random_in_ball(c, sign, frame.R, rng, n, boundary_bias=True)
     return x, y
 
 
-def _frechet_for_cell(frame, rng, n_anchors=4):
+def _frechet_for_cell(frame, rng):
     """Random anchor instance that stays g-convex on the cell's ball.
 
     On the sphere every anchor must stay within pi/2 of every ball point,
@@ -89,15 +88,15 @@ def _frechet_for_cell(frame, rng, n_anchors=4):
         r_a = min(0.9 * frame.R, 0.95 * (math.pi / 2 - frame.R))
     else:
         r_a = 0.9 * frame.R
-    coords = random_in_ball(frame.x0.coords, sign, r_a, rng, n_anchors)
+    coords = random_in_ball(frame.x0.coords, sign, r_a, rng, 4)
     anchors = [AmbientPoint(c, frame.space) for c in coords]
-    w = rng.uniform(0.5, 1.5, n_anchors)
+    w = rng.uniform(0.5, 1.5, 4)
     return FrechetObjective(anchors, w / w.sum(), frame.x0, frame.R)
 
 
 def check_eq1_consistency(sign, d, R, n, rng):
     """Distance from ball coordinates equals the embedding distance."""
-    frame, _ = _cell_frame(sign, d, R)
+    frame = _cell_frame(sign, d, R)
     x, y = _sample_pairs(frame, n, rng)
     direct = distance(x, y, sign)
     via_map = mapped_distance(frame, to_ball(frame, x), to_ball(frame, y))
@@ -112,7 +111,7 @@ def check_roundtrips(sign, d, R, n, rng):
     function itself cannot resolve separations below ~sqrt(eps) because of
     the arccos/arccosh conditioning at coincident points.
     """
-    frame, _ = _cell_frame(sign, d, R)
+    frame = _cell_frame(sign, d, R)
     x, y = _sample_pairs(frame, n, rng)
     v = log_map(x, y, sign)
     back = exp_map(x, v, sign)
@@ -126,7 +125,7 @@ def check_roundtrips(sign, d, R, n, rng):
 
 def check_distance_deformation(sign, d, R, n, rng):
     """Two-sided bound on d(x, y) / |x~ - y~| over the ball."""
-    frame, _ = _cell_frame(sign, d, R)
+    frame = _cell_frame(sign, d, R)
     dc = deformation_constants_for(sign, R, 1.0)
     x, y = _sample_pairs(frame, n, rng)
     dd = distance(x, y, sign)
@@ -143,7 +142,7 @@ def check_distance_deformation(sign, d, R, n, rng):
 
 def check_angle_deformation(sign, d, R, n, rng):
     """Closed-form angle deformation against measured log-map angles."""
-    frame, _ = _cell_frame(sign, d, R)
+    frame = _cell_frame(sign, d, R)
     x, y = _sample_pairs(frame, n, rng)
     ok = (distance(x, y, sign) > 1e-6) & (distance(frame.x0.coords, x, sign) > 1e-6)
     x, y = x[ok], y[ok]
@@ -164,7 +163,7 @@ def check_angle_deformation(sign, d, R, n, rng):
 
 def check_gradient_orthogonality(sign, d, R, n, rng):
     """Vectors normal to grad F push forward to vectors normal to grad f."""
-    frame, _ = _cell_frame(sign, d, R)
+    frame = _cell_frame(sign, d, R)
     F = _frechet_for_cell(frame, rng)
     x = random_in_ball(frame.x0.coords, sign, R, rng, n, boundary_bias=True)
     g = F.grad_c(x)
@@ -188,7 +187,7 @@ def check_directional_ratio(sign, d, R, n, rng):
     Also reports the extreme observed ratios, for the non-vacuousness
     comparison against the closed-form constants.
     """
-    frame, _ = _cell_frame(sign, d, R)
+    frame = _cell_frame(sign, d, R)
     dc = deformation_constants_for(sign, R, 1.0)
     F = _frechet_for_cell(frame, rng)
     x, y = _sample_pairs(frame, n, rng)
@@ -214,7 +213,7 @@ def check_directional_ratio(sign, d, R, n, rng):
 
 def check_relaxed_convexity(sign, d, R, n, rng):
     """Both affine lower bounds for g-convex objectives under the map."""
-    frame, _ = _cell_frame(sign, d, R)
+    frame = _cell_frame(sign, d, R)
     dc = deformation_constants_for(sign, R, 1.0)
     F = _frechet_for_cell(frame, rng)
     x, y = _sample_pairs(frame, n, rng)
@@ -232,9 +231,9 @@ def check_relaxed_convexity(sign, d, R, n, rng):
     )
 
 
-def check_pullback_fd(sign, d, R, n, rng, step=1e-5):
+def check_pullback_fd(sign, d, R, n, rng):
     """Mapped gradient against central finite differences of f = F o h^-1."""
-    frame, _ = _cell_frame(sign, d, R)
+    frame = _cell_frame(sign, d, R)
     F = _frechet_for_cell(frame, rng)
     fmap = MappedObjective(F, frame)
     # Stay slightly inside the ball so the FD stencil remains feasible, and
@@ -246,6 +245,7 @@ def check_pullback_fd(sign, d, R, n, rng, step=1e-5):
     xt = to_ball(frame, x)
     grad = pullback_gradient(frame, x, F.grad_c(x), xt=xt)
     fd = np.empty_like(grad)
+    step = 1e-5
     for j in range(d):
         e = np.zeros(d)
         e[j] = step
@@ -258,7 +258,7 @@ def check_pullback_fd(sign, d, R, n, rng, step=1e-5):
 
 def check_mapped_smoothness(sign, d, R, n, rng):
     """Sampled Euclidean smoothness of f never exceeds the L~ bound."""
-    frame, _ = _cell_frame(sign, d, R)
+    frame = _cell_frame(sign, d, R)
     F = _frechet_for_cell(frame, rng)
     dc = deformation_constants_for(sign, R, F.smoothness)
     x, y = _sample_pairs(frame, n, rng)
@@ -279,7 +279,7 @@ def check_definition_inequalities(sign, d, R, n, rng):
     this is the strongest form; the 2R-diameter constants of the distortion
     bounds are looser and follow a fortiori whenever they are defined.
     """
-    frame, _ = _cell_frame(sign, d, R)
+    frame = _cell_frame(sign, d, R)
     F = _frechet_for_cell(frame, rng)
     pairs = [(F.smoothness, F.strong_convexity)]
     if sign == HYPERBOLIC or 2.0 * R < math.pi / 2:
@@ -308,14 +308,14 @@ ALL_CHECKS = [
 ]
 
 
-def run_grid(checks=None, n=2000, seed=0, grid=DEFAULT_GRID, dims=DEFAULT_DIMS):
-    """Run checks over the (K, d, R) grid; returns a list of CheckResult."""
+def run_grid(checks=None, n=2000, seed=0):
+    """Run checks over the DEFAULT_GRID x DEFAULT_DIMS cells; returns a list of CheckResult."""
     checks = checks or ALL_CHECKS
     results = []
     for check in checks:
         rng = np.random.default_rng(seed)
-        for sign, radii in grid:
-            for d in dims:
+        for sign, radii in DEFAULT_GRID:
+            for d in DEFAULT_DIMS:
                 for R in radii:
                     results.append(check(sign, d, R, n, rng))
     return results

@@ -1,8 +1,10 @@
 """Recenterable geodesic map between the model manifold and a Euclidean ball.
 
 The map is the gnomonic projection for the sphere and the Beltrami-Klein
-projection for the hyperboloid: after an isometry sending the basepoint x0
-to the canonical pole, a point with frame coordinates p maps to
+projection for the hyperboloid: after the frame isometry M, the rotation
+in the plane of the basepoint x0 and the canonical pole that sends x0 to
+the pole (closed form in ``make_frame``), a point with frame coordinates
+p = M x maps to
 
     x~ = (p_1, ..., p_d) / p_{d+1},
 
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,50 +46,18 @@ from .manifolds import (
 BALL_TOL = 1e-9
 
 
-def _metric(n, sign):
-    g = np.eye(n)
-    if sign == HYPERBOLIC:
-        g[-1, -1] = -1.0
-    return g
-
-
-def _orthonormal_frame(x0, sign):
-    """Orthogonal/Lorentz matrix sending x0 to the pole (0, ..., 0, 1).
-
-    Gram-Schmidt against the ambient metric, seeded with the identity
-    columns in order for reproducibility; x0 takes the pole slot.
-    """
-    n = x0.shape[0]
-    basis = [x0]
-    signs = [sign * 1.0 if sign == SPHERICAL else -1.0]
-    for k in range(n):
-        if len(basis) == n:
-            break
-        e = np.zeros(n)
-        e[k] = 1.0
-        v = e
-        for b, s in zip(basis, signs):
-            v = v - (inner(v, b, sign) / s) * b
-        sq = inner(v, v, sign)
-        if sq < 1e-10:
-            continue
-        basis.append(v / math.sqrt(sq))
-        signs.append(1.0)
-    if len(basis) < n:  # pragma: no cover - cannot happen for valid x0
-        raise GeometryError("frame construction failed")
-    cols = basis[1:] + [basis[0]]
-    B = np.stack(cols, axis=1)
-    G = _metric(n, sign)
-    return G @ B.T @ G
-
-
 @dataclass(frozen=True)
 class MapFrame:
-    """Geodesic map centered at x0 covering the radius-R ball."""
+    """Geodesic map centered at x0 covering the radius-R ball.
+
+    ``mat`` is the isometry M sending x0 to the pole and ``inv_mat`` its
+    inverse; ``make_frame`` builds both.
+    """
 
     space: CurvatureClass
     x0: AmbientPoint
     mat: np.ndarray
+    inv_mat: np.ndarray
     R: float
     R_tilde: float
 
@@ -100,16 +69,28 @@ class MapFrame:
     def d(self):
         return self.mat.shape[0] - 1
 
-    @cached_property
-    def inv_mat(self):
-        G = _metric(self.mat.shape[0], self.sign)
-        out = G @ self.mat.T @ G
-        out.flags.writeable = False
-        return out
-
 
 def make_frame(x0, R):
-    """Build the map frame at basepoint x0 for ball radius R."""
+    """Build the map frame at basepoint x0 for ball radius R.
+
+    With K the curvature sign, G = diag(1, ..., 1, K) the ambient metric
+    and e the pole, <a, b> = a^T G b gives <x0, x0> = <e, e> = K and
+    <x0, e> = K c with c = x0[d] = C_K(d(x0, e)).  The frame isometry is
+    the rotation in the plane of x0 and e, the product of two metric
+    reflections R_w(v) = v - 2 <v, w> / <w, w> w:
+
+    - with u = x0 + e, <u, u> = 2K (1 + c), the reflection
+      P = R_u = I - K u (G u)^T / (1 + c) swaps x0 and -e;
+    - R_e = I - 2K e (G e)^T then sends -e to e.
+
+    Since P is G-self-adjoint and P e = -x0, M = R_e P = P + 2K e (G x0)^T
+    (its last row is K (G x0)^T) and, the reflections being involutions,
+    M^{-1} = P R_e = P + 2 x0 e^T.  At the pole u = 2e and both are exactly
+    the identity.  On the hyperboloid c >= 1.  On the sphere below the
+    equator (c < 0) the half-turn H = diag(-1, 1, ..., 1, -1) is applied
+    first, M = M(H x0) H and M^{-1} = H M(H x0)^{-1}, which keeps 1 + c >= 1
+    and covers x0 = -e.
+    """
     sign = x0.space.sign
     if R <= 0:
         raise GeometryError("ball radius must be positive")
@@ -119,9 +100,25 @@ def make_frame(x0, R):
         R_tilde = math.tan(R)
     else:
         R_tilde = math.tanh(R)
-    mat = _orthonormal_frame(x0.coords, sign)
+    K = float(sign)
+    n = x0.d + 1
+    h = np.ones(n)  # diagonal of H, applied below the equator only
+    if sign == SPHERICAL and x0.coords[-1] < 0.0:
+        h[0] = h[-1] = -1.0
+    x = h * x0.coords
+    eye = np.eye(n)
+    u = x + eye[-1]
+    # inner(eye, w, sign) is the covector G w.
+    P = eye - u[:, None] * ((K / (1.0 + x[-1])) * inner(eye, u, sign))
+    mat = P.copy()
+    mat[-1] += (2.0 * K) * inner(eye, x, sign)
+    mat *= h
+    inv_mat = P
+    inv_mat[:, -1] += 2.0 * x
+    inv_mat *= h[:, None]
     mat.flags.writeable = False
-    return MapFrame(x0.space, x0, mat, float(R), float(R_tilde))
+    inv_mat.flags.writeable = False
+    return MapFrame(x0.space, x0, mat, inv_mat, float(R), float(R_tilde))
 
 
 def to_ball(frame, x):

@@ -22,8 +22,8 @@ import numpy as np
 SPHERICAL = 1
 HYPERBOLIC = -1
 
-# Tolerance for distance-domain violations: arccos/arccosh arguments may
-# drift outside their domain by rounding up to this amount; anything larger
+# Tolerance for distance-domain violations: <x, y> may drift outside the
+# arccos/arccosh domain by rounding up to this amount; anything larger
 # signals a broken invariant and raises.
 DOMAIN_TOL = 1e-9
 
@@ -70,20 +70,24 @@ def project_tangent(x, v, sign):
 
 
 def distance(x, y, sign):
-    """Geodesic distance: arccos<x,y> (sphere) / arccosh(-<x,y>_L) (hyperboloid).
+    """Geodesic distance from the chord x - y.
 
-    Arguments drifting outside the valid arccos/arccosh domain by more than
-    ``DOMAIN_TOL`` raise; smaller drift is clamped.
+    2 atan2(|x - y|, |x + y|) on the sphere and 2 asinh(|x - y|_L / 2) on
+    the hyperboloid, which resolve distances down to rounding of the
+    coordinates; arccos/arccosh of <x, y> lose every distance below about
+    sqrt(2 eps) ~ 2e-8.  <x, y> still guards the domain: an arccos/arccosh
+    argument outside [-1, 1] / [1, inf) by more than ``DOMAIN_TOL`` raises.
     """
     c = inner(x, y, sign)
     if sign == SPHERICAL:
         if np.any(np.abs(c) > 1.0 + DOMAIN_TOL):
             raise GeometryError("arccos argument outside [-1, 1] beyond tolerance")
-        return np.arccos(np.clip(c, -1.0, 1.0))
-    a = -c
-    if np.any(a < 1.0 - DOMAIN_TOL):
+        return 2.0 * np.arctan2(
+            np.linalg.norm(x - y, axis=-1), np.linalg.norm(x + y, axis=-1)
+        )
+    if np.any(-c < 1.0 - DOMAIN_TOL):
         raise GeometryError("arccosh argument below 1 beyond tolerance")
-    return np.arccosh(np.maximum(a, 1.0))
+    return 2.0 * np.arcsinh(0.5 * norm(x - y, sign))
 
 
 def exp_map(x, v, sign):

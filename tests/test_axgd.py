@@ -206,7 +206,7 @@ class TestLineSearch:
         f = Quadratic(2.0, [0.5], 1.0)
         p = quad_params(t=20)
         state = first_step(f, p, np.array([-0.6]))
-        res = binary_line_search(state, p, f, p.eps_hat(1))
+        res = binary_line_search(state, p, f, p.eps_hat(1), f.value(state.x_t))
         assert res.probes == 1
         assert res.gamma_hat == pytest.approx(1.0)
         assert res.residual <= p.eps_hat(1)
@@ -215,7 +215,7 @@ class TestLineSearch:
         f = Quadratic(2.0, [0.5], 1.0)
         p = quad_params(t=20)
         state = first_step(f, p, np.array([-0.6]))
-        res = binary_line_search(state, p, f, p.eps_hat(1))
+        res = binary_line_search(state, p, f, p.eps_hat(1), f.value(state.x_t))
         step = p.a(state.i + 1) / p.gamma_n
         lam_back = step / (state.A * res.gamma_hat + step)
         assert res.lam == pytest.approx(lam_back, rel=1e-12)
@@ -223,8 +223,9 @@ class TestLineSearch:
     def test_requires_started_state(self):
         f = Quadratic(2.0, [0.5], 1.0)
         p = quad_params()
+        state = SolverState.initial(np.array([0.0]))
         with pytest.raises(ValueError):
-            binary_line_search(SolverState.initial(np.array([0.0])), p, f, 1e-3)
+            binary_line_search(state, p, f, 1e-3, f.value(state.x_t))
 
     def test_violated_assumptions_are_diagnosable(self):
         # An oscillatory objective with a wildly understated smoothness
@@ -246,8 +247,9 @@ class TestLineSearch:
             L_tilde=0.1, gamma_n=0.4, gamma_p=0.3, epsilon=1e-12, t=50, R_tilde=1.0
         )
         state = SolverState(i=1, x_t=np.array([-0.5]), z_t=np.array([0.9]), A=p.a(1))
+        f = Wiggle()
         with pytest.raises(LineSearchError) as err:
-            binary_line_search(state, p, Wiggle(), 1e-16)
+            binary_line_search(state, p, f, 1e-16, f.value(state.x_t))
         assert err.value.iteration == 1
         assert err.value.bracket is not None
 

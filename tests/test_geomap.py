@@ -47,14 +47,27 @@ def random_frame(space, d, R, rng):
 
 class TestFrame:
     def test_frame_is_isometry_and_centers_x0(self, space, rng):
-        for d in (2, 5):
-            frame = random_frame(space, d, 1.0, rng)
-            G = np.eye(d + 1)
-            if space.sign < 0:
-                G[-1, -1] = -1.0
+        sign = space.sign
+        for d in (1, 2, 5, 10):
+            frame = make_frame(pole(d, space), 1.0)
+            assert np.array_equal(frame.mat, np.eye(d + 1))
+            assert np.array_equal(frame.inv_mat, np.eye(d + 1))
+        bases = [random_frame(space, d, 1.0, rng).x0 for d in (2, 5)]
+        # Far basepoints: below the equator on the sphere, r = 3 on H^d.
+        c = pole(5, space).coords
+        far = exp_map(c, (2.5 if sign > 0 else 3.0) * random_tangent(c, sign, rng), sign)
+        bases.append(AmbientPoint(far, space))
+        if sign > 0:
+            assert far[-1] < 0
+            bases.append(AmbientPoint(-c, space))
+        for x0 in bases:
+            frame = make_frame(x0, 1.0)
+            eye = np.eye(x0.d + 1)
+            G = eye.copy()
+            G[-1, -1] = sign
             assert np.max(np.abs(frame.mat.T @ G @ frame.mat - G)) < 1e-10
-            p = frame.mat @ frame.x0.coords
-            assert np.max(np.abs(p - np.eye(d + 1)[-1])) < 1e-10
+            assert np.max(np.abs(frame.mat @ x0.coords - eye[-1])) < 1e-10
+            assert np.max(np.abs(frame.inv_mat @ frame.mat - eye)) < 1e-10
 
     def test_radius_formulas(self):
         sp = CurvatureClass.spherical()

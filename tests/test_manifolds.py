@@ -78,6 +78,14 @@ class TestDistance:
         assert np.allclose(dxy, distance(y, x, space.sign), atol=1e-12)
         assert np.all(dxy <= distance(x, z, space.sign) + distance(z, y, space.sign) + 1e-9)
 
+    @pytest.mark.parametrize("t", [1e-6, 1e-9, 1e-12])
+    def test_resolves_short_distances(self, space, rng, t):
+        # arccos/arccosh of <x, y> cannot resolve distances below ~2e-8.
+        c = pole(3, space).coords
+        x = np.vstack([c, random_in_ball(c, space.sign, 1.0, rng, 20)])
+        y = exp_map(x, t * random_tangent(x, space.sign, rng), space.sign)
+        assert np.max(np.abs(distance(x, y, space.sign) - t)) <= 1e-14
+
     def test_domain_violation_raises(self):
         bad = np.array([0.0, 0.9])  # not on the hyperboloid, inner > -1
         good = np.array([0.0, 1.0])
