@@ -47,7 +47,6 @@ from .axgd import (
 from .reductions import (
     RegularizationPlan,
     make_regularization_plan,
-    restart_rounds,
     solve_gconvex_via_sc,
     solve_strongly_gconvex,
 )

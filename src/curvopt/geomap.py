@@ -70,6 +70,17 @@ class MapFrame:
         return self.mat.shape[0] - 1
 
 
+def ball_radius(sign, R):
+    """Radius R~ of the image of a radius-R ball: tan R (sphere, R < pi/2) or tanh R."""
+    if R <= 0:
+        raise GeometryError("ball radius must be positive")
+    if sign == SPHERICAL:
+        if R >= math.pi / 2:
+            raise GeometryError("spherical ball radius must stay below pi/2")
+        return math.tan(R)
+    return math.tanh(R)
+
+
 def make_frame(x0, R):
     """Build the map frame at basepoint x0 for ball radius R.
 
@@ -92,14 +103,7 @@ def make_frame(x0, R):
     and covers x0 = -e.
     """
     sign = x0.space.sign
-    if R <= 0:
-        raise GeometryError("ball radius must be positive")
-    if sign == SPHERICAL:
-        if R >= math.pi / 2:
-            raise GeometryError("spherical ball radius must stay below pi/2")
-        R_tilde = math.tan(R)
-    else:
-        R_tilde = math.tanh(R)
+    R_tilde = ball_radius(sign, R)
     K = float(sign)
     n = x0.d + 1
     h = np.ones(n)  # diagonal of H, applied below the equator only
@@ -131,6 +135,12 @@ def to_ball(frame, x):
     return p[..., :-1] / p[..., -1:]
 
 
+def _lift(sign, xt, r2):
+    """Frame coordinates p = s (x~, 1), s = 1 / sqrt(1 + K r2), of ball point(s) x~; r2 = |x~|^2."""
+    s = (1.0 / np.sqrt(np.maximum(1.0 + sign * r2, 1e-300)))[..., None]
+    return np.concatenate([xt * s, s], axis=-1)
+
+
 def from_ball(frame, xt):
     """Inverse map: ambient coordinates M^{-1} p of ball point(s) x~ on the model.
 
@@ -142,31 +152,21 @@ def from_ball(frame, xt):
     r2 = (xt * xt).sum(-1)
     if (np.sqrt(r2) > frame.R_tilde + BALL_TOL).any():
         raise GeometryError("ball coordinates exceed the frame radius")
-    s = (1.0 / np.sqrt(np.maximum(1.0 + frame.sign * r2, 1e-300)))[..., None]
-    return np.concatenate([xt * s, s], axis=-1) @ frame.inv_mat.T
+    return _lift(frame.sign, xt, r2) @ frame.inv_mat.T
 
 
 def mapped_distance(frame, xt, yt):
     """Geodesic distance computed directly from ball coordinates.
 
-    C_K(d) = (1 + K<x~, y~>) / (sqrt(1 + K|x~|^2) sqrt(1 + K|y~|^2)) with
-    C_K = cos for the sphere and cosh for the hyperboloid.
+    The frame isometry preserves distances, so this is ``manifolds.distance``
+    of the frame coordinates p = s (x~, 1), in its chord form, which resolves
+    ball steps down to rounding.
     """
     xt = np.asarray(xt, dtype=float)
     yt = np.asarray(yt, dtype=float)
-    K = float(frame.sign)
-    num = 1.0 + K * np.sum(xt * yt, axis=-1)
-    den = np.sqrt(1.0 + K * np.sum(xt * xt, axis=-1)) * np.sqrt(
-        1.0 + K * np.sum(yt * yt, axis=-1)
-    )
-    c = num / den
-    if frame.sign == SPHERICAL:
-        if np.any(np.abs(c) > 1.0 + 1e-9):
-            raise GeometryError("mapped distance argument outside [-1, 1]")
-        return np.arccos(np.clip(c, -1.0, 1.0))
-    if np.any(c < 1.0 - 1e-9):
-        raise GeometryError("mapped distance argument below 1")
-    return np.arccosh(np.maximum(c, 1.0))
+    p = _lift(frame.sign, xt, (xt * xt).sum(-1))
+    q = _lift(frame.sign, yt, (yt * yt).sum(-1))
+    return distance(p, q, frame.sign)
 
 
 def map_differential(frame, x, v):

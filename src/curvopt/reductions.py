@@ -1,14 +1,26 @@
 """Black-box reductions between the g-convex and strongly g-convex regimes.
 
-``solve_strongly_gconvex`` runs the accelerated g-convex solver in restart
-rounds: each round targets a gap of mu R_k^2 / 4, which halves the squared
-distance to the optimum and lets the next round run on a ball of radius
-R_k / sqrt(2), optionally re-centering the geodesic map there.
+Both reductions (Allen-Zhu & Hazan, "Optimal Black-Box Reductions Between
+Optimization Objectives", NeurIPS 2016) run a schedule fixed before their
+first solve, and one planner lists each schedule:
 
-``solve_gconvex_via_sc`` goes the other way: it minimizes the regularized
-objectives F + (mu_i / 2) d(., x0)^2 for a geometrically decreasing mu_i,
-warm-starting each stage at the previous output, with stage accuracies set
-from a running upper bound on the stage-initial gap.
+- ``restart_plan`` lists the rounds of ``solve_strongly_gconvex``.  Round k
+  targets a gap of mu R_k^2 / 4, which halves the squared distance to the
+  optimum, so round k + 1 runs on a ball of radius R_k / sqrt(2), around
+  the previous output when the geodesic map is re-centered.  Each entry
+  holds the radius of the round's map and its solver parameters, which
+  carry the round's target.
+- ``make_regularization_plan`` lists the stages of ``solve_gconvex_via_sc``,
+  which minimizes the regularized objectives F + (mu_i / 2) d(., x0)^2 for
+  a halving mu_i, warm-starting each stage at the previous output.  Each
+  entry holds mu_i and a bound on the stage's initial gap, a quarter of
+  which is the stage's target.
+
+Both solvers iterate over what their planner returns.  Before the first
+solve they refuse, with one ``ValueError`` naming epsilon, an epsilon below
+the float64 floor eps_machine |F(x0)| and a plan that sums to more than
+``axgd.MAX_ITERATIONS`` iterations.  A single round above that cap already
+fails while planning, with the certified-budget error of ``axgd``.
 """
 
 from __future__ import annotations
@@ -19,26 +31,61 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import axgd
-from .geomap import deformation_constants, from_ball, make_frame, to_ball
+from .geomap import ball_radius, deformation_constants_for, from_ball, make_frame, to_ball
 from .manifolds import SPHERICAL, AmbientPoint, GeometryError
 from .objectives import DeltaConstants, MappedObjective, delta_constants, regularized
 
 
-def restart_rounds(mu, R, epsilon):
-    """Restart rounds: each targets a gap of mu R_k^2 / 4, halving d(., x*)^2."""
+def restart_plan(sign, L, mu, R, epsilon, recenter):
+    """The rounds that take an L-smooth, mu-strongly g-convex F to gap epsilon.
+
+    R bounds the distance from the start to the minimizer.  Round k starts
+    within R_k = R / 2^(k/2) of it and targets eps_k = mu R_k^2 / 4; there
+    are max(1, ceil(log2(mu R^2 / epsilon) - 1)) rounds, so the last target
+    lies in (epsilon / 2, epsilon].  Each round is a pair (radius, params):
+    the radius of the ball its map covers, R_k when the map is re-centered
+    each round and R (the fixed frame's) otherwise, and the solver
+    parameters certified on that ball for target eps_k = params.epsilon.
+    """
     if mu <= 0:
         raise GeometryError("restart reduction needs strictly positive strong convexity")
     if epsilon <= 0 or R <= 0:
         raise GeometryError("epsilon and R must be positive")
-    return max(1, math.ceil(math.log2(mu * R * R / epsilon) - 1.0))
+    plan = []
+    for k in range(max(1, math.ceil(math.log2(mu * R * R / epsilon) - 1.0))):
+        R_k = R / 2 ** (k / 2.0)
+        eps_k = mu * R_k * R_k / 4.0
+        R_frame = R_k if recenter else R
+        dc = deformation_constants_for(sign, R_frame, L)
+        plan.append((R_frame, axgd.params_from_constants(dc, ball_radius(sign, R_frame), eps_k)))
+    return plan
+
+
+def _refuse_below_floor(F, x0, epsilon):
+    # A certificate F(x) - F* <= epsilon rests on differences of computed
+    # values of F, and a computed value v carries the rounding of its
+    # result, up to eps_machine |v| / 2.  A run descends from F(x0) to near
+    # F* <= F(x0), and for F >= 0, as for the library's squared-distance
+    # objectives, |F*| <= |F(x0)|: the two ends of the descent together
+    # carry up to eps_machine |F(x0)|.  No smaller gap can be told from
+    # rounding, so no float64 run certifies it.
+    floor = np.finfo(float).eps * abs(F.value(x0))
+    if epsilon < floor:
+        raise ValueError(
+            f"epsilon = {epsilon:g} is below the float64 floor eps_machine |F(x0)| = {floor:.3g}"
+        )
+
+
+def _refuse_above_cap(n, epsilon):
+    if n > axgd.MAX_ITERATIONS:
+        raise ValueError(
+            f"epsilon = {epsilon:g} needs at least {n:.3g} iterations, over {axgd.MAX_ITERATIONS:.0e}"
+        )
 
 
 @dataclass
 class RoundTrace:
-    round: int
     frame: object
-    R_bound: float
-    eps_round: float
     params: axgd.SolverParams
     records: list
     x_end: AmbientPoint
@@ -54,61 +101,72 @@ def solve_strongly_gconvex(F, x0, R, epsilon, recenter=True, trace=None):
     ``R`` bounds the distance from x0 to the minimizer.  With ``recenter``
     the geodesic map is rebuilt at each round's output with the radius
     shrunk by 1/sqrt(2), which requires F to be evaluable slightly outside
-    the original ball.
+    the original ball.  The run follows ``restart_plan``, whose iteration
+    count is exact.
     """
-    mu = F.strong_convexity
-    rounds = restart_rounds(mu, R, epsilon)
-    fixed_frame = None if recenter else make_frame(x0, R)
-    x = x0
-    for k in range(rounds):
-        R_k = R / 2 ** (k / 2.0)
-        eps_k = mu * R_k * R_k / 4.0
+    _refuse_below_floor(F, x0, epsilon)
+    plan = restart_plan(F.space.sign, F.smoothness, F.strong_convexity, R, epsilon, recenter)
+    _refuse_above_cap(sum(params.t for _, params in plan), epsilon)
+    x, frame = x0, None if recenter else make_frame(x0, R)
+    for R_frame, params in plan:
         if recenter:
-            frame = make_frame(x, R_k)
-            start = np.zeros(frame.d)
-        else:
-            frame = fixed_frame
-            start = to_ball(frame, x)
-        dc = deformation_constants(frame, F.smoothness)
-        params = axgd.params_from_constants(dc, frame.R_tilde, eps_k)
+            frame = make_frame(x, R_frame)
+        start = np.zeros(frame.d) if recenter else to_ball(frame, x)
         records = []
         xt = axgd.run(MappedObjective(F, frame), params, start, trace=records.append)
         x = AmbientPoint(from_ball(frame, xt), F.space)
         if trace is not None:
-            trace(RoundTrace(k, frame, R_k, eps_k, params, records, x))
+            trace(RoundTrace(frame, params, records, x))
     return x
 
 
 @dataclass(frozen=True)
 class RegularizationPlan:
-    """Stage schedule mu_i = mu0 / 2^i over T stages."""
+    """Stages as pairs (mu_i, g_i), and the distortion constants of the regularizer."""
 
-    mu0: float
-    T: int
+    stages: tuple
     delta: DeltaConstants
 
-    def __post_init__(self):
-        if self.T < 2:
-            raise GeometryError("the regularization schedule has at least two stages")
-
-    def mu(self, i):
-        return self.mu0 * 2.0**-i
+    @property
+    def T(self):
+        return len(self.stages)
 
 
 def make_regularization_plan(space, R, Delta, epsilon):
+    """The stages that take an L-smooth g-convex F from gap Delta toward epsilon.
+
+    There are T = max(2, ceil(log2(Delta / epsilon) / 2) + 1) stages with
+    mu_i = Delta / (R^2 2^i).  Stage i minimizes F_i = F + (mu_i / 2)
+    d(., x0)^2 from a point x_{i-1} of F_i gap at most g_i, g_0 = Delta, to
+    an output x_i of gap at most g_i / 4.  F_i(x*_i) <= F_i(x*) puts the
+    stage minimizer x*_i within d(x*, x0) <= R of x0.  With F_{i+1} <= F_i
+    and mu_i - mu_{i+1} = mu_{i+1},
+
+        F_{i+1}(x_i) <= F_i(x*_i) + g_i / 4 <= F_i(x*_{i+1}) + g_i / 4
+                     <= F_{i+1}(x*_{i+1}) + mu_{i+1} R^2 / 2 + g_i / 4,
+
+    so g_{i+1} = g_i / 4 + mu_{i+1} R^2 / 2, which is mu_{i+1} R^2 for every
+    i (in exact arithmetic).  The same chain through x* bounds the final gap
+    F(x_{T-1}) - F(x*) by g_{T-1} / 4 + mu_{T-1} R^2 / 2 = (3/4) mu_{T-1} R^2,
+    which lies between (3/8) and (3/4) of sqrt(Delta epsilon) when T > 2.
+    That, not epsilon, is what the schedule certifies.  Runs meet epsilon
+    only because the stage solves overshoot their targets.
+    """
     if Delta <= 0 or epsilon <= 0:
         raise GeometryError("Delta and epsilon must be positive")
-    T = max(2, math.ceil(math.log2(Delta / epsilon) / 2.0) + 1)
+    mu0 = Delta / (R * R)
+    stages = []
+    gap = Delta
+    for i in range(max(2, math.ceil(math.log2(Delta / epsilon) / 2.0) + 1)):
+        stages.append((mu0 * 2.0**-i, gap))
+        gap = gap / 4.0 + mu0 * 2.0 ** -(i + 1) * R * R / 2.0
     delta = delta_constants(float(space.sign), float(space.sign), 2.0 * R)
-    return RegularizationPlan(mu0=Delta / (R * R), T=T, delta=delta)
+    return RegularizationPlan(tuple(stages), delta)
 
 
 @dataclass
 class StageTrace:
-    stage: int
     mu_i: float
-    eps_stage: float
-    R_stage: float
     rounds: list
     x_end: AmbientPoint
 
@@ -117,38 +175,70 @@ class StageTrace:
         return sum(r.grad_evals for r in self.rounds)
 
 
-def solve_gconvex_via_sc(F, x0, R, epsilon, Delta=None, recenter=True, trace=None):
+def _stage_problems(F, x0, plan):
+    """Per stage: F_i = F + (mu_i / 2) d(., x0)^2, its target g_i / 4, and sqrt(2 g_i / sc_i).
+
+    sc_i is the strong convexity of F_i, so the last is the distance from
+    any point of F_i gap at most g_i to the stage minimizer.
+    """
+    for mu, gap in plan.stages:
+        F_i = regularized(F, mu, x0, plan.delta)
+        yield F_i, gap / 4.0, math.sqrt(2.0 * gap / F_i.strong_convexity)
+
+
+def planned_lower_bound(F, x0, R, plan, recenter):
+    """Iterations a completed ``solve_gconvex_via_sc`` run of ``plan`` spends at least.
+
+    Stage i runs ``restart_plan`` on F_i = F + (mu_i / 2) d(., x0)^2 at the
+    realized radius R_stage = min(d(x, x0) + R, sqrt(2 g_i / sc_i)), which
+    needs the warm start x.  This sums each stage's plan at R_lo = min(R,
+    sqrt(2 g_i / sc_i)) <= R_stage instead.  The stage's mu_i, L_i, sc_i
+    and target do not depend on x, so its plan changes with the radius
+    only, and its iteration count is nondecreasing in the radius:
+
+    - the round count max(1, ceil(log2(sc_i R^2 / eps_i) - 1)) and every
+      round radius R_k = R / 2^(k/2) grow with R;
+    - round k's budget is t = ceil(sqrt(8 L~ R~^2 / (gamma_n^2 gamma_p eps_k)))
+      with eps_k = sc_i R_k^2 / 4 and the map constants at the frame radius
+      r, which is R_k, or R on a fixed frame (there R_k / R is fixed).  So
+      t^2 is a constant times max(1, r) cosh(r)^9 (sinh(r) / r)^2 on the
+      hyperboloid and max(1, r) (tan(r) / r)^2 / cos(r)^8 on the sphere
+      (r < pi/2): products of positive nondecreasing factors of r.
+
+    The upper bound sqrt(2 g_i / sc_i) is not planned with: on the sphere it
+    can exceed pi/2, where the map constants are undefined.
+    """
+    return sum(
+        params.t
+        for F_i, eps_i, R_up in _stage_problems(F, x0, plan)
+        for _, params in restart_plan(
+            F.space.sign, F_i.smoothness, F_i.strong_convexity, min(R, R_up), eps_i, recenter
+        )
+    )
+
+
+def solve_gconvex_via_sc(F, x0, R, epsilon, recenter=True, trace=None):
     """Minimize a smooth g-convex F through the regularization schedule.
 
-    ``Delta`` bounds the initial gap F(x0) - F(x*); when omitted the
-    smoothness bound 2 L R^2 is used.  Stage i minimizes
-    F + (mu_i / 2) d(., x0)^2 to a quarter of the running gap bound.
+    The schedule starts from the smoothness bound Delta = 2 L R^2 on the
+    initial gap F(x0) - F(x*).  Stage i minimizes F_i = F + (mu_i / 2)
+    d(., x0)^2 with ``solve_strongly_gconvex`` from the previous output x
+    to a quarter of its gap bound g_i.  It runs on a ball of radius
+    min(d(x, x0) + R, sqrt(2 g_i / sc_i)), sc_i the strong convexity of
+    F_i: x*_i lies within R of x0, and within sqrt(2 g_i / sc_i) of any
+    point of F_i gap at most g_i.  The run is refused before the first
+    stage when ``planned_lower_bound`` exceeds ``axgd.MAX_ITERATIONS``.
     """
-    if Delta is None:
-        Delta = 2.0 * F.smoothness * R * R
-    plan = make_regularization_plan(F.space, R, Delta, epsilon)
-    gap_bound = Delta
+    _refuse_below_floor(F, x0, epsilon)
+    plan = make_regularization_plan(F.space, R, 2.0 * F.smoothness * R * R, epsilon)
+    _refuse_above_cap(planned_lower_bound(F, x0, R, plan, recenter), epsilon)
     x = x0
-    for i in range(plan.T):
-        mu_i = plan.mu(i)
-        F_i = regularized(F, mu_i, x0, plan.delta)
-        eps_stage = gap_bound / 4.0
-        # The stage minimizer is no farther from x0 than x* (<= R), so it
-        # lies within d(x, x0) + R of the warm start; strong convexity of
-        # the regularized objective gives a second, often sharper bound.
-        R_stage = min(
-            x.distance_to(x0) + R,
-            math.sqrt(2.0 * gap_bound / F_i.strong_convexity),
-        )
+    for F_i, eps_i, R_up in _stage_problems(F, x0, plan):
+        R_stage = min(x.distance_to(x0) + R, R_up)
         if F.space.sign == SPHERICAL and R_stage >= math.pi / 2:
-            raise GeometryError(
-                "stage ball cannot stay inside an open hemisphere; reduce R"
-            )
+            raise GeometryError("stage ball cannot stay inside an open hemisphere; reduce R")
         rounds = []
-        x = solve_strongly_gconvex(
-            F_i, x, R_stage, eps_stage, recenter=recenter, trace=rounds.append
-        )
+        x = solve_strongly_gconvex(F_i, x, R_stage, eps_i, recenter=recenter, trace=rounds.append)
         if trace is not None:
-            trace(StageTrace(i, mu_i, eps_stage, R_stage, rounds, x))
-        gap_bound = gap_bound / 4.0 + plan.mu(i + 1) * R * R / 2.0
+            trace(StageTrace(F_i.mu_i, rounds, x))
     return x

@@ -272,6 +272,7 @@ def _exhausted_line_search(*args, **kwargs):
     raise axgd.LineSearchError("line-search probe budget exhausted")
 
 
+README_H2 = "weights = random\nseed = 20240\n"
 RUN = ["run", "--config", "{cfg}", "--output", "{out}"]
 SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
 
@@ -296,6 +297,12 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 2.09e+37"),
         (RUN, "R = 15\nepsilon = 1e-3\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 3.34e+08"),
         (RUN, "R = 1000\n", None, False, "R:"),
+        # The README H^2 instance below the float64 floor (2.98e-17 there),
+        # and at R = 3, where reduce_gc needs at least 3.21e8 iterations.
+        (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-20\n", None, False, "epsilon = 1e-20 is below"),
+        (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-30\n", None, False, "epsilon = 1e-30 is below"),
+        (RUN, README_H2 + "solver = restart_sc\nepsilon = 1e-40\n", None, False, "epsilon = 1e-40 is below"),
+        (RUN, README_H2 + "R = 3\nsolver = reduce_gc\nepsilon = 1e-4\n", None, False, "epsilon = 0.0001 needs at least 3.21e+08"),
         (RUN, "anchor_count = 0\n", None, False, "anchor_count:"),
         (RUN, "anchor_count = -1\n", None, False, "anchor_count:"),
         (RUN, "seed = -1\n", None, False, "seed:"),
@@ -306,6 +313,7 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
     ids=[
         "empty-anchor-file", "missing-anchor-file", "off-model-anchor", "non-numeric-anchor",
         "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget", "radius",
+        "reduce-below-floor", "reduce-far-below-floor", "restart-below-floor", "reduce-over-cap",
         "no-anchors", "negative-anchor-count", "negative-seed", "verify-negative-seed",
         "sweep-epsilon-not-a-number", "sweep-condition-not-a-number",
     ],

@@ -135,10 +135,25 @@ class TestMappedDistance:
         )
 
     def test_zero_for_equal_points(self, space, rng):
-        # arccos/arccosh of 1 - O(eps) floors the resolution at ~sqrt(2 eps).
         frame = random_frame(space, 2, 1.0, rng)
         xt = to_ball(frame, random_in_ball(frame.x0.coords, space.sign, 1.0, rng, 5))
         assert np.max(mapped_distance(frame, xt, xt)) < 3e-8
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-9, 1e-12])
+    def test_resolves_small_ball_steps(self, space, t):
+        # On the pole frame the ray through x~ = a u is a geodesic with
+        # d(a u, b u) = atanh(b) - atanh(a) = atanh((b - a) / (1 - a b)) on
+        # H^2 and atan(b) - atan(a) = atan((b - a) / (1 + a b)) on S^2.
+        frame = make_frame(pole(2, space), 1.0)
+        xt = np.array([0.3, 0.2])
+        a = math.hypot(*xt)
+        yt = xt + t * xt / a
+        b = math.hypot(*yt)
+        if space.sign == HYPERBOLIC:
+            true = math.atanh((b - a) / (1.0 - a * b))
+        else:
+            true = math.atan((b - a) / (1.0 + a * b))
+        assert abs(mapped_distance(frame, xt, yt) - true) <= 1e-14
 
     def test_matches_embedding_distance(self, space, rng):
         frame = random_frame(space, 3, 1.0, rng)

@@ -5,11 +5,13 @@ import pytest
 
 from curvopt import AmbientPoint, CurvatureClass, GeometryError, pole, with_constants
 from curvopt.baselines import reference_optimum
-from curvopt.manifolds import random_in_ball
+from curvopt.bench import ExperimentConfig, build_instance
+from curvopt.manifolds import HYPERBOLIC, SPHERICAL, random_in_ball
 from curvopt.objectives import delta_constants, regularized
 from curvopt.reductions import (
     make_regularization_plan,
-    restart_rounds,
+    planned_lower_bound,
+    restart_plan,
     solve_gconvex_via_sc,
     solve_strongly_gconvex,
 )
@@ -32,16 +34,37 @@ def instance_with_offset_start(space, d, R, seed, n_anchors=4, anchor_radius=0.3
 
 class TestRestartPlan:
     def test_round_count(self):
-        assert restart_rounds(mu=1.0, R=1.0, epsilon=1e-6) == math.ceil(math.log2(1e6) - 1.0)
+        plan = restart_plan(HYPERBOLIC, L=1.0, mu=1.0, R=1.0, epsilon=1e-6, recenter=True)
+        assert len(plan) == math.ceil(math.log2(1e6) - 1.0)
 
     def test_minimum_one_round(self):
-        assert restart_rounds(1.0, 1.0, 10.0) == 1
+        assert len(restart_plan(HYPERBOLIC, 1.0, 1.0, 1.0, 10.0, True)) == 1
 
     def test_rejects_zero_mu(self):
         with pytest.raises(GeometryError):
-            restart_rounds(0.0, 1.0, 1e-3)
+            restart_plan(HYPERBOLIC, 1.0, 0.0, 1.0, 1e-3, True)
 
+    @pytest.mark.parametrize("recenter", [True, False])
+    def test_rounds_halve_the_squared_radius(self, recenter):
+        # Round k targets mu R_k^2 / 4, R_k = R / 2^(k/2); a fixed frame keeps R.
+        plan = restart_plan(SPHERICAL, 2.0, 0.5, 0.6, 1e-5, recenter)
+        for k, (R_frame, params) in enumerate(plan):
+            R_k = 0.6 / 2 ** (k / 2)
+            assert R_frame == pytest.approx(R_k if recenter else 0.6)
+            assert params.epsilon == pytest.approx(0.5 * R_k**2 / 4)
+            assert params.R_tilde == math.tan(R_frame)
+        assert 1e-5 / 2 < plan[-1][1].epsilon <= 1e-5
 
+    @pytest.mark.parametrize("recenter", [True, False])
+    def test_planned_iterations_are_the_realized_ones(self, recenter):
+        space = CurvatureClass.hyperbolic()
+        _, F, start, _, _ = instance_with_offset_start(space, 2, 1.0, seed=4)
+        plan = restart_plan(space.sign, F.smoothness, F.strong_convexity, 1.0, 1e-3, recenter)
+        rounds = []
+        solve_strongly_gconvex(F, start, 1.0, 1e-3, recenter=recenter, trace=rounds.append)
+        planned = sum(params.t for _, params in plan)
+        assert [rt.params for rt in rounds] == [params for _, params in plan]
+        assert planned == sum(rt.params.t for rt in rounds) == sum(len(rt.records) for rt in rounds)
 class TestSolveStronglyGconvex:
     def test_rejects_non_strongly_convex(self):
         space = CurvatureClass.hyperbolic()
@@ -115,8 +138,8 @@ class TestRegularizationPlan:
     def test_stage_count_closed_form(self):
         space = CurvatureClass.hyperbolic()
         plan = make_regularization_plan(space, 1.0, Delta=4.0, epsilon=1e-4)
-        assert plan.T == math.ceil(math.log2(4.0 / 1e-4) / 2.0) + 1
-        assert plan.mu0 == 4.0
+        assert plan.T == len(plan.stages) == math.ceil(math.log2(4.0 / 1e-4) / 2.0) + 1
+        assert plan.stages[0][0] == 4.0
 
     def test_minimal_schedule_when_eps_exceeds_delta(self):
         space = CurvatureClass.hyperbolic()
@@ -126,8 +149,40 @@ class TestRegularizationPlan:
     def test_halving(self):
         space = CurvatureClass.hyperbolic()
         plan = make_regularization_plan(space, 1.0, Delta=4.0, epsilon=1e-4)
-        mus = [plan.mu(i) for i in range(plan.T)]
+        mus = [mu for mu, _ in plan.stages]
         assert all(b == a / 2 for a, b in zip(mus, mus[1:]))
+
+    def test_gap_bounds(self):
+        # g_0 = Delta and g_{i+1} = g_i / 4 + mu_{i+1} R^2 / 2 = mu_{i+1} R^2.
+        space = CurvatureClass.spherical()
+        plan = make_regularization_plan(space, 0.6, Delta=3.0, epsilon=1e-5)
+        assert plan.stages[0][1] == 3.0
+        for mu, gap in plan.stages[1:]:
+            assert gap == pytest.approx(mu * 0.36, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        dict(manifold="spherical", curvature=1.0, d=5, R=0.6, anchor_count=8, seed=3),
+        dict(manifold="spherical", curvature=1.0, d=10, R=0.7, anchor_count=20, seed=5),
+    ],
+    ids=["H2", "S5", "S10"],
+)
+def test_planned_lower_bound_holds(overrides):
+    # On S^10 the strong-convexity radius bound sqrt(2 g_i / sc_i) is about
+    # 2 > pi/2 at every stage, so the plan must use R there.
+    inst = build_instance(
+        ExperimentConfig(**{"weights": "random", "seed": 20240, "solver": "reduce_gc", **overrides})
+    )
+    F = with_constants(inst.objective, strong_convexity=0.0)
+    plan = make_regularization_plan(F.space, inst.R, 2.0 * F.smoothness * inst.R**2, 1e-3)
+    lower = planned_lower_bound(F, inst.x0, inst.R, plan, True)
+    stages = []
+    solve_gconvex_via_sc(F, inst.x0, inst.R, 1e-3, trace=stages.append)
+    realized = sum(rt.params.t for st in stages for rt in st.rounds)
+    assert 0 < lower <= realized
 
 
 class TestSolveGconvexViaSc:
