@@ -18,9 +18,11 @@ Runs are deterministic for a fixed seed; wall_ns is written as 0 unless
 Solvers are run for the iteration budget their declared regime certifies
 (the accelerated budget for g-convex targets, the linear-convergence
 budget for strongly convex ones), and reported gradient-evaluation counts
-are the evaluations actually spent.  A sweep varies epsilon or the
-declared condition ratio L/mu over one config and fits the exponent of
-the evaluation counts against 1/epsilon or L/mu.
+are the evaluations actually spent; the rows of a reduction run over all
+its rounds, their gaps taken on the instance objective.  A sweep varies
+epsilon or the declared condition ratio L/mu over one config, plans every
+point before the first solve, and fits the exponent of the evaluation
+counts against 1/epsilon or L/mu.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .manifolds import (
     random_in_ball,
 )
 from .objectives import FrechetObjective, MappedObjective, load_anchors, with_constants
+from .reductions import plan_gconvex_via_sc, plan_strongly_gconvex
 from .reductions import solve_gconvex_via_sc, solve_strongly_gconvex
 
 SOLVERS = ("axgd", "rgd", "restart_sc", "reduce_gc")
@@ -165,11 +168,15 @@ class Row:
 
 @dataclass
 class RunReport:
-    config: ExperimentConfig
     rows: list
-    total_evals: int
-    final_gap: float
-    f_star: float
+
+    @property
+    def total_evals(self):
+        return self.rows[-1].grad_evals
+
+    @property
+    def final_gap(self):
+        return self.rows[-1].f_gap
 
     def write_csv(self, path):
         with open(path, "w", newline="\n") as fh:
@@ -183,7 +190,6 @@ class RunReport:
 
 @dataclass
 class Instance:
-    space: CurvatureClass
     x0: AmbientPoint
     R: float
     objective: object
@@ -232,17 +238,7 @@ def build_instance(cfg):
     if cfg.treat_gconvex:
         F = with_constants(F, strong_convexity=0.0)
     x_star, f_star = reference_optimum(F, x0, R)
-    return Instance(space, x0, R, F, x_star, f_star)
-
-
-def _now(cfg, t0):
-    return time.perf_counter_ns() - t0 if cfg.timing else 0
-
-
-def _gap_and_dist(inst, point_coords, f_value):
-    gap = max(f_value - inst.f_star, 0.0)
-    dist = float(distance(point_coords, inst.x_star.coords, inst.space.sign))
-    return gap, dist
+    return Instance(x0, R, F, x_star, f_star)
 
 
 def rgd_budget(F, R, epsilon):
@@ -257,98 +253,84 @@ def rgd_budget(F, R, epsilon):
     Delta = 2.0 * L * R * R
     if F.strong_convexity > 0:
         return axgd.ceil_budget(L / F.strong_convexity * math.log(max(Delta / epsilon, 2.0)))
-    if F.space.sign == HYPERBOLIC:
-        zeta = 2.0 * R / math.tanh(2.0 * R)
-    else:
-        zeta = 1.0
+    zeta = 2.0 * R / math.tanh(2.0 * R) if F.space.sign == HYPERBOLIC else 1.0
     return axgd.ceil_budget(2.0 * zeta * L * R * R / epsilon)
+
+
+def _plan(cfg, inst):
+    """Plan the run of ``cfg`` on ``inst`` through the calls its solver makes, without solving.
+
+    Raises the error that refuses the run before its first solve.  Returns
+    (frame, params) for axgd, the RgdParams for rgd, and for the reductions
+    the objective they solve.
+    """
+    F = inst.objective
+    if cfg.solver == "axgd":
+        frame = make_frame(inst.x0, inst.R)
+        dc = deformation_constants(frame, F.smoothness)
+        return frame, axgd.params_from_constants(dc, frame.R_tilde, cfg.epsilon)
+    if cfg.solver == "rgd":
+        budget = rgd_budget(F, inst.R, cfg.epsilon)
+        # The baseline spends its certified budget; a target-gap stop would
+        # need oracle knowledge of f(x*), which no real solver has.
+        stride = max(1, budget // 1000)
+        return RgdParams(step=1.0 / F.smoothness, max_iters=budget, tol_grad=-1.0, trace_stride=stride)
+    if cfg.solver == "restart_sc":
+        plan_strongly_gconvex(F, inst.x0, inst.R, cfg.epsilon, True)
+        return F
+    if F.strong_convexity > 0:
+        F = with_constants(F, strong_convexity=0.0)
+    plan_gconvex_via_sc(F, inst.x0, inst.R, cfg.epsilon, True)
+    return F
 
 
 def run_experiment(cfg, instance=None):
     cfg.validate()
     inst = instance or build_instance(cfg)
+    start = _plan(cfg, inst)
     t0 = time.perf_counter_ns()
     rows = []
-    F = inst.objective
+    spent = 0
+
+    def row(i, evals, x, f_value, lam, gamma_hat):
+        gap = max(f_value - inst.f_star, 0.0)
+        dist = float(distance(x, inst.x_star.coords, inst.x0.space.sign))
+        wall = time.perf_counter_ns() - t0 if cfg.timing else 0
+        rows.append(Row(i, evals, gap, dist, lam, gamma_hat, wall))
+
+    def on_rounds(rounds):
+        # Gaps are taken on the instance objective: the records of a
+        # regularization stage hold values of the regularized objective.
+        nonlocal spent
+        for rt in rounds:
+            for rec in rt.records:
+                x = from_ball(rt.frame, rec.x)
+                f_value = float(inst.objective.value_c(x))
+                row(len(rows) + 1, spent + rec.grad_evals, x, f_value, rec.lam, rec.gamma_hat)
+            spent += rt.grad_evals
 
     if cfg.solver == "axgd":
-        frame = make_frame(inst.x0, inst.R)
-        dc = deformation_constants(frame, F.smoothness)
-        params = axgd.params_from_constants(dc, frame.R_tilde, cfg.epsilon)
-        fmap = MappedObjective(F, frame)
+        frame, params = start
 
         def sink(rec):
-            x = from_ball(frame, rec.x)
-            gap, dist = _gap_and_dist(inst, x, rec.f_value)
-            rows.append(
-                Row(rec.i, rec.grad_evals, gap, dist, rec.lam, rec.gamma_hat, _now(cfg, t0))
-            )
+            row(rec.i, rec.grad_evals, from_ball(frame, rec.x), rec.f_value, rec.lam, rec.gamma_hat)
 
-        axgd.run(fmap, params, np.zeros(frame.d), trace=sink)
+        axgd.run(MappedObjective(inst.objective, frame), params, np.zeros(frame.d), trace=sink)
     elif cfg.solver == "rgd":
-        budget = rgd_budget(F, inst.R, cfg.epsilon)
-        stride = max(1, budget // 1000)
-        # The baseline spends its certified budget; a target-gap stop would
-        # need oracle knowledge of f(x*), which no real solver has.
-        params = RgdParams(
-            step=1.0 / F.smoothness, max_iters=budget, tol_grad=-1.0, trace_stride=stride
-        )
 
         def sink(rec):
-            gap, dist = _gap_and_dist(inst, rec.x, rec.f_value)
-            rows.append(
-                Row(rec.k, rec.grad_evals, gap, dist, math.nan, math.nan, _now(cfg, t0))
-            )
+            row(rec.k, rec.grad_evals, rec.x, rec.f_value, math.nan, math.nan)
 
-        rgd_run(F, inst.x0, inst.R, params, trace=sink)
+        rgd_run(inst.objective, inst.x0, inst.R, start, trace=sink)
     elif cfg.solver == "restart_sc":
-        _run_restart(cfg, inst, rows, t0)
+        solve_strongly_gconvex(start, inst.x0, inst.R, cfg.epsilon, trace=lambda rt: on_rounds([rt]))
     else:
-        _run_reduce_gc(cfg, inst, rows, t0)
+        solve_gconvex_via_sc(start, inst.x0, inst.R, cfg.epsilon, trace=lambda st: on_rounds(st.rounds))
 
-    total = rows[-1].grad_evals if rows else 0
-    final_gap = rows[-1].f_gap if rows else math.nan
-    report = RunReport(cfg, rows, total, final_gap, inst.f_star)
+    report = RunReport(rows)
     if cfg.output:
         report.write_csv(cfg.output)
     return report
-
-
-def _round_sink(cfg, inst, rows, t0):
-    # Gaps are taken on the instance objective: the records of a
-    # regularization stage hold values of the regularized objective.
-    spent = 0
-
-    def on_round(rt):
-        nonlocal spent
-        for rec in rt.records:
-            x = from_ball(rt.frame, rec.x)
-            gap, dist = _gap_and_dist(inst, x, float(inst.objective.value_c(x)))
-            evals = spent + rec.grad_evals
-            rows.append(Row(len(rows) + 1, evals, gap, dist, rec.lam, rec.gamma_hat, _now(cfg, t0)))
-        spent += rt.grad_evals
-
-    return on_round
-
-
-def _run_restart(cfg, inst, rows, t0):
-    if inst.objective.strong_convexity <= 0:
-        raise ConfigError("restart_sc needs a strongly convex instance")
-    trace = _round_sink(cfg, inst, rows, t0)
-    solve_strongly_gconvex(inst.objective, inst.x0, inst.R, cfg.epsilon, trace=trace)
-
-
-def _run_reduce_gc(cfg, inst, rows, t0):
-    F = inst.objective
-    if F.strong_convexity > 0:
-        F = with_constants(F, strong_convexity=0.0)
-    round_sink = _round_sink(cfg, inst, rows, t0)
-
-    def on_stage(st):
-        for rt in st.rounds:
-            round_sink(rt)
-
-    solve_gconvex_via_sc(F, inst.x0, inst.R, cfg.epsilon, trace=on_stage)
 
 
 def fit_rate_exponent(series, deflate_log=True):
@@ -374,22 +356,26 @@ def run_sweep(cfg, key, values, output_dir):
     """Run ``cfg`` once per value of the config ``key`` ("epsilon" or "condition").
 
     Writes one CSV trace per point and ``{solver}_summary.csv``, and returns
-    the (value, grad_evals, final_gap) series.  Every point config is
-    checked before the first solve, and so is the axis: it must hold a
-    value, and 4 or more points, enough to fit an exponent, must span two
-    decades.
+    the (value, grad_evals, final_gap) series.  Before the first solve and
+    before the output directory is made, the axis is checked, and every
+    point is validated, built and planned as its run will be.  The axis
+    must hold a value, and 4 or more points, enough to fit an exponent,
+    must span two decades.
     """
     if not values:
         raise ConfigError(f"{key}: the sweep needs at least one value")
     points = [replace(cfg, output=None, **{key: v}).validate() for v in values]
     if len(values) >= 4 and max(values) / min(values) < 100.0:
         raise ConfigError(f"{key}: a sweep of 4 or more points must span at least two decades")
-    os.makedirs(output_dir, exist_ok=True)
     # The condition sets the declared L, so only an epsilon sweep shares one instance.
-    inst = build_instance(cfg) if key == "epsilon" else None
+    shared = build_instance(cfg) if key == "epsilon" else None
+    instances = [shared or build_instance(point) for point in points]
+    for point, inst in zip(points, instances):
+        _plan(point, inst)
+    os.makedirs(output_dir, exist_ok=True)
     tag = {"epsilon": "eps", "condition": "cond"}[key]
     series = []
-    for value, point in zip(values, points):
+    for value, point, inst in zip(values, points, instances):
         report = run_experiment(point, instance=inst)
         report.write_csv(os.path.join(output_dir, f"{cfg.solver}_{tag}{value:g}.csv"))
         series.append((value, report.total_evals, report.final_gap))
@@ -401,12 +387,18 @@ def run_sweep(cfg, key, values, output_dir):
     return series
 
 
-def _cmd_run(args):
+def _load_config(args):
+    """The ``--config`` file, or the defaults without one, with the command's flags laid over it."""
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
     for key in ("solver", "epsilon", "seed", "output"):
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
+    return cfg
+
+
+def _cmd_run(args):
+    cfg = _load_config(args)
     report = run_experiment(cfg)
     print(
         f"solver={cfg.solver} epsilon={cfg.epsilon:g} grad_evals={report.total_evals} "
@@ -416,11 +408,7 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
-    cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    if args.solver is not None:
-        cfg.solver = args.solver
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _load_config(args)
     key = "epsilon" if args.epsilons is not None else "condition"
     try:
         values = [float(v) for v in getattr(args, f"{key}s").split(",") if v]
@@ -454,11 +442,9 @@ def _cmd_verify(args):
         cur = worst.get(res.name)
         if cur is None or res.worst - res.bound > cur.worst - cur.bound:
             worst[res.name] = res
-    failed = False
     for res in worst.values():
         print(res)
-        failed = failed or not res.ok
-    return 1 if failed else 0
+    return 0 if all(res.ok for res in worst.values()) else 1
 
 
 def main(argv=None):
@@ -468,17 +454,14 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment and write its CSV trace")
-    p_run.add_argument("--config")
-    p_run.add_argument("--solver", choices=SOLVERS)
+    p_sweep = sub.add_parser("sweep", help="run an epsilon or condition-ratio sweep")
+    for p in (p_run, p_sweep):  # the flags _load_config lays over the config file
+        p.add_argument("--config")
+        p.add_argument("--solver", choices=SOLVERS)
+        p.add_argument("--seed", type=int)
     p_run.add_argument("--epsilon", type=float)
-    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--output")
     p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run an epsilon or condition-ratio sweep")
-    p_sweep.add_argument("--config")
-    p_sweep.add_argument("--solver", choices=SOLVERS)
-    p_sweep.add_argument("--seed", type=int)
     axis = p_sweep.add_mutually_exclusive_group(required=True)
     axis.add_argument("--epsilons")
     axis.add_argument("--conditions")

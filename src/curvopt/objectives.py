@@ -399,24 +399,26 @@ def load_anchors(path, space=None):
                 continue
             if line.startswith("#"):
                 if header is None:
-                    header = line
+                    header = lineno, line
                 continue
             try:
                 rows.append((lineno, [float(v) for v in line.split()]))
             except ValueError as err:
                 raise GeometryError(f"{path}:{lineno}: {err}") from None
     if header is None:
-        raise GeometryError("anchor file is missing its header line")
-    fields = dict(
-        part.split("=") for part in header.lstrip("#").split() if "=" in part
-    )
+        raise GeometryError(f"{path}: anchor file is missing its header line")
+    where = f"{path}:{header[0]}: anchor file header"
+    fields = dict(part.split("=", 1) for part in header[1].lstrip("#").split() if "=" in part)
     name = fields.get("class")
-    d = int(fields.get("d", "0"))
+    try:
+        d = int(fields.get("d", "0"))
+    except ValueError as err:
+        raise GeometryError(f"{where}: d: {err}") from None
     if name not in _CLASS_SIGNS:
-        raise GeometryError(f"unknown manifold class {name!r} in anchor file")
+        raise GeometryError(f"{where}: unknown manifold class {name!r}")
     file_space = CurvatureClass(_CLASS_SIGNS[name])
     if space is not None and space.sign != file_space.sign:
-        raise GeometryError("anchor file class does not match the requested space")
+        raise GeometryError(f"{where}: class {name!r} does not match the requested space")
     space = space or file_space
     if not rows:
         raise GeometryError(f"{path}: anchor file holds no anchors")

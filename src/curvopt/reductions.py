@@ -16,9 +16,10 @@ first solve, and one planner lists each schedule:
   entry holds mu_i and a bound on the stage's initial gap, a quarter of
   which is the stage's target.
 
-Both solvers iterate over what their planner returns.  Before the first
-solve they refuse, with one ``ValueError`` naming epsilon, an epsilon below
-the float64 floor eps_machine |F(x0)| and a plan that sums to more than
+Each solver iterates over what ``plan_strongly_gconvex`` or
+``plan_gconvex_via_sc`` returns, and callers may plan a run with them too.
+Both refuse, with one ``ValueError`` naming epsilon, an epsilon below the
+float64 floor eps_machine |F(x0)| and a plan that sums to more than
 ``axgd.MAX_ITERATIONS`` iterations.  A single round above that cap already
 fails while planning, with the certified-budget error of ``axgd``.
 """
@@ -83,6 +84,14 @@ def _refuse_above_cap(n, epsilon):
         )
 
 
+def plan_strongly_gconvex(F, x0, R, epsilon, recenter):
+    """The ``restart_plan`` a ``solve_strongly_gconvex`` run follows, or the error that refuses it."""
+    _refuse_below_floor(F, x0, epsilon)
+    plan = restart_plan(F.space.sign, F.smoothness, F.strong_convexity, R, epsilon, recenter)
+    _refuse_above_cap(sum(params.t for _, params in plan), epsilon)
+    return plan
+
+
 @dataclass
 class RoundTrace:
     frame: object
@@ -104,9 +113,7 @@ def solve_strongly_gconvex(F, x0, R, epsilon, recenter=True, trace=None):
     the original ball.  The run follows ``restart_plan``, whose iteration
     count is exact.
     """
-    _refuse_below_floor(F, x0, epsilon)
-    plan = restart_plan(F.space.sign, F.smoothness, F.strong_convexity, R, epsilon, recenter)
-    _refuse_above_cap(sum(params.t for _, params in plan), epsilon)
+    plan = plan_strongly_gconvex(F, x0, R, epsilon, recenter)
     x, frame = x0, None if recenter else make_frame(x0, R)
     for R_frame, params in plan:
         if recenter:
@@ -217,6 +224,14 @@ def planned_lower_bound(F, x0, R, plan, recenter):
     )
 
 
+def plan_gconvex_via_sc(F, x0, R, epsilon, recenter):
+    """The regularization plan a ``solve_gconvex_via_sc`` run follows, or the error that refuses it."""
+    _refuse_below_floor(F, x0, epsilon)
+    plan = make_regularization_plan(F.space, R, 2.0 * F.smoothness * R * R, epsilon)
+    _refuse_above_cap(planned_lower_bound(F, x0, R, plan, recenter), epsilon)
+    return plan
+
+
 def solve_gconvex_via_sc(F, x0, R, epsilon, recenter=True, trace=None):
     """Minimize a smooth g-convex F through the regularization schedule.
 
@@ -229,9 +244,7 @@ def solve_gconvex_via_sc(F, x0, R, epsilon, recenter=True, trace=None):
     point of F_i gap at most g_i.  The run is refused before the first
     stage when ``planned_lower_bound`` exceeds ``axgd.MAX_ITERATIONS``.
     """
-    _refuse_below_floor(F, x0, epsilon)
-    plan = make_regularization_plan(F.space, R, 2.0 * F.smoothness * R * R, epsilon)
-    _refuse_above_cap(planned_lower_bound(F, x0, R, plan, recenter), epsilon)
+    plan = plan_gconvex_via_sc(F, x0, R, epsilon, recenter)
     x = x0
     for F_i, eps_i, R_up in _stage_problems(F, x0, plan):
         R_stage = min(x.distance_to(x0) + R, R_up)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvopt import axgd, bench, solve_gconvex_via_sc, with_constants
+from curvopt import axgd, bench, solve_gconvex_via_sc, solve_strongly_gconvex, with_constants
 from curvopt.bench import (
     ConfigError,
     ExperimentConfig,
@@ -180,6 +180,32 @@ class TestRunExperiment:
         assert report.final_gap == pytest.approx(true_gap, rel=1e-9, abs=1e-15)
 
 
+class TestRows:
+    @pytest.mark.parametrize("solver", ["restart_sc", "reduce_gc"])
+    def test_reduction_rows_count_evals_over_all_rounds(self, solver):
+        cfg = ExperimentConfig(solver=solver, epsilon=1e-3, seed=5)
+        inst = build_instance(cfg)
+        rows = run_experiment(cfg, instance=inst).rows
+        assert [r.iter for r in rows] == list(range(1, len(rows) + 1))
+        evals = [r.grad_evals for r in rows]
+        assert evals == sorted(evals)
+        rounds = []
+        if solver == "restart_sc":
+            solve_strongly_gconvex(inst.objective, inst.x0, inst.R, cfg.epsilon, trace=rounds.append)
+        else:
+            F = with_constants(inst.objective, strong_convexity=0.0)
+            solve_gconvex_via_sc(F, inst.x0, inst.R, cfg.epsilon, trace=lambda st: rounds.extend(st.rounds))
+        assert len(rounds) > 1
+        assert evals[-1] == sum(rt.grad_evals for rt in rounds)
+
+    @pytest.mark.parametrize("solver", ["axgd", "rgd", "restart_sc", "reduce_gc"])
+    def test_timing_rows_have_positive_nondecreasing_wall(self, solver):
+        cfg = ExperimentConfig(solver=solver, epsilon=1e-2, seed=5, timing=True)
+        wall = [r.wall_ns for r in run_experiment(cfg).rows]
+        assert wall[0] > 0
+        assert wall == sorted(wall)
+
+
 class TestFitRateExponent:
     def test_exact_sqrt_power_law(self):
         series = [(eps, 100.0 / math.sqrt(eps)) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
@@ -303,19 +329,37 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-30\n", None, False, "epsilon = 1e-30 is below"),
         (RUN, README_H2 + "solver = restart_sc\nepsilon = 1e-40\n", None, False, "epsilon = 1e-40 is below"),
         (RUN, README_H2 + "R = 3\nsolver = reduce_gc\nepsilon = 1e-4\n", None, False, "epsilon = 0.0001 needs at least 3.21e+08"),
+        (RUN, "solver = restart_sc\ntreat_gconvex = true\n", None, False, "restart reduction needs strictly positive"),
         (RUN, "anchor_count = 0\n", None, False, "anchor_count:"),
         (RUN, "anchor_count = -1\n", None, False, "anchor_count:"),
         (RUN, "seed = -1\n", None, False, "seed:"),
         (["verify", "--seed", "-1"], "", None, False, "--seed:"),
         (SWEEP + ["--epsilons", "1e-2,abc"], "", None, False, "--epsilons: could not convert string to float: 'abc'"),
         (SWEEP + ["--conditions", "10,x"], "", None, False, "--conditions: could not convert string to float: 'x'"),
+        # A point that cannot finish refuses the sweep before any point runs.
+        (SWEEP + ["--solver", "reduce_gc", "--epsilons", "1e-2,1e-3,1e-20"], README_H2, None, False,
+         "epsilon = 1e-20 is below"),
+        (SWEEP + ["--solver", "rgd", "--conditions", "10,100,1e12"], README_H2, None, False,
+         "certified budget t = 3.75e+13"),
+        (RUN, "anchors_file = {anchors}\n", "# class=hyperbolic d=two\n0 0 1\n", False,
+         "{anchors}:1: anchor file header: d: invalid literal for int() with base 10: 'two'"),
+        (RUN, "anchors_file = {anchors}\n", "# class=hyperbolic d=2=3\n0 0 1\n", False,
+         "{anchors}:1: anchor file header: d: invalid literal for int() with base 10: '2=3'"),
+        (RUN, "anchors_file = {anchors}\n", "\n# class=torus d=2\n0 0 1\n", False,
+         "{anchors}:2: anchor file header: unknown manifold class 'torus'"),
+        (RUN, "anchors_file = {anchors}\n", "0 0 1\n", False, "{anchors}: anchor file is missing its header line"),
+        (RUN, "anchors_file = {anchors}\n", "# class=spherical d=2\n0 0 1\n", False,
+         "{anchors}:1: anchor file header: class 'spherical' does not match the requested space"),
     ],
     ids=[
         "empty-anchor-file", "missing-anchor-file", "off-model-anchor", "non-numeric-anchor",
         "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget", "radius",
         "reduce-below-floor", "reduce-far-below-floor", "restart-below-floor", "reduce-over-cap",
-        "no-anchors", "negative-anchor-count", "negative-seed", "verify-negative-seed",
+        "restart-gconvex", "no-anchors", "negative-anchor-count", "negative-seed", "verify-negative-seed",
         "sweep-epsilon-not-a-number", "sweep-condition-not-a-number",
+        "sweep-epsilon-below-floor", "sweep-condition-over-budget",
+        "anchor-header-d-not-integer", "anchor-header-d-two-equals", "anchor-header-unknown-class",
+        "anchor-header-missing", "anchor-header-class-mismatch",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(
