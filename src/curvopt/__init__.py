@@ -54,3 +54,13 @@ from .baselines import RgdParams, reference_optimum, rgd_run
 from .bench import ExperimentConfig, fit_rate_exponent, run_experiment, run_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+
+
+def __getattr__(name):
+    # PEP 562: ``curvopt.checks`` loads on first access, so ``import curvopt``
+    # skips the check suite.  ``from . import checks`` here would recurse.
+    if name == "checks":
+        from importlib import import_module
+
+        return import_module(".checks", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

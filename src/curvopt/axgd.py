@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,10 +83,14 @@ class SolverParams:
 MAX_ITERATIONS = 10**8
 
 
+class BudgetError(ValueError):
+    """A certified iteration budget above MAX_ITERATIONS."""
+
+
 def ceil_budget(t):
-    """Round a certified iteration count up; ValueError above MAX_ITERATIONS."""
+    """Round a certified iteration count up; BudgetError above MAX_ITERATIONS."""
     if not t <= MAX_ITERATIONS:
-        raise ValueError(f"certified budget t = {t:.3g} iterations exceeds {MAX_ITERATIONS:.0e}")
+        raise BudgetError(f"certified budget t = {t:.3g} iterations exceeds {MAX_ITERATIONS:.0e}")
     return max(1, math.ceil(t))
 
 
@@ -111,8 +116,7 @@ def params_from_constants(dc, R_tilde, epsilon):
     )
 
 
-@dataclass
-class SolverState:
+class SolverState(NamedTuple):
     i: int
     x_t: np.ndarray
     z_t: np.ndarray
@@ -135,8 +139,7 @@ def mirror_dual_grad(z, R_tilde):
     return (R_tilde / n) * z
 
 
-@dataclass
-class StepCandidate:
+class StepCandidate(NamedTuple):
     lam: float
     x_next: np.ndarray
     grad_next: np.ndarray
@@ -158,8 +161,7 @@ def _candidate(state, a_next, gamma_n, R_tilde, f, lam):
     return StepCandidate(lam, x_next, grad_next, z_next, f_next, inner)
 
 
-@dataclass
-class LineSearchResult:
+class LineSearchResult(NamedTuple):
     lam: float
     gamma_hat: float
     residual: float
@@ -246,8 +248,7 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr):
     )
 
 
-@dataclass
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """Per-iteration trace entry pushed to the injected sink."""
 
     i: int

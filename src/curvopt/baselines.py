@@ -4,29 +4,25 @@ high-precision optimum oracle used by the benchmark harness."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .manifolds import AmbientPoint, GeometryError, exp_map, log_map, norm
+from .manifolds import AmbientPoint, GeometryError, _Frozen, exp_map, log_map, norm
 
 
-@dataclass(frozen=True)
-class RgdParams:
-    step: float
-    max_iters: int
-    tol_grad: float = 0.0
-    trace_stride: int = 1
+class RgdParams(_Frozen):
+    __slots__ = ("step", "max_iters", "tol_grad", "trace_stride")
 
-    def __post_init__(self):
-        if self.step <= 0:
+    def __init__(self, step, max_iters, tol_grad=0.0, trace_stride=1):
+        if step <= 0:
             raise GeometryError("step size must be positive")
-        if self.max_iters < 0 or self.trace_stride < 1:
+        if max_iters < 0 or trace_stride < 1:
             raise GeometryError("invalid iteration or stride settings")
+        self._init(step, max_iters, tol_grad, trace_stride)
 
 
-@dataclass
-class RgdRecord:
+class RgdRecord(NamedTuple):
     k: int
     x: np.ndarray
     f_value: float

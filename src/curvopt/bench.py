@@ -33,10 +33,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import axgd, checks
+from . import axgd
 from .baselines import RgdParams, reference_optimum, rgd_run
 from .geomap import deformation_constants, from_ball, make_frame
 from .manifolds import (
@@ -73,7 +74,7 @@ class ExperimentConfig:
     curvature: float = -1.0
     R: float = 1.0
     anchors_file: str | None = None
-    anchor_count: int = 5
+    anchor_count: int | None = None
     weights: str = "equal"
     condition: float | None = None
     treat_gconvex: bool = False
@@ -90,7 +91,7 @@ class ExperimentConfig:
             raise ConfigError(f"solver: unknown value {self.solver!r}")
         if self.d < 1:
             raise ConfigError("d: must be a positive integer")
-        if self.anchor_count < 1:
+        if self.anchor_count is not None and self.anchor_count < 1:
             raise ConfigError("anchor_count: must be a positive integer")
         if self.seed < 0:
             raise ConfigError("seed: must be a non-negative integer")
@@ -155,8 +156,7 @@ def _cast_field(key, value):
     return value
 
 
-@dataclass
-class Row:
+class Row(NamedTuple):
     iter: int
     grad_evals: int
     f_gap: float
@@ -166,8 +166,7 @@ class Row:
     wall_ns: int
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     rows: list
 
     @property
@@ -188,8 +187,7 @@ class RunReport:
                 )
 
 
-@dataclass
-class Instance:
+class Instance(NamedTuple):
     x0: AmbientPoint
     R: float
     objective: object
@@ -212,9 +210,13 @@ def build_instance(cfg):
     needs_recent = cfg.solver in ("restart_sc", "reduce_gc")
     padding = 0.75 * R if needs_recent else 0.0
     if cfg.anchors_file:
-        file_space, anchors = load_anchors(cfg.anchors_file, space)
+        _, anchors = load_anchors(cfg.anchors_file, space)
         if anchors[0].d != cfg.d:
             raise ConfigError("anchors_file: dimension does not match config d")
+        if cfg.anchor_count not in (None, len(anchors)):
+            raise ConfigError(
+                f"anchor_count: {cfg.anchor_count} does not match the {len(anchors)} anchors of anchors_file"
+            )
     else:
         r_a = 0.75 * R
         if space.sign == SPHERICAL:
@@ -222,7 +224,8 @@ def build_instance(cfg):
             if cap <= 0:
                 raise ConfigError("R too large for a g-convex spherical instance")
             r_a = min(r_a, cap)
-        coords = random_in_ball(x0.coords, space.sign, r_a, rng, cfg.anchor_count)
+        count = 5 if cfg.anchor_count is None else cfg.anchor_count
+        coords = random_in_ball(x0.coords, space.sign, r_a, rng, count)
         anchors = [AmbientPoint(c, space) for c in coords]
     if cfg.weights == "equal":
         w = np.full(len(anchors), 1.0 / len(anchors))
@@ -260,28 +263,35 @@ def rgd_budget(F, R, epsilon):
 def _plan(cfg, inst):
     """Plan the run of ``cfg`` on ``inst`` through the calls its solver makes, without solving.
 
-    Raises the error that refuses the run before its first solve.  Returns
-    (frame, params) for axgd, the RgdParams for rgd, and for the reductions
-    the objective they solve.
+    Raises the error that refuses the run before its first solve; a
+    certified budget over ``axgd.MAX_ITERATIONS`` is refused naming the
+    config values it grows with.  Returns (frame, params) for axgd, the
+    RgdParams for rgd, and for the reductions the objective they solve.
     """
     F = inst.objective
-    if cfg.solver == "axgd":
-        frame = make_frame(inst.x0, inst.R)
-        dc = deformation_constants(frame, F.smoothness)
-        return frame, axgd.params_from_constants(dc, frame.R_tilde, cfg.epsilon)
-    if cfg.solver == "rgd":
-        budget = rgd_budget(F, inst.R, cfg.epsilon)
-        # The baseline spends its certified budget; a target-gap stop would
-        # need oracle knowledge of f(x*), which no real solver has.
-        stride = max(1, budget // 1000)
-        return RgdParams(step=1.0 / F.smoothness, max_iters=budget, tol_grad=-1.0, trace_stride=stride)
-    if cfg.solver == "restart_sc":
-        plan_strongly_gconvex(F, inst.x0, inst.R, cfg.epsilon, True)
+    try:
+        if cfg.solver == "axgd":
+            frame = make_frame(inst.x0, inst.R)
+            dc = deformation_constants(frame, F.smoothness)
+            return frame, axgd.params_from_constants(dc, frame.R_tilde, cfg.epsilon)
+        if cfg.solver == "rgd":
+            budget = rgd_budget(F, inst.R, cfg.epsilon)
+            # The baseline spends its certified budget; a target-gap stop would
+            # need oracle knowledge of f(x*), which no real solver has.
+            stride = max(1, budget // 1000)
+            return RgdParams(step=1.0 / F.smoothness, max_iters=budget, tol_grad=-1.0, trace_stride=stride)
+        if cfg.solver == "restart_sc":
+            plan_strongly_gconvex(F, inst.x0, inst.R, cfg.epsilon, True)
+            return F
+        if F.strong_convexity > 0:
+            F = with_constants(F, strong_convexity=0.0)
+        plan_gconvex_via_sc(F, inst.x0, inst.R, cfg.epsilon, True)
         return F
-    if F.strong_convexity > 0:
-        F = with_constants(F, strong_convexity=0.0)
-    plan_gconvex_via_sc(F, inst.x0, inst.R, cfg.epsilon, True)
-    return F
+    except axgd.BudgetError as err:
+        keys = f"epsilon = {cfg.epsilon:g}, R = {cfg.R:g}"
+        if cfg.condition is not None:
+            keys += f", condition = {cfg.condition:g}"
+        raise ConfigError(f"{keys}: {err}") from None
 
 
 def run_experiment(cfg, instance=None):
@@ -436,6 +446,8 @@ def _cmd_verify(args):
         raise ConfigError(f"--samples: must be a positive integer, got {args.samples}")
     if args.seed < 0:
         raise ConfigError(f"--seed: must be a non-negative integer, got {args.seed}")
+    from . import checks  # loaded here only: ``import curvopt`` does not load the check suite
+
     results = checks.run_grid(n=args.samples, seed=args.seed)
     worst = {}
     for res in results:

@@ -28,7 +28,7 @@ gradient it evaluates in closed form from x~.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ from .manifolds import (
 BALL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MapFrame:
+class MapFrame(NamedTuple):
     """Geodesic map centered at x0 covering the radius-R ball.
 
     ``mat`` is the isometry M sending x0 to the pole and ``inv_mat`` its
@@ -226,8 +225,7 @@ def angle_deformation(norm_xt, alpha_tilde, sign):
     return sin_a, cos_a
 
 
-@dataclass(frozen=True)
-class DeformationConstants:
+class DeformationConstants(NamedTuple):
     """Worst-case map distortion constants over the radius-R ball.
 
     gamma_p and gamma_n sandwich the ratio of manifold to Euclidean

@@ -15,8 +15,6 @@ before they get here, as ``bench.build_instance`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SPHERICAL = 1
@@ -112,15 +110,50 @@ def log_map(x, y, sign):
     return np.where(n > 0, d * u / safe, np.zeros_like(u))
 
 
-@dataclass(frozen=True)
-class CurvatureClass:
+class _Frozen:
+    """Base of the validating value types: slots set once in ``__init__``.
+
+    Equality, hashing and repr go by the slot values in order, as for a
+    frozen dataclass; assigning or deleting an attribute raises.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setstate__(self, state):  # copy and pickle restore slots without __init__
+        self._init(*(state[1][name] for name in self.__slots__))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class CurvatureClass(_Frozen):
     """Curvature sign of the unit model: +1 sphere, -1 hyperbolic."""
 
-    sign: int
+    __slots__ = ("sign",)
 
-    def __post_init__(self):
-        if self.sign not in (SPHERICAL, HYPERBOLIC):
+    def __init__(self, sign):
+        if sign not in (SPHERICAL, HYPERBOLIC):
             raise GeometryError("sign must be +1 or -1")
+        self._init(sign)
 
     @classmethod
     def spherical(cls):
@@ -131,19 +164,17 @@ class CurvatureClass:
         return cls(HYPERBOLIC)
 
 
-@dataclass(frozen=True)
-class AmbientPoint:
-    """A manifold point in its embedding; re-projected on construction."""
+class AmbientPoint(_Frozen):
+    """A manifold point in its embedding; re-projected on construction, coords read-only."""
 
-    coords: np.ndarray
-    space: CurvatureClass
+    __slots__ = ("coords", "space")
 
-    def __post_init__(self):
-        c = project_point(np.asarray(self.coords, dtype=float), self.space.sign)
+    def __init__(self, coords, space):
+        c = project_point(np.asarray(coords, dtype=float), space.sign)
         if c.ndim != 1:
             raise GeometryError("AmbientPoint holds a single point")
         c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
+        self._init(c, space)
 
     @property
     def d(self):

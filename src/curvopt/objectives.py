@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ from .manifolds import (
 )
 
 
-@dataclass(frozen=True)
-class DeltaConstants:
+class DeltaConstants(NamedTuple):
     """Distortion constants of x -> d(x, center)^2 / 2 on a diameter-D region.
 
     The function is delta_p-strongly g-convex and delta_n-smooth, where

@@ -21,13 +21,13 @@ Each solver iterates over what ``plan_strongly_gconvex`` or
 Both refuse, with one ``ValueError`` naming epsilon, an epsilon below the
 float64 floor eps_machine |F(x0)| and a plan that sums to more than
 ``axgd.MAX_ITERATIONS`` iterations.  A single round above that cap already
-fails while planning, with the certified-budget error of ``axgd``.
+fails while planning, with ``axgd.BudgetError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ def plan_strongly_gconvex(F, x0, R, epsilon, recenter):
     return plan
 
 
-@dataclass
-class RoundTrace:
+class RoundTrace(NamedTuple):
     frame: object
     params: axgd.SolverParams
     records: list
@@ -127,8 +126,7 @@ def solve_strongly_gconvex(F, x0, R, epsilon, recenter=True, trace=None):
     return x
 
 
-@dataclass(frozen=True)
-class RegularizationPlan:
+class RegularizationPlan(NamedTuple):
     """Stages as pairs (mu_i, g_i), and the distortion constants of the regularizer."""
 
     stages: tuple
@@ -171,8 +169,7 @@ def make_regularization_plan(space, R, Delta, epsilon):
     return RegularizationPlan(tuple(stages), delta)
 
 
-@dataclass
-class StageTrace:
+class StageTrace(NamedTuple):
     mu_i: float
     rounds: list
     x_end: AmbientPoint

@@ -1,11 +1,35 @@
 import numpy as np
+import pytest
 
-from curvopt import AmbientPoint, CurvatureClass, FrechetObjective, pole
+from curvopt import AmbientPoint, CurvatureClass, FrechetObjective, GeometryError, pole
 from curvopt.baselines import RgdParams, reference_optimum, rgd_run
 from curvopt.geomap import make_frame, to_ball
 from curvopt.manifolds import random_in_ball
 
 from conftest import frechet_instance
+
+
+class TestRgdParams:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(step=0.0, max_iters=10),
+            dict(step=-1.0, max_iters=10),
+            dict(step=1.0, max_iters=-1),
+            dict(step=1.0, max_iters=10, trace_stride=0),
+        ],
+        ids=["zero-step", "negative-step", "negative-max-iters", "zero-stride"],
+    )
+    def test_rejects_invalid_settings(self, kwargs):
+        with pytest.raises(GeometryError):
+            RgdParams(**kwargs)
+
+    def test_accepts_the_edges_and_is_immutable(self):
+        params = RgdParams(step=1e-300, max_iters=0, tol_grad=-1.0, trace_stride=1)
+        assert (params.step, params.max_iters, params.tol_grad, params.trace_stride) == (1e-300, 0, -1.0, 1)
+        with pytest.raises(AttributeError):
+            params.step = 2.0
+        assert params == RgdParams(1e-300, 0, -1.0, 1)
 
 
 class TestRgd:

@@ -111,6 +111,12 @@ class TestConfig:
         cfg = ExperimentConfig(anchors_file=str(path), seed=1)
         inst = build_instance(cfg)
         assert inst.objective.anchor_coords.shape == (3, 3)
+        # anchor_count, when set, must match the file's anchors.
+        cfg.anchor_count = 3
+        assert build_instance(cfg).objective.anchor_coords.shape == (3, 3)
+        cfg.anchor_count = 7
+        with pytest.raises(ConfigError, match="^anchor_count: 7 does not match the 3 anchors"):
+            build_instance(cfg)
 
 
 class TestRunExperiment:
@@ -322,6 +328,11 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         # Certified budgets of 2.1e37 (axgd) and 3.3e8 (rgd) iterations.
         (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 2.09e+37"),
         (RUN, "R = 15\nepsilon = 1e-3\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 3.34e+08"),
+        # A single axgd run or restart round over the cap names the config values.
+        (RUN, "R = 12\nepsilon = 1e-4\n", None, False,
+         "error: epsilon = 0.0001, R = 12: certified budget t = 1.14e+31"),
+        (RUN, "R = 12\nepsilon = 1e-4\nsolver = restart_sc\n", None, False,
+         "error: epsilon = 0.0001, R = 12: certified budget t = 2.3e+28"),
         (RUN, "R = 1000\n", None, False, "R:"),
         # The README H^2 instance below the float64 floor (2.98e-17 there),
         # and at R = 3, where reduce_gc needs at least 3.21e8 iterations.
@@ -332,6 +343,9 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, "solver = restart_sc\ntreat_gconvex = true\n", None, False, "restart reduction needs strictly positive"),
         (RUN, "anchor_count = 0\n", None, False, "anchor_count:"),
         (RUN, "anchor_count = -1\n", None, False, "anchor_count:"),
+        (RUN, "anchor_count = 7\nanchors_file = {anchors}\n",
+         "# class=hyperbolic d=2\n0 0 1\n0.5210953054937474 0 1.1276259652063807\n", False,
+         "error: anchor_count: 7 does not match the 2 anchors of anchors_file"),
         (RUN, "seed = -1\n", None, False, "seed:"),
         (["verify", "--seed", "-1"], "", None, False, "--seed:"),
         (SWEEP + ["--epsilons", "1e-2,abc"], "", None, False, "--epsilons: could not convert string to float: 'abc'"),
@@ -353,9 +367,10 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
     ],
     ids=[
         "empty-anchor-file", "missing-anchor-file", "off-model-anchor", "non-numeric-anchor",
-        "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget", "radius",
+        "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget",
+        "axgd-round-over-cap", "restart-round-over-cap", "radius",
         "reduce-below-floor", "reduce-far-below-floor", "restart-below-floor", "reduce-over-cap",
-        "restart-gconvex", "no-anchors", "negative-anchor-count", "negative-seed", "verify-negative-seed",
+        "restart-gconvex", "no-anchors", "negative-anchor-count", "anchor-count-not-the-files", "negative-seed", "verify-negative-seed",
         "sweep-epsilon-not-a-number", "sweep-condition-not-a-number",
         "sweep-epsilon-below-floor", "sweep-condition-over-budget",
         "anchor-header-d-not-integer", "anchor-header-d-two-equals", "anchor-header-unknown-class",

@@ -1,10 +1,38 @@
 """Smoke coverage of the full property-check catalogue at reduced counts;
 the acceptance suite reruns the heavy subsets at full scale."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from curvopt import checks
 from curvopt.objectives import validate_constants
 
 from conftest import frechet_instance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Reports whether the check suite is loaded after ``import curvopt`` and
+# after its first access through the package.
+_IMPORT_PROBE = """
+import json, sys
+import curvopt
+before = "curvopt.checks" in sys.modules
+n = len(curvopt.checks.ALL_CHECKS)
+print(json.dumps([before, n, "curvopt.checks" in sys.modules]))
+"""
+
+
+def test_import_curvopt_loads_checks_on_first_access():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    before, n, after = json.loads(r.stdout)
+    assert not before
+    assert n == len(checks.ALL_CHECKS) and after
 
 
 def test_all_checks_pass_on_reduced_grid():

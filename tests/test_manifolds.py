@@ -53,6 +53,40 @@ class TestInvariants:
                 CurvatureClass(sign)
 
 
+class TestValueTypes:
+    # CurvatureClass(0) and CurvatureClass(2) are refused in
+    # TestInvariants::test_curvature_class_sign_agreement.
+    def test_spaces_compare_and_hash_by_sign(self):
+        assert CurvatureClass(SPHERICAL) == CurvatureClass.spherical()
+        assert CurvatureClass(HYPERBOLIC) != CurvatureClass.spherical()
+        assert hash(CurvatureClass(HYPERBOLIC)) == hash(CurvatureClass.hyperbolic())
+        assert len({CurvatureClass(1), CurvatureClass.spherical(), CurvatureClass(-1)}) == 2
+
+    def test_fields_cannot_be_assigned_or_deleted(self, space):
+        p = pole(2, space)
+        fields = ((space, "sign", -space.sign), (p, "coords", np.ones(3)), (p, "space", space))
+        for obj, name, value in fields:
+            before = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is before
+
+    def test_point_coords_are_read_only_and_not_aliased(self, space):
+        raw = np.array([0.3, 0.2, 1.5])
+        p = AmbientPoint(raw, space)
+        with pytest.raises(ValueError):
+            p.coords[0] = 0.0
+        before = p.coords.copy()
+        raw[0] = 9.0
+        assert np.array_equal(p.coords, before)
+
+    def test_point_is_one_dimensional(self, space):
+        with pytest.raises(GeometryError):
+            AmbientPoint(np.array([[0.0, 0.0, 1.0]]), space)
+
+
 class TestDistance:
     def test_identity(self, space):
         x = pole(4, space)

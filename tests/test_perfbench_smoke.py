@@ -25,6 +25,10 @@ ROOT = Path(__file__).resolve().parents[1]
         ("verify-grid", 0),
         ("axgd-h2", 1),
         ("reduce-s10", 1),
+        # The tracer first touches curvopt.checks after wrapping, so a lazily
+        # loaded check suite binds the wrappers; these two runs cover that.
+        ("rgd-h2", 1),
+        ("verify-grid", 1),
     ],
 )
 def test_workload_runs_correct(workload, trace):
