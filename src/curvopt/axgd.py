@@ -148,17 +148,22 @@ class StepCandidate(NamedTuple):
     descent_inner: float  # <grad f(x_next), x_next - x_i>
 
 
-def _candidate(state, a_next, gamma_n, R_tilde, f, lam):
-    """One inner step of the discretization for a given coupling lambda."""
+def _candidate(state, a_next, gamma_n, R_tilde, f, lam, z_ball=None):
+    """One inner step of the discretization for a given coupling lambda.
+
+    ``z_ball`` is ``mirror_dual_grad(state.z_t, R_tilde)``, which a line
+    search projects once for all of its probes.
+    """
+    x_t, z_t = state.x_t, state.z_t
+    if z_ball is None:
+        z_ball = mirror_dual_grad(z_t, R_tilde)
     step = a_next / gamma_n
-    chi = (1.0 - lam) * state.x_t + lam * mirror_dual_grad(state.z_t, R_tilde)
-    grad_chi = f.grad(chi)
-    zeta = state.z_t - step * grad_chi
-    x_next = (1.0 - lam) * state.x_t + lam * mirror_dual_grad(zeta, R_tilde)
+    x_kept = (1.0 - lam) * x_t
+    grad_chi = f.grad(x_kept + lam * z_ball)
+    x_next = x_kept + lam * mirror_dual_grad(z_t - step * grad_chi, R_tilde)
     f_next, grad_next = f.value_and_grad(x_next)
-    z_next = state.z_t - step * grad_next
-    inner = float(grad_next.dot(x_next - state.x_t))
-    return StepCandidate(lam, x_next, grad_next, z_next, f_next, inner)
+    inner = float(grad_next.dot(x_next - x_t))
+    return StepCandidate(lam, x_next, grad_next, z_t - step * grad_next, f_next, inner)
 
 
 class LineSearchResult(NamedTuple):
@@ -176,6 +181,12 @@ def probe_bound(params, i, eps_hat):
     return 4.0 * math.log2(max(arg, 1.0)) + 4.0
 
 
+def _residual(cand, lam, step, A, f_curr):
+    """gamma_hat(lam), the inverse of lam = step / (A gamma_hat + step), and the residual."""
+    gamma_hat = step * (1.0 - lam) / (A * lam)
+    return gamma_hat, -gamma_hat * cand.descent_inner + (cand.f_next - f_curr)
+
+
 def binary_line_search(state, params, f, eps_hat_i, f_curr):
     """Find lambda whose step satisfies the accepted-step inequality.
 
@@ -188,53 +199,36 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr):
         raise ValueError("line search is only defined from iteration 1 on")
     if eps_hat_i <= 0:
         raise ValueError("eps_hat must be positive")
+    A, gamma_n, R_tilde = state.A, params.gamma_n, params.R_tilde
     a_next = params.a(state.i + 1)
-    step = a_next / params.gamma_n
-
-    def lam_of(gamma_hat):
-        return step / (state.A * gamma_hat + step)
-
-    def gamma_of(lam):
-        return step * (1.0 - lam) / (state.A * lam)
-
-    probes = 0
-    cap = max(8, int(math.ceil(4.0 * probe_bound(params, state.i, eps_hat_i))))
-
-    def probe(lam):
-        nonlocal probes
-        probes += 1
-        cand = _candidate(state, a_next, params.gamma_n, params.R_tilde, f, lam)
-        residual = -gamma_of(lam) * cand.descent_inner + (cand.f_next - f_curr)
-        return cand, residual
-
-    lo = lam_of(1.0 / params.gamma_n)
-    hi = lam_of(params.gamma_p)
-
-    cand, residual = probe(lo)
-    if residual <= eps_hat_i:
-        return LineSearchResult(lo, 1.0 / params.gamma_n, residual, probes, cand, eps_hat_i)
-    s_lo = cand.descent_inner
-
-    cand, residual = probe(hi)
-    if residual <= eps_hat_i:
-        return LineSearchResult(hi, params.gamma_p, residual, probes, cand, eps_hat_i)
-    s_hi = cand.descent_inner
-
+    step = a_next / gamma_n
+    z_ball = mirror_dual_grad(state.z_t, R_tilde)
+    ends = []
+    for probes, end_gamma in enumerate((1.0 / gamma_n, params.gamma_p), 1):
+        lam = step / (A * end_gamma + step)
+        cand = _candidate(state, a_next, gamma_n, R_tilde, f, lam, z_ball)
+        residual = _residual(cand, lam, step, A, f_curr)[1]
+        if residual <= eps_hat_i:
+            return LineSearchResult(lam, end_gamma, residual, probes, cand, eps_hat_i)
+        ends.append((lam, cand.descent_inner))
+    (left, s_lo), (right, s_hi) = ends
     if not (s_lo < 0 < s_hi):
         raise LineSearchError(
             "endpoint inner products do not bracket a sign change; the relaxed "
             "convexity condition or the declared constants are violated",
-            bracket=(lo, hi),
+            bracket=(left, right),
             residual=residual,
             iteration=state.i,
         )
 
-    left, right = lo, hi
+    cap = max(8, int(math.ceil(4.0 * probe_bound(params, state.i, eps_hat_i))))
     while probes < cap:
         lam = 0.5 * (left + right)
-        cand, residual = probe(lam)
+        probes += 1
+        cand = _candidate(state, a_next, gamma_n, R_tilde, f, lam, z_ball)
+        gamma_hat, residual = _residual(cand, lam, step, A, f_curr)
         if residual <= eps_hat_i:
-            return LineSearchResult(lam, gamma_of(lam), residual, probes, cand, eps_hat_i)
+            return LineSearchResult(lam, gamma_hat, residual, probes, cand, eps_hat_i)
         if cand.descent_inner < 0:
             left = lam
         else:
@@ -275,42 +269,23 @@ def run(f, params, x0_tilde, trace=None):
     x0 = np.asarray(x0_tilde, dtype=float)
     if np.linalg.norm(x0) > params.R_tilde + 1e-9:
         raise ValueError("start point lies outside the feasible ball")
+    a, eps_hat = params.a, params.eps_hat
     state = SolverState.initial(x0)
+    cand = _candidate(state, a(1), params.gamma_n, params.R_tilde, f, 1.0)
+    res = LineSearchResult(1.0, math.nan, math.nan, 1, cand, math.nan)
     for i in range(params.t):
-        if i == 0:
-            cand = _candidate(state, params.a(1), params.gamma_n, params.R_tilde, f, 1.0)
-            res = LineSearchResult(1.0, math.nan, math.nan, 1, cand, math.nan)
-        else:
+        if i:  # cand is still the previous step, so cand.f_next is f at state.x_t
             try:
-                res = binary_line_search(state, params, f, params.eps_hat(i), f_curr=f_curr)
+                res = binary_line_search(state, params, f, eps_hat(i), cand.f_next)
             except LineSearchError as err:
-                raise LineSearchError(
-                    f"iteration {i}: {err}", err.bracket, err.residual, i
-                ) from err
-        cand = res.candidate
+                raise LineSearchError(f"iteration {i}: {err}", err.bracket, err.residual, i) from err
+            cand = res.candidate
         x_prev = state.x_t
-        state = SolverState(
-            i=state.i + 1,
-            x_t=cand.x_next,
-            z_t=cand.z_next,
-            A=state.A + params.a(state.i + 1),
-            grad_evals=state.grad_evals + 2 * res.probes,
-        )
+        state = SolverState(i + 1, cand.x_next, cand.z_next, state.A + a(i + 1), state.grad_evals + 2 * res.probes)
         if trace is not None:
-            trace(
-                IterationRecord(
-                    i=state.i,
-                    x=state.x_t.copy(),
-                    x_prev=x_prev.copy(),
-                    f_value=cand.f_next,
-                    grad_norm=math.sqrt(cand.grad_next.dot(cand.grad_next)),
-                    grad_evals=state.grad_evals,
-                    lam=res.lam,
-                    gamma_hat=res.gamma_hat,
-                    eps_hat=res.eps_hat,
-                    residual=res.residual,
-                    probes=res.probes,
-                )
-            )
-        f_curr = cand.f_next
+            g = cand.grad_next
+            trace(IterationRecord(
+                i + 1, cand.x_next.copy(), x_prev.copy(), cand.f_next, math.sqrt(g.dot(g)), state.grad_evals,
+                res.lam, res.gamma_hat, res.eps_hat, res.residual, res.probes,
+            ))
     return state.x_t

@@ -114,13 +114,16 @@ class _Frozen:
     """Base of the validating value types: slots set once in ``__init__``.
 
     Equality, hashing and repr go by the slot values in order, as for a
-    frozen dataclass; assigning or deleting an attribute raises.
+    frozen dataclass; assigning or deleting an attribute raises, and an
+    array slot is made read-only, also when copy or pickle restores it.
     """
 
     __slots__ = ()
 
     def _init(self, *values):
         for name, value in zip(self.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def _values(self):
@@ -173,8 +176,12 @@ class AmbientPoint(_Frozen):
         c = project_point(np.asarray(coords, dtype=float), space.sign)
         if c.ndim != 1:
             raise GeometryError("AmbientPoint holds a single point")
-        c.flags.writeable = False
         self._init(c, space)
+
+    def __eq__(self, other):  # by value: a slot tuple holding an array has no truth value
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(self.coords, other.coords)
 
     @property
     def d(self):

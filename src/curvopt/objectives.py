@@ -323,25 +323,31 @@ class MappedObjective:
             self._BT = rows[:, :-1].T.copy()
             self._b = rows[:, -1].copy()
             self._KB = frame.sign * rows[:, :-1]
+            self._K = frame.sign
+            self._r_max = frame.R_tilde + BALL_TOL
 
     def _terms(self, xt):
-        """xt, s, c, theta and k at ball point(s) xt."""
-        xt = np.asarray(xt, dtype=float)
-        K = self.frame.sign
+        """s, c, theta and k at ball point(s) xt, a C-contiguous float array.
+
+        numpy sums ``xt.dot`` of a strided view in another order, so the
+        callers copy one in: the bits must not depend on the layout.
+        """
+        K = self._K
         if xt.ndim == 1:
             r2 = float(xt.dot(xt))
-            beyond = math.sqrt(r2) > self.frame.R_tilde + BALL_TOL
+            beyond = math.sqrt(r2) > self._r_max
             s = 1.0 / math.sqrt(max(1.0 + K * r2, 1e-300))
         else:
             r2 = (xt * xt).sum(-1, keepdims=True)
-            beyond = (np.sqrt(r2) > self.frame.R_tilde + BALL_TOL).any()
+            beyond = (np.sqrt(r2) > self._r_max).any()
             s = 1.0 / np.sqrt(np.maximum(1.0 + K * r2, 1e-300))
         if beyond:
             raise GeometryError("ball coordinates exceed the frame radius")
         c = s * (xt.dot(self._BT) + self._b)
-        return (xt, s, c) + _theta_k(c, K, self._weights)
+        theta, k = _theta_k(c, K, self._weights)
+        return s, c, theta, k
 
-    def _grad(self, xt, s, c, _theta, k):
+    def _grad(self, xt, s, c, k):
         kc = float(k.dot(c)) if xt.ndim == 1 else (k * c).sum(-1, keepdims=True)
         return (s * s * kc) * xt - s * k.dot(self._KB)
 
@@ -351,13 +357,15 @@ class MappedObjective:
     def value_many(self, xt):
         if self._BT is None:
             return self.inner_obj.value_c(from_ball(self.frame, xt))
-        return _sqdist_value(self._terms(xt)[3], self._weights)
+        return _sqdist_value(self._terms(np.ascontiguousarray(xt, dtype=float))[2], self._weights)
 
     def grad(self, xt):
         if self._BT is None:
             x = from_ball(self.frame, xt)
             return pullback_gradient(self.frame, x, self.inner_obj.grad_c(x), xt=xt)
-        return self._grad(*self._terms(xt))
+        xt = np.ascontiguousarray(xt, dtype=float)
+        s, c, _, k = self._terms(xt)
+        return self._grad(xt, s, c, k)
 
     def value_and_grad(self, xt):
         """``(value(xt), grad(xt))`` from one evaluation of the kernel."""
@@ -365,8 +373,9 @@ class MappedObjective:
             x = from_ball(self.frame, xt)
             value = float(self.inner_obj.value_c(x))
             return value, pullback_gradient(self.frame, x, self.inner_obj.grad_c(x), xt=xt)
-        terms = self._terms(xt)
-        return float(_sqdist_value(terms[3], self._weights)), self._grad(*terms)
+        xt = np.ascontiguousarray(xt, dtype=float)
+        s, c, theta, k = self._terms(xt)
+        return float(_sqdist_value(theta, self._weights)), self._grad(xt, s, c, k)
 
 
 # Anchor-set files: one anchor per line, d+1 whitespace-separated ambient

@@ -12,11 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from curvopt.axgd import mirror_dual_grad
+from curvopt import axgd
+from curvopt.axgd import SolverParams, mirror_dual_grad, params_from_constants
 from curvopt.baselines import RgdParams, RgdRecord, rgd_run
-from curvopt.geomap import from_ball, make_frame
-from curvopt.manifolds import AmbientPoint, distance, exp_map, log_map, norm, random_in_ball
-from curvopt.objectives import delta_constants, regularized
+from curvopt.geomap import deformation_constants, from_ball, make_frame
+from curvopt.manifolds import AmbientPoint, CurvatureClass, distance, exp_map, log_map, norm, random_in_ball
+from curvopt.objectives import MappedObjective, delta_constants, regularized
 
 from conftest import frechet_instance
 
@@ -186,3 +187,130 @@ def test_rgd_run_trace(space, clipped):
         assert reach == pytest.approx(R, abs=1e-9)
     else:
         assert reach < R and all(not np.array_equal(a.x, b.x) for a, b in zip(got, got[1:]))
+
+
+class _RefMapped:
+    """Plain form of the one-point closed-form oracle of ``MappedObjective``
+    on a Frechet objective, built from its anchors and the frame."""
+
+    def __init__(self, F, frame):
+        rows = F.anchor_coords.copy()
+        rows[:, :-1] *= frame.sign
+        rows = rows @ frame.inv_mat
+        self.weights = F.weights
+        self.BT = rows[:, :-1].T.copy()  # its layout sets the summation order of xt @ BT
+        self.b = rows[:, -1].copy()
+        self.KB = frame.sign * rows[:, :-1]
+        self.sign = frame.sign
+
+    def value_and_grad(self, xt):
+        s = 1.0 / math.sqrt(max(1.0 + self.sign * float(xt @ xt), 1e-300))
+        c = s * (xt @ self.BT + self.b)
+        if self.sign < 0:
+            theta = np.arccosh(np.maximum(c, 1.0))
+            un = np.sqrt(np.maximum(c * c - 1.0, 1e-300))
+        else:
+            theta = np.arccos(np.clip(c, -1.0, 1.0))
+            un = np.sqrt(np.maximum(1.0 - c * c, 1e-300))
+        k = self.weights * theta / un
+        grad = (s * s * float(k @ c)) * xt - s * (k @ self.KB)
+        return float(0.5 * np.sum(self.weights * theta**2)), grad
+
+    def grad(self, xt):
+        return self.value_and_grad(xt)[1]
+
+
+def _ref_candidate(x, z, a_next, gamma_n, R_tilde, f, lam):
+    step = a_next / gamma_n
+    chi = (1.0 - lam) * x + lam * _ref_mirror_dual_grad(z, R_tilde)
+    zeta = z - step * f.grad(chi)
+    x_next = (1.0 - lam) * x + lam * _ref_mirror_dual_grad(zeta, R_tilde)
+    f_next, grad_next = f.value_and_grad(x_next)
+    return x_next, grad_next, z - step * grad_next, f_next, float(grad_next @ (x_next - x))
+
+
+def _ref_line_search(i, x, z, A, p, f, eps_hat, f_curr):
+    """(lam, gamma_hat, residual, probes, candidate) of the binary line search."""
+    a_next = p.a(i + 1)
+    step = a_next / p.gamma_n
+    cap = max(8, int(math.ceil(4.0 * axgd.probe_bound(p, i, eps_hat))))
+    probes = 0
+
+    def probe(lam):
+        nonlocal probes
+        probes += 1
+        cand = _ref_candidate(x, z, a_next, p.gamma_n, p.R_tilde, f, lam)
+        return cand, -(step * (1.0 - lam) / (A * lam)) * cand[4] + (cand[3] - f_curr)
+
+    lo = step / (A * (1.0 / p.gamma_n) + step)
+    hi = step / (A * p.gamma_p + step)
+    cand, residual = probe(lo)
+    if residual <= eps_hat:
+        return lo, 1.0 / p.gamma_n, residual, probes, cand
+    cand, residual = probe(hi)
+    if residual <= eps_hat:
+        return hi, p.gamma_p, residual, probes, cand
+    left, right = lo, hi
+    while probes < cap:
+        lam = 0.5 * (left + right)
+        cand, residual = probe(lam)
+        if residual <= eps_hat:
+            return lam, step * (1.0 - lam) / (A * lam), residual, probes, cand
+        if cand[4] < 0:
+            left = lam
+        else:
+            right = lam
+    raise AssertionError("reference line search exhausted its probes")
+
+
+def _ref_axgd_run(f, p, x0):
+    """The records of ``axgd.run`` as tuples of its 11 IterationRecord fields."""
+    x, z, A, evals, records = x0.copy(), x0.copy(), 0.0, 0, []
+    for i in range(p.t):
+        if i == 0:
+            lam, gamma_hat, residual, probes, eps_hat = 1.0, math.nan, math.nan, 1, math.nan
+            cand = _ref_candidate(x, z, p.a(1), p.gamma_n, p.R_tilde, f, 1.0)
+        else:
+            eps_hat = p.eps_hat(i)
+            lam, gamma_hat, residual, probes, cand = _ref_line_search(i, x, z, A, p, f, eps_hat, f_curr)
+        x_next, grad_next, z, f_curr, _ = cand
+        A += p.a(i + 1)
+        evals += 2 * probes
+        grad_norm = math.sqrt(grad_next @ grad_next)
+        records.append((i + 1, x_next.copy(), x.copy(), f_curr, grad_norm, evals, lam, gamma_hat, eps_hat, residual, probes))
+        x = x_next
+    return records
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["hyperbolic-2", "spherical-5", "bisecting"])
+def test_axgd_run_trace(case):
+    """Every field of every ``axgd.run`` record, against the reference solver and oracle.
+
+    The first two cases are certified runs on H^2 (R = 1) and S^5 (R = 0.6),
+    where nearly every search accepts its first probe.  The third declares a
+    smoothness ten times too small with gammas (0.5, 0.2) on H^2: its
+    searches bisect, and its mirror steps leave the ball and are projected.
+    """
+    hyperbolic = case != "spherical-5"
+    space = CurvatureClass.hyperbolic() if hyperbolic else CurvatureClass.spherical()
+    d, R, anchors, seed = (2, 1.0, 5, 20240) if hyperbolic else (5, 0.6, 8, 3)
+    center, F = frechet_instance(space, d, R, anchors, seed=seed)
+    frame = make_frame(center, R)
+    p = params_from_constants(deformation_constants(frame, F.smoothness), frame.R_tilde, 1e-3)
+    if case == "bisecting":
+        p = SolverParams(0.1 * F.smoothness, 0.5, 0.2, 1e-6, 100, frame.R_tilde)
+    got = []
+    out = axgd.run(MappedObjective(F, frame), p, np.zeros(d), trace=got.append)
+    want = _ref_axgd_run(_RefMapped(F, frame), p, np.zeros(d))
+    assert len(got) == len(want) == p.t
+    for rec, ref in zip(got, want):
+        assert len(rec) == len(ref) == 11
+        assert all(_same_bits(a, b) for a, b in zip(rec, ref)), rec.i
+    assert _same_bits(out, want[-1][1])
+    if case == "bisecting":
+        assert max(r.probes for r in got) >= 3

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +83,15 @@ class TestValueTypes:
         before = p.coords.copy()
         raw[0] = 9.0
         assert np.array_equal(p.coords, before)
+
+    @pytest.mark.parametrize("route", ["copy", "deepcopy", "pickle"])
+    def test_copied_point_keeps_read_only_coords(self, space, route):
+        p = AmbientPoint([0.3, 0.2, 1.5], space)
+        q = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda p: pickle.loads(pickle.dumps(p))}[route](p)
+        with pytest.raises(ValueError):
+            q.coords[0] = 0.0
+        assert q.coords.tobytes() == p.coords.tobytes()
+        assert q == p and not q != p and q.space == p.space
 
     def test_point_is_one_dimensional(self, space):
         with pytest.raises(GeometryError):

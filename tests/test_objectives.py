@@ -325,6 +325,22 @@ class TestClosedFormMapping:
                     v1, g1 = fmap.value_and_grad(one)
                     assert v1 == float(value) and np.array_equal(g1, grad)
 
+    def test_one_point_inputs_give_the_same_bits(self, space, rng):
+        center, objs = self.objectives(space, 3)
+        frame = make_frame(center, 1.0)
+        for one in self.ball_points(frame, rng, n=12):
+            read_only = one.copy()
+            read_only.flags.writeable = False
+            strided = np.zeros((3, 2))
+            strided[:, 1] = one
+            for name, obj in objs.items():
+                fmap = MappedObjective(obj, frame)
+                want = (fmap.value(one.copy()), fmap.grad(one.copy()), *fmap.value_and_grad(one.copy()))
+                for xt in (one.tolist(), read_only, strided[:, 1]):
+                    v1, g1 = fmap.value_and_grad(xt)
+                    got = (fmap.value(xt), fmap.grad(xt), v1, g1)
+                    assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want], name
+
     def test_point_beyond_radius_raises(self, space):
         center, objs = self.objectives(space, 3)
         frame = make_frame(center, 1.0)
