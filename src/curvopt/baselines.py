@@ -38,45 +38,48 @@ def rgd_run(F, x0, R, params, trace=None):
     (pass a negative tolerance to disable the gradient stop and always run
     the full budget) or after ``max_iters`` updates; the gradient at the
     stopping point has already been evaluated, so a start at the minimizer
-    costs one call.
+    costs one call.  A gradient whose norm is not finite raises
+    ``GeometryError`` naming its iteration.
     """
     sign = F.space.sign
     center = x0.coords
-    # Monotone threshold for the ball test avoids an arccos/arccosh per step.
-    cos_R = math.cos(R) if sign > 0 else math.cosh(R)
+    # Monotone threshold for the ball test avoids an arccos/arccosh per step:
+    # x . cm is cos d(x, x0) on the sphere and -cosh d(x, x0) on the
+    # hyperboloid, so x is outside the ball when it falls below ``rim``.
     cm = center.copy()
     if sign < 0:
         cm[-1] = -cm[-1]
+        rim = -math.cosh(R)
+    else:
+        rim = math.cos(R)
+    grad_c, value_c = F.grad_c, F.value_c
+    step, last, tol, stride = params.step, params.max_iters, params.tol_grad, params.trace_stride
     x = x0.coords
-    step = params.step
-    evals = 0
-    for k in range(params.max_iters + 1):
-        g = F.grad_c(x)
-        evals += 1
+    for k in range(last + 1):
+        g = grad_c(x)
         sq = float(g.dot(g))
         if sign < 0:
-            gl = float(g[-1])
+            gl = g.item(-1)
             sq -= 2.0 * gl * gl
         gn = math.sqrt(max(sq, 0.0))
-        if trace is not None and (
-            k % params.trace_stride == 0 or gn <= params.tol_grad or k == params.max_iters
-        ):
-            trace(RgdRecord(k, x.copy(), float(F.value_c(x)), gn, evals))
-        if gn <= params.tol_grad or k == params.max_iters:
+        if not math.isfinite(gn):
+            raise GeometryError(f"iteration {k}: the gradient norm is {gn}, not finite")
+        stop = gn <= tol or k == last
+        if trace is not None and (stop or k % stride == 0):
+            trace(RgdRecord(k, x.copy(), float(value_c(x)), gn, k + 1))
+        if stop:
             break
         if gn == 0.0:
             continue  # exactly stationary: the update is a no-op
         t = step * gn
         if sign < 0:
             x = math.cosh(t) * x - (math.sinh(t) / gn) * g
-            xl = float(x[-1])
+            xl = x.item(-1)
             x = x / math.sqrt(max(-(float(x.dot(x)) - 2.0 * xl * xl), 1e-300))
-            outside = float(x.dot(cm)) < -cos_R
         else:
             x = math.cos(t) * x - (math.sin(t) / gn) * g
             x = x / math.sqrt(x.dot(x))
-            outside = float(x.dot(cm)) < cos_R
-        if outside:
+        if x.dot(cm) < rim:
             u = log_map(center, x, sign)
             un = float(norm(u, sign))
             x = exp_map(center, (R / un) * u, sign)

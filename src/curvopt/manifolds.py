@@ -168,12 +168,19 @@ class CurvatureClass(_Frozen):
 
 
 class AmbientPoint(_Frozen):
-    """A manifold point in its embedding; re-projected on construction, coords read-only."""
+    """A manifold point in its embedding; re-projected on construction, coords read-only.
+
+    Non-finite coordinates are refused: NaN passes every sign test of
+    ``project_point``.
+    """
 
     __slots__ = ("coords", "space")
 
     def __init__(self, coords, space):
-        c = project_point(np.asarray(coords, dtype=float), space.sign)
+        c = np.asarray(coords, dtype=float)
+        if not np.isfinite(c).all():
+            raise GeometryError("point coordinates must be finite")
+        c = project_point(c, space.sign)
         if c.ndim != 1:
             raise GeometryError("AmbientPoint holds a single point")
         self._init(c, space)

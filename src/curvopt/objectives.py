@@ -107,25 +107,41 @@ class ManifoldObjective(ABC):
         return None
 
 
-def _theta_k(c, sign, weights=1.0):
+# 0-d array constants: numpy converts a Python-float ufunc argument on every
+# call, a 0-d float64 array is used as it is.  The results are the same bits.
+_ONE, _NEG_ONE, _TINY = np.array(1.0), np.array(-1.0), np.array(1e-300)
+
+
+def _theta_k(c, sign, weights=None):
     """theta_j = d(x, a_j) and k_j = w_j theta_j / |u_j| from c_j = cos d(x, a_j).
 
     On the hyperboloid c_j is cosh d(x, a_j).  Callers compute c = x @ rows.T
     from the cosine rows of the points a_j, or of one: a_j on the sphere,
     a_j with its first d slots negated on the hyperboloid.  u_j = a_j - c_j x,
     the tangential component of a_j at x, has norm sqrt(|c_j^2 - 1|).
+    Without ``weights`` every w_j is 1.
     """
     if sign < 0:
-        theta = np.arccosh(np.maximum(c, 1.0))
-        un = np.sqrt(np.maximum(c * c - 1.0, 1e-300))
+        theta = np.arccosh(np.maximum(c, _ONE))
+        un = np.sqrt(np.maximum(c * c - _ONE, _TINY))
     else:
-        theta = np.arccos(c.clip(-1.0, 1.0))
-        un = np.sqrt(np.maximum(1.0 - c * c, 1e-300))
-    return theta, weights * theta / un
+        theta = np.arccos(c.clip(_NEG_ONE, _ONE))
+        un = np.sqrt(np.maximum(_ONE - c * c, _TINY))
+    return theta, (theta if weights is None else weights * theta) / un
+
+
+def _as_points(x):
+    """x as a float array, C-contiguous when it is one point.
+
+    numpy sums a 1-D product with a strided view in another order, so a
+    point is copied in: its bits must not depend on its layout.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.ascontiguousarray(x) if x.ndim == 1 else x
 
 
 def _sqdist_value(theta, weights):
-    return 0.5 * (weights * theta**2).sum(-1)
+    return 0.5 * np.add.reduce(weights * (theta * theta), -1)
 
 
 class FrechetObjective(ManifoldObjective):
@@ -136,6 +152,11 @@ class FrechetObjective(ManifoldObjective):
     anchor distance reachable there (plus ``padding``, for callers that
     re-center the ball during a run).  On the sphere that reach must stay
     below pi/2, which is also exactly the g-convexity condition.
+
+    The solvers call ``grad_c`` on one 1-D point at a time, so a point takes
+    its own branch: 1-D ``.dot`` with the stored transposed rows
+    ``_rows_T`` in place of ``@``, the same bits at half numpy's call cost.
+    Batches keep ``@``, which sums in another order for some shapes.
     """
 
     def __init__(self, anchors, weights, center, radius, padding=0.0):
@@ -163,21 +184,28 @@ class FrechetObjective(ManifoldObjective):
         self.known_minimizer = anchors[0] if len(anchors) == 1 else None
         self._anchor_rows = self.anchor_coords.copy()
         self._anchor_rows[:, :-1] *= sign
+        self._rows_T = self._anchor_rows.T
 
     def _cosine_rows(self):
         return self._anchor_rows, self.weights
 
+    def _cosines(self, x):
+        """``_as_points(x)`` and c = x @ rows.T."""
+        x = _as_points(x)
+        return x, (x.dot(self._rows_T) if x.ndim == 1 else x @ self._rows_T)
+
     def value_c(self, x):
-        theta = _theta_k(x @ self._anchor_rows.T, self.space.sign, self.weights)[0]
+        theta = _theta_k(self._cosines(x)[1], self.space.sign, self.weights)[0]
         return _sqdist_value(theta, self.weights)
 
     def grad_c(self, x):
-        x = np.asarray(x, dtype=float)
-        c = x @ self._anchor_rows.T
+        x, c = self._cosines(x)
         k = _theta_k(c, self.space.sign, self.weights)[1]
         # grad = -sum_j k_j u_j = sum_j k_j (c_j x - a_j): the tangential
         # directions toward the anchors, scaled by distance over tangential norm.
-        return (k * c).sum(-1, keepdims=True) * x - k @ self.anchor_coords
+        if x.ndim == 1:
+            return np.add.reduce(k * c) * x - k.dot(self.anchor_coords)
+        return np.add.reduce(k * c, -1, keepdims=True) * x - k @ self.anchor_coords
 
 
 class RegularizedObjective(ManifoldObjective):
@@ -204,11 +232,12 @@ class RegularizedObjective(ManifoldObjective):
         return np.vstack([rows, self._center_row]), np.append(weights, self.mu_i)
 
     def value_c(self, x):
+        x = _as_points(x)
         theta = _theta_k(x @ self._center_row, self.space.sign)[0]
         return self.inner_obj.value_c(x) + 0.5 * self.mu_i * theta**2
 
     def grad_c(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _as_points(x)
         c = x @ self._center_row
         k = _theta_k(c, self.space.sign)[1]
         reg_grad = -k[..., None] * (self.center.coords - c[..., None] * x)

@@ -5,6 +5,7 @@ from curvopt import AmbientPoint, CurvatureClass, FrechetObjective, GeometryErro
 from curvopt.baselines import RgdParams, reference_optimum, rgd_run
 from curvopt.geomap import make_frame, to_ball
 from curvopt.manifolds import random_in_ball
+from curvopt.objectives import ManifoldObjective
 
 from conftest import frechet_instance
 
@@ -79,6 +80,28 @@ class TestRgd:
         recs = []
         rgd_run(F, center, 0.8, params, trace=recs.append)
         assert [r.k for r in recs] == list(range(0, 101, 10))
+
+    def test_non_finite_gradient_raises(self, space):
+        center, F = frechet_instance(space, 2, 0.8, 3, seed=24)
+
+        class Broken(ManifoldObjective):
+            """F whose gradient turns NaN from the fourth call on."""
+
+            space = F.space
+            calls = 0
+
+            def value_c(self, x):
+                return F.value_c(x)
+
+            def grad_c(self, x):
+                self.calls += 1
+                return F.grad_c(x) * (np.nan if self.calls > 3 else 1.0)
+
+        params = RgdParams(step=1.0 / F.smoothness, max_iters=50, tol_grad=-1.0)
+        recs = []
+        with pytest.raises(GeometryError, match="iteration 3: .*not finite"):
+            rgd_run(Broken(), center, 0.8, params, trace=recs.append)
+        assert [r.k for r in recs] == [0, 1, 2]
 
 
 class TestReferenceOptimum:

@@ -104,7 +104,7 @@ def _ref_rgd_run(F, x0, R, params, trace):
     return x
 
 
-def _instance(space, d):
+def _instance(space, d, anchors=6):
     """Frechet instance with random weights, plus evaluation points.
 
     The points are drawn in the ball and include every anchor, where the
@@ -112,8 +112,8 @@ def _instance(space, d):
     """
     R = 1.0 if space.sign < 0 else 0.6
     rng = np.random.default_rng(100 + d)
-    weights = rng.random(6) + 0.1
-    center, F = frechet_instance(space, d, R, 6, seed=d, weights=weights / weights.sum())
+    weights = rng.random(anchors) + 0.1
+    center, F = frechet_instance(space, d, R, anchors, seed=d, weights=weights / weights.sum())
     pts = random_in_ball(center.coords, space.sign, R, rng, 64 - len(F.anchors))
     return center, F, np.concatenate([F.anchor_coords, pts]), rng
 
@@ -152,6 +152,24 @@ class TestOracleKernels:
         u[2] *= frame.R_tilde / np.linalg.norm(u[2])
         for xt in (_points(u, shape), _points(np.roll(u, -1, 0), shape), _points(np.roll(u, -2, 0), shape)):
             assert np.array_equal(from_ball(frame, xt), _ref_from_ball(frame, xt))
+
+
+@pytest.mark.parametrize(
+    "d, anchors, shape",
+    [(2, 1, (4, 16)), (30, 6, (4, 16)), (10, 20, ()), (10, 20, (4, 16))],
+    ids=["one-anchor-batch", "d30-batch", "reduce-s10-point", "reduce-s10-batch"],
+)
+def test_oracle_kernel_shapes(space, d, anchors, shape):
+    """Shapes beyond DIMS: one anchor with a 3-D batch and d = 30, where a
+    batched ``.dot`` sums in another order than ``@``, and the reduce-s10
+    shape, 20 anchors at d = 10."""
+    center, F, pts, rng = _instance(space, d, anchors)
+    R = 1.0 if space.sign < 0 else 0.6
+    reg_center = AmbientPoint(random_in_ball(center.coords, space.sign, 0.5 * R, rng, 1)[0], space)
+    G = regularized(F, 0.37, reg_center, delta_constants(space.sign, space.sign, 2.0 * R))
+    for obj, ref in ((F, _ref_frechet), (G, _ref_regularized)):
+        for x in (_points(pts, shape), _points(pts[::-1], shape)):
+            TestOracleKernels()._check(obj, ref, x)
 
 
 @pytest.mark.parametrize("d", DIMS)

@@ -93,6 +93,11 @@ class TestValueTypes:
         assert q.coords.tobytes() == p.coords.tobytes()
         assert q == p and not q != p and q.space == p.space
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, space, bad):
+        with pytest.raises(GeometryError, match="finite"):
+            AmbientPoint([0.3, bad, 1.5], space)
+
     def test_point_is_one_dimensional(self, space):
         with pytest.raises(GeometryError):
             AmbientPoint(np.array([[0.0, 0.0, 1.0]]), space)

@@ -246,6 +246,25 @@ class TestValueAndGrad:
                 assert np.array_equal(grad, fmap.grad(xt)), name
 
 
+class TestManifoldOracleInputs:
+    """A point's layout does not change the bits of ``value_c``/``grad_c``."""
+
+    def test_one_point_inputs_give_the_same_bits(self, space, rng):
+        center, F = frechet_instance(space, 5, 1.0, 20, seed=18)
+        delta = delta_constants(float(space.sign), float(space.sign), 1.2)
+        objs = {"frechet": F, "regularized": regularized(F, 0.37, center, delta)}
+        for one in random_in_ball(center.coords, space.sign, 1.0, rng, 12):
+            read_only = one.copy()
+            read_only.flags.writeable = False
+            strided = np.zeros((6, 2))
+            strided[:, 1] = one
+            for name, obj in objs.items():
+                want = [np.asarray(obj.value_c(one.copy())).tobytes(), obj.grad_c(one.copy()).tobytes()]
+                for x in (one.tolist(), read_only, strided[:, 1], one[::-1].copy()[::-1]):
+                    got = [np.asarray(obj.value_c(x)).tobytes(), obj.grad_c(x).tobytes()]
+                    assert got == want, name
+
+
 class TestClosedFormMapping:
     """Squared-distance objectives are mapped in closed form, equal to the chain rule."""
 
