@@ -89,7 +89,7 @@ def _frechet_for_cell(frame, rng):
     else:
         r_a = 0.9 * frame.R
     coords = random_in_ball(frame.x0.coords, sign, r_a, rng, 4)
-    anchors = [AmbientPoint(c, frame.space) for c in coords]
+    anchors = [AmbientPoint(c, frame.x0.space) for c in coords]
     w = rng.uniform(0.5, 1.5, 4)
     return FrechetObjective(anchors, w / w.sum(), frame.x0, frame.R)
 

@@ -1,10 +1,10 @@
 """Recenterable geodesic map between the model manifold and a Euclidean ball.
 
 The map is the gnomonic projection for the sphere and the Beltrami-Klein
-projection for the hyperboloid: after the frame isometry M, the rotation
-in the plane of the basepoint x0 and the canonical pole that sends x0 to
-the pole (closed form in ``make_frame``), a point with frame coordinates
-p = M x maps to
+projection for the hyperboloid: after the frame isometry M that sends the
+basepoint x0 to the canonical pole, one metric reflection and a sign flip
+(closed form in ``make_frame``, applied in O(d) per point), a point with
+frame coordinates p = M x maps to
 
     x~ = (p_1, ..., p_d) / p_{d+1},
 
@@ -49,24 +49,27 @@ BALL_TOL = 1e-9
 class MapFrame(NamedTuple):
     """Geodesic map centered at x0 covering the radius-R ball.
 
-    ``mat`` is the isometry M sending x0 to the pole and ``inv_mat`` its
-    inverse; ``make_frame`` builds both.
+    The frame isometry M sends x0 to the pole.  It is held as three
+    (d+1)-vectors, the sign flip ``s``, the reflection vector ``w`` and
+    ``a = 2 G w / <w, w>`` (``make_frame`` derives them), and applied as
+
+        M v = s * (v - (v . a) w),    M^{-1} p = q - (q . a) w,  q = s * p.
     """
 
-    space: CurvatureClass
     x0: AmbientPoint
-    mat: np.ndarray
-    inv_mat: np.ndarray
     R: float
     R_tilde: float
+    s: np.ndarray
+    w: np.ndarray
+    a: np.ndarray
 
     @property
     def sign(self):
-        return self.space.sign
+        return self.x0.space.sign
 
     @property
     def d(self):
-        return self.mat.shape[0] - 1
+        return self.x0.d
 
 
 def ball_radius(sign, R):
@@ -83,54 +86,50 @@ def ball_radius(sign, R):
 def make_frame(x0, R):
     """Build the map frame at basepoint x0 for ball radius R.
 
-    With K the curvature sign, G = diag(1, ..., 1, K) the ambient metric
-    and e the pole, <a, b> = a^T G b gives <x0, x0> = <e, e> = K and
-    <x0, e> = K c with c = x0[d] = C_K(d(x0, e)).  The frame isometry is
-    the rotation in the plane of x0 and e, the product of two metric
-    reflections R_w(v) = v - 2 <v, w> / <w, w> w:
-
-    - with u = x0 + e, <u, u> = 2K (1 + c), the reflection
-      P = R_u = I - K u (G u)^T / (1 + c) swaps x0 and -e;
-    - R_e = I - 2K e (G e)^T then sends -e to e.
-
-    Since P is G-self-adjoint and P e = -x0, M = R_e P = P + 2K e (G x0)^T
-    (its last row is K (G x0)^T) and, the reflections being involutions,
-    M^{-1} = P R_e = P + 2 x0 e^T.  At the pole u = 2e and both are exactly
-    the identity.  On the hyperboloid c >= 1.  On the sphere below the
-    equator (c < 0) the half-turn H = diag(-1, 1, ..., 1, -1) is applied
-    first, M = M(H x0) H and M^{-1} = H M(H x0)^{-1}, which keeps 1 + c >= 1
-    and covers x0 = -e.
+    With K the curvature sign, G = diag(1, ..., 1, K), <a, b> = a^T G b and
+    e the pole, <x0, x0> = <e, e> = K and <x0, e> = K c, c = x0[d].  The
+    metric reflection in w is P_w v = v - 2 <v, w> / <w, w> w = v - (v . a) w
+    with a = 2 G w / <w, w>.  For w = x0 + e, P_w swaps x0 and -e, and
+    P_e = diag(1, ..., 1, -1) sends -e to e: M = P_e P_w, s = (1, ..., 1, -1),
+    and M^{-1} = P_w P_e.  At the pole w = 2e, a = e and M is exactly the
+    identity.  On the sphere below the equator (c < 0), where <w, w> =
+    2 (1 + c) may vanish, the half-turn H = diag(-1, 1, ..., 1, -1) goes
+    first; as H P_v H = P_{Hv}, M = P_e P_{Hx0 + e} H = (P_e H) P_{x0 - e}, so
+    w = x0 - e and s = (-1, 1, ..., 1), which covers x0 = -e.  Either way
+    w = x0 + f with f = +-e and <w, w> = 2 (K + <x0, f>) = 2 <w, f>, which is
+    2K (1 + |c|) to one rounding: a = G w / <w, f>.
     """
     sign = x0.space.sign
     R_tilde = ball_radius(sign, R)
-    K = float(sign)
-    n = x0.d + 1
-    h = np.ones(n)  # diagonal of H, applied below the equator only
-    if sign == SPHERICAL and x0.coords[-1] < 0.0:
-        h[0] = h[-1] = -1.0
-    x = h * x0.coords
-    eye = np.eye(n)
-    u = x + eye[-1]
-    # inner(eye, w, sign) is the covector G w.
-    P = eye - u[:, None] * ((K / (1.0 + x[-1])) * inner(eye, u, sign))
-    mat = P.copy()
-    mat[-1] += (2.0 * K) * inner(eye, x, sign)
-    mat *= h
-    inv_mat = P
-    inv_mat[:, -1] += 2.0 * x
-    inv_mat *= h[:, None]
-    mat.flags.writeable = False
-    inv_mat.flags.writeable = False
-    return MapFrame(x0.space, x0, mat, inv_mat, float(R), float(R_tilde))
+    f = np.zeros(x0.d + 1)
+    f[-1] = -1.0 if sign == SPHERICAL and x0.coords[-1] < 0.0 else 1.0
+    s = np.ones(x0.d + 1)
+    s[0 if f[-1] < 0.0 else -1] = -1.0
+    w = x0.coords + f
+    a = w / inner(w, f, sign)
+    a[-1] *= sign  # a = G w / <w, f>
+    s.flags.writeable = w.flags.writeable = a.flags.writeable = False
+    return MapFrame(x0, float(R), float(R_tilde), s, w, a)
+
+
+def _isometry(frame, v, inverse=False):
+    """M v = s * P_w v, or M^{-1} v = P_w (s * v), along the last axis of v."""
+    if inverse:
+        q = frame.s * v
+        q -= np.multiply.outer(q @ frame.a, frame.w)
+        return q
+    q = v - np.multiply.outer(v @ frame.a, frame.w)
+    q *= frame.s
+    return q
 
 
 def to_ball(frame, x):
-    """Map manifold point(s) into the ball: x~ = (p_1..p_d)/p_{d+1}, p = frame x."""
+    """Map manifold point(s) into the ball: x~ = (p_1..p_d)/p_{d+1}, p = M x."""
     xc = x.coords if isinstance(x, AmbientPoint) else np.asarray(x, dtype=float)
     dist = distance(frame.x0.coords, xc, frame.sign)
     if np.any(dist > frame.R + BALL_TOL):
         raise GeometryError("point lies outside the R-ball of the frame")
-    p = xc @ frame.mat.T
+    p = _isometry(frame, xc)
     return p[..., :-1] / p[..., -1:]
 
 
@@ -151,7 +150,7 @@ def from_ball(frame, xt):
     r2 = (xt * xt).sum(-1)
     if (np.sqrt(r2) > frame.R_tilde + BALL_TOL).any():
         raise GeometryError("ball coordinates exceed the frame radius")
-    return _lift(frame.sign, xt, r2) @ frame.inv_mat.T
+    return _isometry(frame, _lift(frame.sign, xt, r2), inverse=True)
 
 
 def mapped_distance(frame, xt, yt):
@@ -170,8 +169,8 @@ def mapped_distance(frame, xt, yt):
 
 def map_differential(frame, x, v):
     """Differential of the map at point(s) x applied to tangent vector(s) v."""
-    p = np.asarray(x, dtype=float) @ frame.mat.T
-    q = np.asarray(v, dtype=float) @ frame.mat.T
+    p = _isometry(frame, x)
+    q = _isometry(frame, v)
     return (q[..., :-1] * p[..., -1:] - p[..., :-1] * q[..., -1:]) / p[..., -1:] ** 2
 
 
@@ -194,14 +193,14 @@ def pullback_gradient(frame, x, g, xt=None):
     ``x`` and ``g`` are the point(s) and the gradient(s) of F there as
     ambient coordinates; ``xt`` is x in ball coordinates, computed when
     omitted.  By the chain rule grad f = J^T G g, where J is the Jacobian
-    of from_ball at x~ and G the ambient metric.  With q = G (M g),
-    M = frame.mat, and s2 = 1 + K |x~|^2 this is
+    of from_ball at x~ and G the ambient metric.  With q = G (M g), M the
+    frame isometry, and s2 = 1 + K |x~|^2 this is
 
         grad f = (q[:d] - K x~ (x~ . q[:d] + q[d]) / s2) / sqrt(s2).
     """
     xt = to_ball(frame, x) if xt is None else np.asarray(xt, dtype=float)
     K = float(frame.sign)
-    q = np.asarray(g, dtype=float) @ frame.mat.T
+    q = _isometry(frame, g)
     q[..., -1] *= K  # G = diag(1, ..., 1, K): the Minkowski flip of the last slot
     qd = q[..., :-1]
     s2 = 1.0 + K * (xt * xt).sum(-1, keepdims=True)

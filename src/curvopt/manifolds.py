@@ -48,14 +48,18 @@ def norm(v, sign):
 
 
 def project_point(p, sign):
-    """Renormalize onto the model: |p| = 1 or <p,p>_L = -1 (upper sheet)."""
+    """Renormalize onto the model: |p| = 1 or <p,p>_L = -1 (upper sheet).
+
+    A norm that is not finite raises: NaN passes every sign test below.
+    """
     p = np.asarray(p, dtype=float)
+    q = np.linalg.norm(p, axis=-1, keepdims=True) if sign == SPHERICAL else -inner(p, p, sign)
+    if not np.isfinite(q).all():
+        raise GeometryError("point coordinates and their norm must be finite")
     if sign == SPHERICAL:
-        n = np.linalg.norm(p, axis=-1, keepdims=True)
-        if np.any(n <= 0):
+        if np.any(q <= 0):
             raise GeometryError("cannot project the zero vector to the sphere")
-        return p / n
-    q = -inner(p, p, sign)
+        return p / q
     if np.any(q <= 0) or np.any(p[..., -1] <= 0):
         raise GeometryError("point is not timelike on the upper hyperboloid sheet")
     return p / np.sqrt(q)[..., None]
@@ -97,7 +101,7 @@ def exp_map(x, v, sign):
         out = np.cos(t) * x + np.sin(t) * u
     else:
         out = np.cosh(t) * x + np.sinh(t) * u
-    out = np.where(t > 0, out, x)
+    out = np.where(t == 0, x, out)  # a NaN t keeps the NaN out, which project_point refuses
     return project_point(out, sign)
 
 
@@ -168,19 +172,12 @@ class CurvatureClass(_Frozen):
 
 
 class AmbientPoint(_Frozen):
-    """A manifold point in its embedding; re-projected on construction, coords read-only.
-
-    Non-finite coordinates are refused: NaN passes every sign test of
-    ``project_point``.
-    """
+    """A manifold point in its embedding; re-projected on construction, coords read-only."""
 
     __slots__ = ("coords", "space")
 
     def __init__(self, coords, space):
-        c = np.asarray(coords, dtype=float)
-        if not np.isfinite(c).all():
-            raise GeometryError("point coordinates must be finite")
-        c = project_point(c, space.sign)
+        c = project_point(coords, space.sign)
         if c.ndim != 1:
             raise GeometryError("AmbientPoint holds a single point")
         self._init(c, space)

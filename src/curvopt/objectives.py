@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geomap import BALL_TOL, from_ball, pullback_gradient
+from .geomap import BALL_TOL, _isometry, from_ball, pullback_gradient
 from .manifolds import (
     HYPERBOLIC,
     SPHERICAL,
@@ -319,9 +319,9 @@ class MappedObjective:
 
     An objective with cosine rows (``ManifoldObjective._cosine_rows``) is
     evaluated in closed form in ball coordinates.  Let M be the frame
-    matrix and s = (1 + K |x~|^2)^(-1/2), so that h^{-1}(x~) = M^{-1} s (x~, 1).
-    The rows, rotated into the frame once, [B | b] = rows M^{-1}, give the
-    cosines straight from x~:
+    isometry and s = (1 + K |x~|^2)^(-1/2), so that h^{-1}(x~) = M^{-1} s (x~, 1).
+    The rows, rotated into the frame once, [B | b] = rows M^{-1} =
+    (G M G rows^T)^T (M is a G-isometry), give the cosines straight from x~:
 
         c_j = C_K(theta_j) = s (B_j . x~ + b_j),
 
@@ -348,7 +348,8 @@ class MappedObjective:
         terms = inner_obj._cosine_rows()
         if terms is not None:
             rows, self._weights = terms
-            rows = rows @ frame.inv_mat
+            G = np.append(np.ones(rows.shape[-1] - 1), frame.sign)
+            rows = G * _isometry(frame, G * rows)
             self._BT = rows[:, :-1].T.copy()
             self._b = rows[:, -1].copy()
             self._KB = frame.sign * rows[:, :-1]

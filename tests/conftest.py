@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from curvopt import AmbientPoint, CurvatureClass, FrechetObjective, pole
-from curvopt.manifolds import random_in_ball
+from curvopt import CurvatureClass
 
 
 @pytest.fixture
@@ -15,18 +14,3 @@ def space(request):
     if request.param < 0:
         return CurvatureClass.hyperbolic()
     return CurvatureClass.spherical()
-
-
-def frechet_instance(space, d, R, n_anchors, seed, anchor_radius=None, weights=None, padding=0.0):
-    """Seeded Frechet instance centered at the pole, g-convex on the ball."""
-    rng = np.random.default_rng(seed)
-    center = pole(d, space)
-    if anchor_radius is None:
-        anchor_radius = 0.75 * R
-        if space.sign > 0:
-            anchor_radius = min(anchor_radius, 0.9 * (np.pi / 2 - R - padding))
-    coords = random_in_ball(center.coords, space.sign, anchor_radius, rng, n_anchors)
-    anchors = [AmbientPoint(c, space) for c in coords]
-    if weights is None:
-        weights = np.full(n_anchors, 1.0 / n_anchors)
-    return center, FrechetObjective(anchors, weights, center, R, padding=padding)

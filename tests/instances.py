@@ -1,0 +1,51 @@
+"""Test instances and reference forms shared by the test modules.
+
+Imported by name (``from instances import ...``), not through conftest, so
+that a run of ``tests`` and ``perfbench/tests`` together resolves it.
+"""
+
+import numpy as np
+
+from curvopt import AmbientPoint, FrechetObjective, pole
+from curvopt.manifolds import SPHERICAL, random_in_ball
+
+
+def frechet_instance(space, d, R, n_anchors, seed, anchor_radius=None, weights=None, padding=0.0):
+    """Seeded Frechet instance centered at the pole, g-convex on the ball."""
+    rng = np.random.default_rng(seed)
+    center = pole(d, space)
+    if anchor_radius is None:
+        anchor_radius = 0.75 * R
+        if space.sign > 0:
+            anchor_radius = min(anchor_radius, 0.9 * (np.pi / 2 - R - padding))
+    coords = random_in_ball(center.coords, space.sign, anchor_radius, rng, n_anchors)
+    anchors = [AmbientPoint(c, space) for c in coords]
+    if weights is None:
+        weights = np.full(n_anchors, 1.0 / n_anchors)
+    return center, FrechetObjective(anchors, weights, center, R, padding=padding)
+
+
+def dense_frame(x0):
+    """The frame isometry M at x0 and its inverse as dense (d+1)^2 matrices.
+
+    Built from the rank-two form: with K the sign, G = diag(1, ..., 1, K),
+    e the pole, c = x0[d], u = x0 + e and P = I - K u (G u)^T / (1 + c),
+    M = P + 2K e (G x0)^T and M^{-1} = P + 2 x0 e^T.  On the sphere below
+    the equator the half-turn H = diag(-1, 1, ..., 1, -1) goes first:
+    M = M(H x0) H and M^{-1} = H M(H x0)^{-1}.
+    """
+    sign = x0.space.sign
+    K = float(sign)
+    n = x0.d + 1
+    h = np.ones(n)
+    if sign == SPHERICAL and x0.coords[-1] < 0.0:
+        h[0] = h[-1] = -1.0
+    x = h * x0.coords
+    eye = np.eye(n)
+    g = np.ones(n)
+    g[-1] = K
+    u = x + eye[-1]
+    P = eye - np.outer(u, (K / (1.0 + x[-1])) * (g * u))
+    M = P + np.outer((2.0 * K) * eye[-1], g * x)
+    M_inv = P + np.outer(2.0 * x, eye[-1])
+    return M * h, M_inv * h[:, None]

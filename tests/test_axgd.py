@@ -258,7 +258,7 @@ class TestLineSearch:
         # On curved instances: every accepted iterate satisfies the
         # residual condition with its own gamma_hat and eps_hat, and the
         # accepted gamma_hat stays inside [gamma_p, 1/gamma_n].
-        from conftest import frechet_instance
+        from instances import frechet_instance
         from curvopt import CurvatureClass, MappedObjective, make_frame
         from curvopt.geomap import deformation_constants
 
@@ -282,7 +282,7 @@ class TestLineSearch:
             f_prev = rec.f_value
 
     def test_probe_counts_within_bound(self):
-        from conftest import frechet_instance
+        from instances import frechet_instance
         from curvopt import CurvatureClass, MappedObjective, make_frame
         from curvopt.geomap import deformation_constants
 
@@ -299,7 +299,7 @@ class TestLineSearch:
 
 class TestRunInvariants:
     def test_feasibility_and_budget(self):
-        from conftest import frechet_instance
+        from instances import frechet_instance
         from curvopt import CurvatureClass, MappedObjective, make_frame
         from curvopt.geomap import deformation_constants
 
@@ -314,7 +314,7 @@ class TestRunInvariants:
         assert recs[-1].grad_evals == sum(2 * r.probes for r in recs)
 
     def test_determinism(self):
-        from conftest import frechet_instance
+        from instances import frechet_instance
         from curvopt import CurvatureClass, MappedObjective, make_frame
         from curvopt.geomap import deformation_constants
 
@@ -346,7 +346,7 @@ class TestRunInvariants:
         # The schedule guarantee must hold for any iteration count t, with
         # the start-to-optimum distance measured in the ball:
         # f(x_t) - f* <= 2 L~ |x0~ - x*~|^2 / (gn^2 gp t (t+1)) + eps/2.
-        from conftest import frechet_instance
+        from instances import frechet_instance
         from curvopt import CurvatureClass, MappedObjective, make_frame, to_ball
         from curvopt.baselines import reference_optimum
         from curvopt.geomap import deformation_constants

@@ -7,7 +7,7 @@ from curvopt.geomap import make_frame, to_ball
 from curvopt.manifolds import random_in_ball
 from curvopt.objectives import ManifoldObjective
 
-from conftest import frechet_instance
+from instances import frechet_instance
 
 
 class TestRgdParams:

@@ -10,7 +10,7 @@ from pathlib import Path
 from curvopt import checks
 from curvopt.objectives import validate_constants
 
-from conftest import frechet_instance
+from instances import frechet_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

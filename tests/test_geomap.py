@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from curvopt.geomap import (
     pushforward,
     to_ball,
 )
+from curvopt.geomap import _isometry
 from curvopt.manifolds import (
     HYPERBOLIC,
     SPHERICAL,
@@ -35,6 +37,8 @@ from curvopt.manifolds import (
     random_tangent,
 )
 
+from instances import dense_frame
+
 COSH1 = math.cosh(1.0)
 
 
@@ -45,14 +49,16 @@ def random_frame(space, d, R, rng):
     return make_frame(x0, R)
 
 
+def frame_matrices(frame):
+    """M and M^{-1} as the frame applies them, one basis vector at a time."""
+    eye = np.eye(frame.d + 1)
+    return _isometry(frame, eye).T, _isometry(frame, eye, inverse=True).T
+
+
 class TestFrame:
     def test_frame_is_isometry_and_centers_x0(self, space, rng):
         sign = space.sign
-        for d in (1, 2, 5, 10):
-            frame = make_frame(pole(d, space), 1.0)
-            assert np.array_equal(frame.mat, np.eye(d + 1))
-            assert np.array_equal(frame.inv_mat, np.eye(d + 1))
-        bases = [random_frame(space, d, 1.0, rng).x0 for d in (2, 5)]
+        bases = [random_frame(space, d, 1.0, rng).x0 for d in (1, 2, 5, 10)]
         # Far basepoints: below the equator on the sphere, r = 3 on H^d.
         c = pole(5, space).coords
         far = exp_map(c, (2.5 if sign > 0 else 3.0) * random_tangent(c, sign, rng), sign)
@@ -61,13 +67,72 @@ class TestFrame:
             assert far[-1] < 0
             bases.append(AmbientPoint(-c, space))
         for x0 in bases:
-            frame = make_frame(x0, 1.0)
+            M, M_inv = frame_matrices(make_frame(x0, 1.0))
             eye = np.eye(x0.d + 1)
             G = eye.copy()
             G[-1, -1] = sign
-            assert np.max(np.abs(frame.mat.T @ G @ frame.mat - G)) < 1e-10
-            assert np.max(np.abs(frame.mat @ x0.coords - eye[-1])) < 1e-10
-            assert np.max(np.abs(frame.inv_mat @ frame.mat - eye)) < 1e-10
+            assert np.max(np.abs(M.T @ G @ M - G)) < 1e-10
+            assert np.max(np.abs(M @ x0.coords - eye[-1])) < 1e-10
+            assert np.max(np.abs(M_inv @ M - eye)) < 1e-10
+            # The dense rank-two form: M = P + 2K e (G x0)^T, M^{-1} = P + 2 x0 e^T.
+            M_ref, M_inv_ref = dense_frame(x0)
+            scale = np.max(np.abs(M_ref))
+            assert np.max(np.abs(M - M_ref)) < 1e-13 * scale
+            assert np.max(np.abs(M_inv - M_inv_ref)) < 1e-13 * scale
+
+    def test_frame_residuals(self, space, rng):
+        # |M x0 - e|, |M^{-1} M - I| and |M^T G M - G| over 75 basepoints
+        # for each d (r up to pi on S^d, plus -e; up to 3 on H^d) stay within
+        # the worst residuals of the dense closed form: 6.7e-16 and 4.7e-14.
+        sign = space.sign
+        bound = 6.7e-16 if sign > 0 else 4.7e-14
+        for d in (1, 2, 5, 10):
+            c = pole(d, space).coords
+            radii = rng.uniform(0.0, math.pi if sign > 0 else 3.0, 75)
+            bases = [exp_map(c, r * random_tangent(c, sign, rng), sign) for r in radii]
+            eye = np.eye(d + 1)
+            G = eye.copy()
+            G[-1, -1] = sign
+            for x0 in bases + ([-c] if sign > 0 else []):
+                frame = make_frame(AmbientPoint(x0, space), 1.0)
+                M, M_inv = frame_matrices(frame)
+                assert np.max(np.abs(_isometry(frame, frame.x0.coords) - eye[-1])) <= bound
+                assert np.max(np.abs(M_inv @ M - eye)) <= bound
+                assert np.max(np.abs(M.T @ G @ M - G)) <= bound
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    def test_identity_at_the_pole(self, space, rng, d):
+        # At the pole w = 2e and a = e: both directions return every
+        # coordinate exactly, also through the maps.
+        frame = make_frame(pole(d, space), 1.0)
+        M, M_inv = frame_matrices(frame)
+        assert np.array_equal(M, np.eye(d + 1)) and np.array_equal(M_inv, np.eye(d + 1))
+        x = random_in_ball(frame.x0.coords, space.sign, 0.9, rng, 20)
+        v = rng.standard_normal((20, d + 1))
+        assert np.array_equal(_isometry(frame, v), v)
+        assert np.array_equal(_isometry(frame, v, inverse=True), v)
+        xt = to_ball(frame, x)
+        assert np.array_equal(xt, x[:, :-1] / x[:, -1:])
+        s = 1.0 / np.sqrt(1.0 + space.sign * (xt * xt).sum(-1, keepdims=True))
+        assert np.array_equal(from_ball(frame, xt), np.concatenate([xt * s, s], axis=-1))
+
+    def test_large_d_needs_o_d_memory(self, space):
+        # d = 20000: a dense frame would need 2 x 3.2 GB; the reflection
+        # needs a few (d+1)-vectors.
+        d = 20000
+        rng = np.random.default_rng(5)
+        c = pole(d, space).coords
+        x0 = AmbientPoint(exp_map(c, 0.4 * random_tangent(c, space.sign, rng), space.sign), space)
+        x = exp_map(x0.coords, 0.7 * random_tangent(x0.coords, space.sign, rng), space.sign)
+        tracemalloc.start()
+        try:
+            frame = make_frame(x0, 1.0)
+            back = from_ball(frame, to_ball(frame, x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert np.max(np.abs(back - x)) <= 1e-12
 
     def test_radius_formulas(self):
         sp = CurvatureClass.spherical()
@@ -202,7 +267,7 @@ class TestVectorMaps:
         frame = random_frame(space, 3, 1.0, rng)
         v = random_tangent(frame.x0.coords, space.sign, rng)
         vt = pushforward(frame, frame.x0.coords, v)
-        expected = (frame.mat @ v)[:-1]
+        expected = (dense_frame(frame.x0)[0] @ v)[:-1]
         assert np.max(np.abs(vt - expected)) < 1e-10
 
     def test_zero_vector(self, space, rng):
@@ -225,7 +290,7 @@ class TestVectorMaps:
         x0 = frame.x0.coords
         assert np.allclose(pullback_gradient(frame, x0, np.zeros(4)), 0.0)
         g = random_tangent(x0, space.sign, rng)
-        expected = (frame.mat @ g)[:-1]
+        expected = (dense_frame(frame.x0)[0] @ g)[:-1]
         assert np.max(np.abs(pullback_gradient(frame, x0, g) - expected)) < 1e-10
 
     def test_pullback_inverts_differential_adjoint(self, space, rng):

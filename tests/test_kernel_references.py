@@ -19,7 +19,7 @@ from curvopt.geomap import deformation_constants, from_ball, make_frame
 from curvopt.manifolds import AmbientPoint, CurvatureClass, distance, exp_map, log_map, norm, random_in_ball
 from curvopt.objectives import MappedObjective, delta_constants, regularized
 
-from conftest import frechet_instance
+from instances import frechet_instance
 
 DIMS = (2, 5, 10)
 SHAPES = [(), (4, 16)]
@@ -55,12 +55,32 @@ def _ref_regularized(G, x):
     return value + 0.5 * G.mu_i * theta**2, grad + G.mu_i * reg
 
 
+def _ref_reflection(x0):
+    """Sign flip s, reflection vector w and a = 2 G w / <w, w> of the frame at x0.
+
+    w = x0 + f with f = e, or f = -e on the sphere below the equator, and
+    <w, w> / 2 = K (1 + |c|), c = x0[d].
+    """
+    sign = x0.space.sign
+    x = x0.coords
+    s, f, g = np.ones(len(x)), np.zeros(len(x)), np.ones(len(x))
+    if sign > 0 and x[-1] < 0:
+        s[0], f[-1] = -1.0, -1.0
+    else:
+        s[-1], f[-1] = -1.0, 1.0
+    g[-1] = sign
+    w = x + f
+    return s, w, g * w / (sign * (1.0 + abs(x[-1])))
+
+
 def _ref_from_ball(frame, xt):
     r2 = np.sum(xt * xt, axis=-1)
     K = float(frame.sign)
     s = 1.0 / np.sqrt(np.maximum(1.0 + K * r2, 1e-300))
     p = np.concatenate([xt, np.ones(xt.shape[:-1] + (1,))], axis=-1) * s[..., None]
-    return p @ frame.inv_mat.T
+    flip, w, a = _ref_reflection(frame.x0)
+    q = flip * p
+    return q - (q @ a)[..., None] * w
 
 
 def _ref_mirror_dual_grad(z, R_tilde):
@@ -214,7 +234,12 @@ class _RefMapped:
     def __init__(self, F, frame):
         rows = F.anchor_coords.copy()
         rows[:, :-1] *= frame.sign
-        rows = rows @ frame.inv_mat
+        # rows M^{-1} = (G M G rows^T)^T, M v = s (v - (v . a) w)
+        flip, w, a = _ref_reflection(frame.x0)
+        g = np.ones(rows.shape[1])
+        g[-1] = frame.sign
+        v = rows * g
+        rows = g * (flip * (v - (v @ a)[:, None] * w))
         self.weights = F.weights
         self.BT = rows[:, :-1].T.copy()  # its layout sets the summation order of xt @ BT
         self.b = rows[:, -1].copy()

@@ -20,6 +20,7 @@ from curvopt.manifolds import (
     inner,
     log_map,
     norm,
+    project_point,
     project_tangent,
     random_in_ball,
     random_tangent,
@@ -170,6 +171,48 @@ class TestExpLog:
         r = rng.uniform(0, 1.2, 500)[:, None]
         y = exp_map(x, r * u, space.sign)
         assert np.max(np.abs(distance(x, y, space.sign) - r[:, 0])) < 1e-10
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_tangent_raises(self, space, bad):
+        # A NaN norm used to select the base point: exp_map(e, [nan, 0, 0])
+        # returned e.  One bad row in a batch raises too.
+        x = pole(2, space).coords
+        v = np.array([[0.1, 0.2, 0.0], [bad, 0.0, 0.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(GeometryError, match="finite"):
+            exp_map(x, v[1], space.sign)
+        with np.errstate(invalid="ignore"), pytest.raises(GeometryError, match="finite"):
+            exp_map(x, v, space.sign)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_point_raises(self, space, bad):
+        p = np.array([[0.3, 0.2, 1.5], [0.3, bad, 1.5]])
+        with np.errstate(invalid="ignore"), pytest.raises(GeometryError, match="finite"):
+            project_point(p, space.sign)
+        with np.errstate(invalid="ignore"), pytest.raises(GeometryError, match="finite"):
+            exp_map(p[1], np.zeros(3), space.sign)
+
+    def test_overflowing_norm_raises(self, space):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GeometryError, match="finite"):
+            project_point([1e200, 0.0, 2e200], space.sign)
+
+    def test_finite_exp_keeps_its_bits(self, space, rng):
+        # Against the selection by t > 0 that the NaN fix replaced, with
+        # zero tangents in the batch.
+        sign = space.sign
+        x = random_in_ball(pole(3, space).coords, sign, 0.8, rng, 64)
+        v = random_tangent(x, sign, rng) * rng.uniform(0.0, 1.0, (64, 1))
+        v[::7] = 0.0
+        t = norm(v, sign)[..., None]
+        u = v / np.maximum(t, 1e-300)
+        out = (np.cos(t) * x + np.sin(t) * u) if sign > 0 else (np.cosh(t) * x + np.sinh(t) * u)
+        out = np.where(t > 0, out, x)
+        if sign > 0:
+            ref = out / np.linalg.norm(out, axis=-1, keepdims=True)
+        else:
+            ref = out / np.sqrt(-inner(out, out, sign))[..., None]
+        assert exp_map(x, v, sign).tobytes() == ref.tobytes()
 
 
 class TestGradHalfSqdist:

@@ -16,7 +16,7 @@ from curvopt.reductions import (
     solve_strongly_gconvex,
 )
 
-from conftest import frechet_instance
+from instances import frechet_instance
 
 
 def instance_with_offset_start(space, d, R, seed, n_anchors=4, anchor_radius=0.35):
