@@ -61,6 +61,31 @@ CSV_HEADER = "iter,grad_evals,f_gap,dist_to_opt,lambda,gamma_hat,wall_ns"
 # that error exceeds 1e-2 and rounding, not geometry, sets how points are
 # renormalized; from R = 18 (error 0.24) even its sign is chance.
 MAX_HYPERBOLIC_R = math.acosh(math.sqrt(1e-2 / np.finfo(float).eps))
+# d, anchor_count and ``verify --samples`` size float64 arrays linearly, so
+# a typo such as anchor_count = 1000000000 would ask numpy for 24 GB.  They
+# are capped so that what the program holds at once stays within one
+# budget, counted as 8 bytes a coordinate: a run holds up to 64 (d+1)-vectors
+# and 16 copies of the (anchor_count, d+1) anchor matrix, plus 1 KiB of
+# Python objects per anchor point; a verify cell holds up to 32 arrays of
+# (samples, 11) floats, 11 being the largest checked dimension plus one.
+# These are upper bounds: building an instance peaked at about 27 vectors,
+# 5 anchor copies and 300 bytes per point under tracemalloc, and a verify
+# cell at about 12 arrays.  A reduction's round records add a d-vector
+# per iteration on top, which no size cap can bound.
+MEMORY_BUDGET = 2**30
+VECTOR_BYTES, ANCHOR_COORD_BYTES, POINT_BYTES, SAMPLE_BYTES = 64 * 8, 16 * 8, 1024, 32 * 8 * 11
+MAX_VERIFY_SAMPLES = MEMORY_BUDGET // SAMPLE_BYTES
+
+
+def max_d(anchor_count):
+    """Largest d whose run with ``anchor_count`` anchors fits MEMORY_BUDGET."""
+    per_coord = VECTOR_BYTES + anchor_count * ANCHOR_COORD_BYTES
+    return (MEMORY_BUDGET - anchor_count * POINT_BYTES) // per_coord - 1
+
+
+def max_anchor_count(d):
+    """Largest anchor count whose run at dimension d fits MEMORY_BUDGET."""
+    return (MEMORY_BUDGET - (d + 1) * VECTOR_BYTES) // ((d + 1) * ANCHOR_COORD_BYTES + POINT_BYTES)
 
 
 class ConfigError(ValueError):
@@ -93,6 +118,18 @@ class ExperimentConfig:
             raise ConfigError("d: must be a positive integer")
         if self.anchor_count is not None and self.anchor_count < 1:
             raise ConfigError("anchor_count: must be a positive integer")
+        # d is refused with the default 5 anchors, or with one when the count is set or a file's.
+        count = 5 if self.anchor_count is None and not self.anchors_file else 1
+        if self.d > max_d(count):
+            raise ConfigError(
+                f"d: {self.d} exceeds {max_d(count)}, the largest with {count} anchor(s) "
+                f"within the {MEMORY_BUDGET >> 30} GiB memory budget"
+            )
+        if self.anchor_count is not None and self.anchor_count > max_anchor_count(self.d):
+            raise ConfigError(
+                f"anchor_count: {self.anchor_count} exceeds {max_anchor_count(self.d)}, the most "
+                f"at d = {self.d} within the {MEMORY_BUDGET >> 30} GiB memory budget"
+            )
         if self.seed < 0:
             raise ConfigError("seed: must be a non-negative integer")
         for key in ("epsilon", "R", "curvature", "condition"):
@@ -442,8 +479,11 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    if args.samples < 1:
-        raise ConfigError(f"--samples: must be a positive integer, got {args.samples}")
+    if not 1 <= args.samples <= MAX_VERIFY_SAMPLES:
+        raise ConfigError(
+            f"--samples: must be an integer from 1 to {MAX_VERIFY_SAMPLES} "
+            f"(the {MEMORY_BUDGET >> 30} GiB memory budget), got {args.samples}"
+        )
     if args.seed < 0:
         raise ConfigError(f"--seed: must be a non-negative integer, got {args.seed}")
     from . import checks  # loaded here only: ``import curvopt`` does not load the check suite

@@ -133,24 +133,28 @@ def to_ball(frame, x):
     return p[..., :-1] / p[..., -1:]
 
 
-def _lift(sign, xt, r2):
-    """Frame coordinates p = s (x~, 1), s = 1 / sqrt(1 + K r2), of ball point(s) x~; r2 = |x~|^2."""
-    s = (1.0 / np.sqrt(np.maximum(1.0 + sign * r2, 1e-300)))[..., None]
+def _ball_scale(frame, xt):
+    """s = 1 / sqrt(1 + K |x~|^2), shape (..., 1), of ball point(s) x~ within R~ + BALL_TOL, or raise."""
+    r2 = (xt * xt).sum(-1, keepdims=True)
+    if (np.sqrt(r2) > frame.R_tilde + BALL_TOL).any():
+        raise GeometryError("ball coordinates exceed the frame radius")
+    return 1.0 / np.sqrt(np.maximum(1.0 + frame.sign * r2, 1e-300))
+
+
+def _lift(frame, xt):
+    """Frame coordinates p = s (x~, 1) of ball point(s) x~, checked by ``_ball_scale``."""
+    xt = np.asarray(xt, dtype=float)
+    s = _ball_scale(frame, xt)
     return np.concatenate([xt * s, s], axis=-1)
 
 
 def from_ball(frame, xt):
     """Inverse map: ambient coordinates M^{-1} p of ball point(s) x~ on the model.
 
-    p = s (x~, 1), s = 1 / sqrt(1 + K |x~|^2), is the image of the manifold
-    point under the frame isometry; ball coordinates beyond R~ + BALL_TOL
-    raise.
+    p = s (x~, 1) (``_lift``) is the image of the manifold point under the
+    frame isometry; ball coordinates beyond R~ + BALL_TOL raise.
     """
-    xt = np.asarray(xt, dtype=float)
-    r2 = (xt * xt).sum(-1)
-    if (np.sqrt(r2) > frame.R_tilde + BALL_TOL).any():
-        raise GeometryError("ball coordinates exceed the frame radius")
-    return _isometry(frame, _lift(frame.sign, xt, r2), inverse=True)
+    return _isometry(frame, _lift(frame, xt), inverse=True)
 
 
 def mapped_distance(frame, xt, yt):
@@ -158,13 +162,9 @@ def mapped_distance(frame, xt, yt):
 
     The frame isometry preserves distances, so this is ``manifolds.distance``
     of the frame coordinates p = s (x~, 1), in its chord form, which resolves
-    ball steps down to rounding.
+    ball steps down to rounding.  Ball coordinates beyond R~ + BALL_TOL raise.
     """
-    xt = np.asarray(xt, dtype=float)
-    yt = np.asarray(yt, dtype=float)
-    p = _lift(frame.sign, xt, (xt * xt).sum(-1))
-    q = _lift(frame.sign, yt, (yt * yt).sum(-1))
-    return distance(p, q, frame.sign)
+    return distance(_lift(frame, xt), _lift(frame, yt), frame.sign)
 
 
 def map_differential(frame, x, v):

@@ -93,15 +93,17 @@ def distance(x, y, sign):
 
 
 def exp_map(x, v, sign):
-    """Exponential map: cos/sin (sphere) or cosh/sinh (hyperboloid) along v."""
+    """Exponential map: cos/sin (sphere) or cosh/sinh (hyperboloid) along v; a non-finite |v| raises."""
     t = norm(v, sign)[..., None]
+    if not np.isfinite(t).all():
+        raise GeometryError("tangent vector norm must be finite")
     safe = np.maximum(t, 1e-300)
     u = v / safe
     if sign == SPHERICAL:
         out = np.cos(t) * x + np.sin(t) * u
     else:
         out = np.cosh(t) * x + np.sinh(t) * u
-    out = np.where(t == 0, x, out)  # a NaN t keeps the NaN out, which project_point refuses
+    out = np.where(t == 0, x, out)
     return project_point(out, sign)
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geomap import BALL_TOL, _isometry, from_ball, pullback_gradient
+from .geomap import BALL_TOL, _ball_scale, _isometry, from_ball, pullback_gradient
 from .manifolds import (
     HYPERBOLIC,
     SPHERICAL,
@@ -360,19 +360,18 @@ class MappedObjective:
         """s, c, theta and k at ball point(s) xt, a C-contiguous float array.
 
         numpy sums ``xt.dot`` of a strided view in another order, so the
-        callers copy one in: the bits must not depend on the layout.
+        callers copy one in: the bits must not depend on the layout.  One point, the
+        hot path, keeps ``geomap._ball_scale``'s rule in Python floats: ``xt.dot(xt)``
+        rounds apart from ``(xt * xt).sum(-1)`` (~1 point in 6); solver traces pin it.
         """
         K = self._K
         if xt.ndim == 1:
             r2 = float(xt.dot(xt))
-            beyond = math.sqrt(r2) > self._r_max
+            if math.sqrt(r2) > self._r_max:
+                raise GeometryError("ball coordinates exceed the frame radius")
             s = 1.0 / math.sqrt(max(1.0 + K * r2, 1e-300))
         else:
-            r2 = (xt * xt).sum(-1, keepdims=True)
-            beyond = (np.sqrt(r2) > self._r_max).any()
-            s = 1.0 / np.sqrt(np.maximum(1.0 + K * r2, 1e-300))
-        if beyond:
-            raise GeometryError("ball coordinates exceed the frame radius")
+            s = _ball_scale(self.frame, xt)
         c = s * (xt.dot(self._BT) + self._b)
         theta, k = _theta_k(c, K, self._weights)
         return s, c, theta, k

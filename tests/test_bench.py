@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,63 @@ def test_verify_names_samples_below_one(capsys, samples):
     assert main(["verify", "--samples", samples]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: --samples:"), err
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "config,where",
+    [
+        (f"d = {bench.max_d(5) + 1}\n", "d: "),
+        (f"anchor_count = 3\nd = {bench.max_d(1) + 1}\n", "d: "),
+        (f"anchor_count = {bench.max_anchor_count(2) + 1}\n", "anchor_count: "),
+        (f"d = 100\nanchor_count = {bench.max_anchor_count(100) + 1}\n", "anchor_count: "),
+        ("anchor_count = 1000000000\n", "anchor_count: "),
+    ],
+)
+def test_sizes_above_their_caps_refused_before_allocating(tmp_path, capsys, config, where):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(config)
+    code, peak = _traced_peak(main, ["run", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1 and err.startswith(f"error: {where}"), err
+    assert "memory budget" in err and peak < 1e6
+
+
+def test_verify_samples_above_the_cap_refused_before_allocating(capsys):
+    code, peak = _traced_peak(main, ["verify", "--samples", str(bench.MAX_VERIFY_SAMPLES + 1)])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: --samples:"), err
+    assert peak < 1e6
+
+
+def test_sizes_at_their_caps_accepted():
+    ExperimentConfig(d=bench.max_d(5)).validate()
+    ExperimentConfig(d=bench.max_d(1), anchor_count=1).validate()
+    ExperimentConfig(anchor_count=bench.max_anchor_count(2)).validate()
+
+
+@pytest.mark.parametrize("d,count", [(2, 4000), (4000, 5)])
+def test_instance_holds_less_than_its_budgeted_bytes(d, count):
+    # The caps rest on these per-unit byte counts being upper bounds.
+    cfg = ExperimentConfig(d=d, anchor_count=count, solver="reduce_gc", seed=1)
+    _, peak = _traced_peak(build_instance, cfg)
+    per_coord = bench.VECTOR_BYTES + count * bench.ANCHOR_COORD_BYTES
+    assert peak <= (d + 1) * per_coord + count * bench.POINT_BYTES
+
+
+def test_verify_cell_holds_less_than_its_budgeted_bytes():
+    from curvopt import checks
+
+    n = 1000
+    _, peak = _traced_peak(checks.run_grid, None, n)
+    assert peak <= n * bench.SAMPLE_BYTES
 
 
 def _no_solve(*args, **kwargs):

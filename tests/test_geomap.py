@@ -13,6 +13,7 @@ from curvopt import (
     pole,
 )
 from curvopt.geomap import (
+    BALL_TOL,
     angle_deformation,
     deformation_constants,
     deformation_constants_for,
@@ -198,6 +199,18 @@ class TestMappedDistance:
         assert mapped_distance(frame, np.zeros(2), yt) == pytest.approx(
             math.atanh(0.5), abs=1e-12
         )
+
+    @pytest.mark.parametrize("outside", [[2.0, 0.0], [0.9, 0.0]], ids=["beyond-unit", "beyond-R~"])
+    def test_refuses_points_outside_the_ball(self, outside):
+        # H^2 pole frame, R = 1, R~ = tanh 1 = 0.762.  Unchecked, the lift
+        # clamps 1 - |x~|^2 < 0 and [2, 0] read 691.87, [0.9, 0] 1.472.
+        frame = make_frame(pole(2, CurvatureClass.hyperbolic()), 1.0)
+        origin = [0.0, 0.0]
+        for xt, yt in ((outside, origin), (origin, outside), ([origin, outside], [origin, origin])):
+            with pytest.raises(GeometryError, match="exceed the frame radius"):
+                mapped_distance(frame, xt, yt)
+        edge = [frame.R_tilde + 0.5 * BALL_TOL, 0.0]
+        assert mapped_distance(frame, edge, origin) == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_for_equal_points(self, space, rng):
         frame = random_frame(space, 2, 1.0, rng)

@@ -185,6 +185,18 @@ class TestNonFinite:
         with np.errstate(invalid="ignore"), pytest.raises(GeometryError, match="finite"):
             exp_map(x, v, space.sign)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_tangent_raises_before_any_warning(self, space, bad):
+        # The same cases with numpy's RuntimeWarnings turned into errors: an
+        # inf norm used to print "invalid value" warnings before the raise.
+        x = pole(2, space).coords
+        v = np.array([[0.1, 0.2, 0.0], [bad, 0.0, 0.0]])
+        with np.errstate(all="warn"):
+            for tangent in (v[1], v):
+                with pytest.raises(GeometryError, match="finite"):
+                    exp_map(x, tangent, space.sign)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_point_raises(self, space, bad):
         p = np.array([[0.3, 0.2, 1.5], [0.3, bad, 1.5]])
