@@ -3,19 +3,13 @@ constant-curvature manifolds, via geodesic-map reduction to a constrained
 Euclidean problem."""
 
 from .manifolds import (
-    HYPERBOLIC,
-    SPHERICAL,
     AmbientPoint,
     CurvatureClass,
     GeometryError,
     distance,
-    exp_map,
-    log_map,
     pole,
 )
 from .geomap import (
-    DeformationConstants,
-    MapFrame,
     deformation_constants,
     from_ball,
     make_frame,
@@ -23,9 +17,7 @@ from .geomap import (
     to_ball,
 )
 from .objectives import (
-    DeltaConstants,
     FrechetObjective,
-    ManifoldObjective,
     MappedObjective,
     delta_constants,
     load_anchors,
@@ -34,33 +26,23 @@ from .objectives import (
     validate_constants,
     with_constants,
 )
-from .axgd import (
-    LineSearchError,
-    SolverParams,
-    SolverState,
-    binary_line_search,
-    iteration_budget,
-    mirror_dual_grad,
-    params_from_constants,
-    run,
-)
+from .axgd import params_from_constants
 from .reductions import (
-    RegularizationPlan,
-    make_regularization_plan,
     solve_gconvex_via_sc,
     solve_strongly_gconvex,
 )
-from .baselines import RgdParams, reference_optimum, rgd_run
-from .bench import ExperimentConfig, fit_rate_exponent, run_experiment, run_sweep
+from .baselines import RgdParams, rgd_run
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 
 
 def __getattr__(name):
-    # PEP 562: ``curvopt.checks`` loads on first access, so ``import curvopt``
-    # skips the check suite.  ``from . import checks`` here would recurse.
-    if name == "checks":
+    # PEP 562: the harness, ``curvopt.bench`` and ``curvopt.checks``, loads on
+    # first access, so ``import curvopt`` loads only the library and
+    # ``python -m curvopt.bench`` finds no half-imported copy of its module.
+    # ``from . import bench`` here would recurse.
+    if name in ("bench", "checks"):
         from importlib import import_module
 
-        return import_module(".checks", __name__)
+        return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,6 +40,13 @@ def rgd_run(F, x0, R, params, trace=None):
     stopping point has already been evaluated, so a start at the minimizer
     costs one call.  A gradient whose norm is not finite raises
     ``GeometryError`` naming its iteration.
+
+    The step is a pure function of x, so once an update returns x bit for
+    bit (or the gradient is exactly zero) every later iteration repeats
+    this one: the run emits the remaining stride records and the final
+    record of the full budget, all with the one value, and returns without
+    computing them.  A record's ``grad_evals`` is then k + 1, the evals the
+    certified-budget method counts, not the oracle calls made.
     """
     sign = F.space.sign
     center = x0.coords
@@ -55,6 +62,7 @@ def rgd_run(F, x0, R, params, trace=None):
     grad_c, value_c = F.grad_c, F.value_c
     step, last, tol, stride = params.step, params.max_iters, params.tol_grad, params.trace_stride
     x = x0.coords
+    prev = x.tobytes()  # bytes, not ==, so that -0.0 and 0.0 differ as they do to the step
     for k in range(last + 1):
         g = grad_c(x)
         sq = float(g.dot(g))
@@ -69,20 +77,29 @@ def rgd_run(F, x0, R, params, trace=None):
             trace(RgdRecord(k, x.copy(), float(value_c(x)), gn, k + 1))
         if stop:
             break
-        if gn == 0.0:
-            continue  # exactly stationary: the update is a no-op
-        t = step * gn
-        if sign < 0:
-            x = math.cosh(t) * x - (math.sinh(t) / gn) * g
-            xl = x.item(-1)
-            x = x / math.sqrt(max(-(float(x.dot(x)) - 2.0 * xl * xl), 1e-300))
-        else:
-            x = math.cos(t) * x - (math.sin(t) / gn) * g
-            x = x / math.sqrt(x.dot(x))
-        if x.dot(cm) < rim:
-            u = log_map(center, x, sign)
-            un = float(norm(u, sign))
-            x = exp_map(center, (R / un) * u, sign)
+        if gn != 0.0:
+            t = step * gn
+            if sign < 0:
+                x = math.cosh(t) * x - (math.sinh(t) / gn) * g
+                xl = x.item(-1)
+                x = x / math.sqrt(max(-(float(x.dot(x)) - 2.0 * xl * xl), 1e-300))
+            else:
+                x = math.cos(t) * x - (math.sin(t) / gn) * g
+                x = x / math.sqrt(x.dot(x))
+            if x.dot(cm) < rim:
+                u = log_map(center, x, sign)
+                un = float(norm(u, sign))
+                x = exp_map(center, (R / un) * u, sign)
+            cur = x.tobytes()
+            if cur != prev:
+                prev = cur
+                continue
+        # A fixed point: iterations k + 1, ..., last would repeat iteration k.
+        if trace is not None:
+            f = float(value_c(x))
+            for j in (*range((k // stride + 1) * stride, last, stride), last):
+                trace(RgdRecord(j, x.copy(), f, gn, j + 1))
+        break
     return AmbientPoint(x, F.space)
 
 

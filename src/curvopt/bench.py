@@ -18,11 +18,12 @@ Runs are deterministic for a fixed seed; wall_ns is written as 0 unless
 Solvers are run for the iteration budget their declared regime certifies
 (the accelerated budget for g-convex targets, the linear-convergence
 budget for strongly convex ones), and reported gradient-evaluation counts
-are the evaluations actually spent; the rows of a reduction run over all
-its rounds, their gaps taken on the instance objective.  A sweep varies
-epsilon or the declared condition ratio L/mu over one config, plans every
-point before the first solve, and fits the exponent of the evaluation
-counts against 1/epsilon or L/mu.
+are the evaluations actually spent (for rgd past an exact fixed point, the
+evaluations of the certified-budget method; see ``baselines.rgd_run``);
+the rows of a reduction run over all its rounds, their gaps taken on the
+instance objective.  A sweep varies epsilon or the declared condition
+ratio L/mu over one config, plans every point before the first solve, and
+fits the exponent of the evaluation counts against 1/epsilon or L/mu.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def parse_config(path):
             try:
                 setattr(cfg, key, _cast_field(key, value))
             except ValueError as err:
-                raise ConfigError(f"{path}:{lineno}: {err}") from None
+                raise ConfigError(f"{path}:{lineno}: {key}: {err}") from None
     return cfg
 
 
@@ -188,7 +189,7 @@ def _cast_field(key, value):
         return None if value.lower() in ("", "none") else float(value)
     if key in ("treat_gconvex", "timing"):
         if value.lower() not in _BOOL:
-            raise ValueError(f"{key}: expected a boolean, got {value!r}")
+            raise ValueError(f"expected a boolean, got {value!r}")
         return _BOOL[value.lower()]
     return value
 

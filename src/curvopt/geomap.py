@@ -127,18 +127,26 @@ def to_ball(frame, x):
     """Map manifold point(s) into the ball: x~ = (p_1..p_d)/p_{d+1}, p = M x."""
     xc = x.coords if isinstance(x, AmbientPoint) else np.asarray(x, dtype=float)
     dist = distance(frame.x0.coords, xc, frame.sign)
-    if np.any(dist > frame.R + BALL_TOL):
+    if not np.all(dist <= frame.R + BALL_TOL):  # written so that NaN fails it
         raise GeometryError("point lies outside the R-ball of the frame")
     p = _isometry(frame, xc)
     return p[..., :-1] / p[..., -1:]
 
 
-def _ball_scale(frame, xt):
-    """s = 1 / sqrt(1 + K |x~|^2), shape (..., 1), of ball point(s) x~ within R~ + BALL_TOL, or raise."""
+def _ball_r2(frame, xt):
+    """|x~|^2, shape (..., 1), of ball point(s) x~ within R~ + BALL_TOL, or raise.
+
+    The test is written so that NaN fails it.
+    """
     r2 = (xt * xt).sum(-1, keepdims=True)
-    if (np.sqrt(r2) > frame.R_tilde + BALL_TOL).any():
+    if not (np.sqrt(r2) <= frame.R_tilde + BALL_TOL).all():
         raise GeometryError("ball coordinates exceed the frame radius")
-    return 1.0 / np.sqrt(np.maximum(1.0 + frame.sign * r2, 1e-300))
+    return r2
+
+
+def _ball_scale(frame, xt):
+    """s = 1 / sqrt(1 + K |x~|^2), shape (..., 1), of ball point(s) x~ checked by ``_ball_r2``."""
+    return 1.0 / np.sqrt(np.maximum(1.0 + frame.sign * _ball_r2(frame, xt), 1e-300))
 
 
 def _lift(frame, xt):
@@ -197,13 +205,15 @@ def pullback_gradient(frame, x, g, xt=None):
     frame isometry, and s2 = 1 + K |x~|^2 this is
 
         grad f = (q[:d] - K x~ (x~ . q[:d] + q[d]) / s2) / sqrt(s2).
+
+    Like ``from_ball``, it refuses ball coordinates beyond R~ + BALL_TOL.
     """
     xt = to_ball(frame, x) if xt is None else np.asarray(xt, dtype=float)
     K = float(frame.sign)
     q = _isometry(frame, g)
     q[..., -1] *= K  # G = diag(1, ..., 1, K): the Minkowski flip of the last slot
     qd = q[..., :-1]
-    s2 = 1.0 + K * (xt * xt).sum(-1, keepdims=True)
+    s2 = 1.0 + K * _ball_r2(frame, xt)
     radial = (xt * qd).sum(-1, keepdims=True) + q[..., -1:]
     return (qd - K * xt * radial / s2) / np.sqrt(s2)
 

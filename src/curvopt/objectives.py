@@ -361,13 +361,14 @@ class MappedObjective:
 
         numpy sums ``xt.dot`` of a strided view in another order, so the
         callers copy one in: the bits must not depend on the layout.  One point, the
-        hot path, keeps ``geomap._ball_scale``'s rule in Python floats: ``xt.dot(xt)``
-        rounds apart from ``(xt * xt).sum(-1)`` (~1 point in 6); solver traces pin it.
+        hot path, keeps ``geomap._ball_r2``'s rule, NaN failing it, in Python floats:
+        ``xt.dot(xt)`` rounds apart from ``(xt * xt).sum(-1)`` (~1 point in 6); solver
+        traces pin it.
         """
         K = self._K
         if xt.ndim == 1:
             r2 = float(xt.dot(xt))
-            if math.sqrt(r2) > self._r_max:
+            if not math.sqrt(r2) <= self._r_max:
                 raise GeometryError("ball coordinates exceed the frame radius")
             s = 1.0 / math.sqrt(max(1.0 + K * r2, 1e-300))
         else:

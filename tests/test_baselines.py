@@ -1,10 +1,13 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 
-from curvopt import AmbientPoint, CurvatureClass, FrechetObjective, GeometryError, pole
-from curvopt.baselines import RgdParams, reference_optimum, rgd_run
+from curvopt import AmbientPoint, CurvatureClass, FrechetObjective, GeometryError, pole, with_constants
+from curvopt.baselines import RgdParams, RgdRecord, reference_optimum, rgd_run
 from curvopt.geomap import make_frame, to_ball
-from curvopt.manifolds import random_in_ball
+from curvopt.manifolds import exp_map, log_map, norm, random_in_ball
 from curvopt.objectives import ManifoldObjective
 
 from instances import frechet_instance
@@ -102,6 +105,94 @@ class TestRgd:
         with pytest.raises(GeometryError, match="iteration 3: .*not finite"):
             rgd_run(Broken(), center, 0.8, params, trace=recs.append)
         assert [r.k for r in recs] == [0, 1, 2]
+
+
+def _rgd_without_exit(F, x0, R, params, trace):
+    """``rgd_run`` as it was before the fixed-point exit: every iteration of the budget runs."""
+    sign, center = F.space.sign, x0.coords
+    cm = center.copy()
+    if sign < 0:
+        cm[-1] = -cm[-1]
+        rim = -math.cosh(R)
+    else:
+        rim = math.cos(R)
+    step, last, tol, stride = params.step, params.max_iters, params.tol_grad, params.trace_stride
+    x = x0.coords
+    for k in range(last + 1):
+        g = F.grad_c(x)
+        sq = float(g.dot(g))
+        if sign < 0:
+            gl = g.item(-1)
+            sq -= 2.0 * gl * gl
+        gn = math.sqrt(max(sq, 0.0))
+        stop = gn <= tol or k == last
+        if stop or k % stride == 0:
+            trace(RgdRecord(k, x.copy(), float(F.value_c(x)), gn, k + 1))
+        if stop:
+            break
+        if gn == 0.0:
+            continue
+        t = step * gn
+        if sign < 0:
+            x = math.cosh(t) * x - (math.sinh(t) / gn) * g
+            xl = x.item(-1)
+            x = x / math.sqrt(max(-(float(x.dot(x)) - 2.0 * xl * xl), 1e-300))
+        else:
+            x = math.cos(t) * x - (math.sin(t) / gn) * g
+            x = x / math.sqrt(x.dot(x))
+        if x.dot(cm) < rim:
+            u = log_map(center, x, sign)
+            x = exp_map(center, (R / float(norm(u, sign))) * u, sign)
+    return AmbientPoint(x, F.space)
+
+
+class TestFixedPointExit:
+    """Runs that reach an exact fixed point give the records of the full budget."""
+
+    def criterion_4_instance(self):
+        # H^2, R = 1, 5 anchors: at step 1/L, x_66 equals x_65 bit for bit.
+        space = CurvatureClass.hyperbolic()
+        center = pole(2, space)
+        rng = np.random.default_rng(20240)
+        anchors = [AmbientPoint(c, space) for c in random_in_ball(center.coords, -1, 0.75, rng, 5)]
+        w = rng.uniform(0.5, 1.5, 5)
+        F = FrechetObjective(anchors, w / w.sum(), center, 1.0, padding=0.75)
+        return center, with_constants(F, strong_convexity=0.0)
+
+    def assert_same_run(self, F, x0, R, params):
+        calls = []
+        counted = copy.copy(F)
+        counted.grad_c = lambda x: calls.append(x) or F.grad_c(x)
+        got, want = [], []
+        out = rgd_run(counted, x0, R, params, trace=got.append)
+        ref = _rgd_without_exit(F, x0, R, params, want.append)
+        assert out.coords.tobytes() == ref.coords.tobytes()
+        assert [r.k for r in got] == [r.k for r in want]
+        for a, b in zip(got, want):
+            assert (a.k, a.x.tobytes(), a.f_value, a.grad_norm, a.grad_evals) == (
+                b.k, b.x.tobytes(), b.f_value, b.grad_norm, b.grad_evals
+            )
+        assert got[-1].grad_evals == params.max_iters + 1
+        assert len(calls) < params.max_iters // 10  # the exit was taken
+
+    @pytest.mark.parametrize("stride", [100, 7, 3000], ids=["divides", "does-not-divide", "budget"])
+    def test_fixed_point_in_the_interior(self, stride):
+        center, F = self.criterion_4_instance()
+        self.assert_same_run(F, center, 1.0, RgdParams(1.0 / F.smoothness, 3000, -1.0, stride))
+
+    def test_start_at_the_minimizer(self, space):
+        # One anchor at the start: the gradient is exactly zero.
+        center = pole(2, space)
+        F = FrechetObjective([center], [1.0], center, 0.5)
+        self.assert_same_run(F, center, 0.5, RgdParams(1.0 / F.smoothness, 500, -1.0, 3))
+
+    def test_fixed_point_clipped_to_the_rim(self, space):
+        # The one anchor lies outside the R = 0.4 ball: the iterates settle on its rim.
+        center = pole(2, space)
+        D = 0.9 if space.sign < 0 else 0.7
+        a = AmbientPoint(exp_map(center.coords, D * np.array([math.cos(2.0), math.sin(2.0), 0.0]), space.sign), space)
+        F = FrechetObjective([a], [1.0], center, D)
+        self.assert_same_run(F, center, 0.4, RgdParams(1.0 / F.smoothness, 1000, -1.0, 9))
 
 
 class TestReferenceOptimum:

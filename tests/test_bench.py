@@ -243,10 +243,17 @@ class TestFitRateExponent:
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, module="curvopt"):
         return subprocess.run(
-            [sys.executable, "-m", "curvopt", *args], capture_output=True, text=True
+            [sys.executable, "-m", module, *args], capture_output=True, text=True
         )
+
+    @pytest.mark.parametrize("module", ["curvopt", "curvopt.bench"])
+    def test_help_writes_nothing_to_stderr(self, module):
+        # ``-m curvopt.bench`` warns on stderr when ``import curvopt`` has loaded bench before runpy.
+        r = self.run_cli("--help", module=module)
+        assert r.returncode == 0 and r.stdout.startswith("usage: bench")
+        assert r.stderr == ""
 
     def test_run_byte_identical(self, tmp_path, cfg_file):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -348,6 +355,11 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
          "# class=hyperbolic d=2\n0 0 1\n0.5210953054937474 0 1.1276259652063807\n", False,
          "error: anchor_count: 7 does not match the 2 anchors of anchors_file"),
         (RUN, "seed = -1\n", None, False, "seed:"),
+        # A value that does not parse names its key once.
+        (RUN, "R = abc\n", None, False, "bad.cfg:1: R: could not convert string to float: 'abc'"),
+        (RUN, "d = 2.5\n", None, False, "bad.cfg:1: d: invalid literal for int() with base 10: '2.5'"),
+        (RUN, "\nseed = x\n", None, False, "bad.cfg:2: seed: invalid literal for int() with base 10: 'x'"),
+        (RUN, "timing = maybe\n", None, False, "bad.cfg:1: timing: expected a boolean, got 'maybe'"),
         (["verify", "--seed", "-1"], "", None, False, "--seed:"),
         (SWEEP + ["--epsilons", "1e-2,abc"], "", None, False, "--epsilons: could not convert string to float: 'abc'"),
         (SWEEP + ["--conditions", "10,x"], "", None, False, "--conditions: could not convert string to float: 'x'"),
@@ -371,7 +383,9 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget",
         "axgd-round-over-cap", "restart-round-over-cap", "radius",
         "reduce-below-floor", "reduce-far-below-floor", "restart-below-floor", "reduce-over-cap",
-        "restart-gconvex", "no-anchors", "negative-anchor-count", "anchor-count-not-the-files", "negative-seed", "verify-negative-seed",
+        "restart-gconvex", "no-anchors", "negative-anchor-count", "anchor-count-not-the-files", "negative-seed",
+        "radius-not-a-number", "d-not-an-integer", "seed-not-an-integer", "timing-not-a-boolean",
+        "verify-negative-seed",
         "sweep-epsilon-not-a-number", "sweep-condition-not-a-number",
         "sweep-epsilon-below-floor", "sweep-condition-over-budget",
         "anchor-header-d-not-integer", "anchor-header-d-two-equals", "anchor-header-unknown-class",

@@ -14,25 +14,31 @@ from instances import frechet_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Reports whether the check suite is loaded after ``import curvopt`` and
-# after its first access through the package.
+LIBRARY = ["curvopt.axgd", "curvopt.baselines", "curvopt.geomap", "curvopt.manifolds",
+           "curvopt.objectives", "curvopt.reductions"]
+
+# Reports the curvopt modules that ``import curvopt`` loads, then reaches
+# the harness, ``checks`` and ``bench``, through the package.
 _IMPORT_PROBE = """
 import json, sys
 import curvopt
-before = "curvopt.checks" in sys.modules
+loaded = sorted(m for m in sys.modules if m.startswith("curvopt."))
 n = len(curvopt.checks.ALL_CHECKS)
-print(json.dumps([before, n, "curvopt.checks" in sys.modules]))
+from curvopt import bench
+print(json.dumps([loaded, n, "curvopt.checks" in sys.modules, bench.main is curvopt.bench.main]))
 """
 
 
 def test_import_curvopt_loads_checks_on_first_access():
+    # ... and bench too: ``import curvopt`` loads the six library modules only.
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    before, n, after = json.loads(r.stdout)
-    assert not before
+    loaded, n, after, bench_reached = json.loads(r.stdout)
+    assert loaded == LIBRARY
     assert n == len(checks.ALL_CHECKS) and after
+    assert bench_reached
 
 
 def test_all_checks_pass_on_reduced_grid():

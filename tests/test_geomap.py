@@ -189,6 +189,8 @@ class TestBallMaps:
             to_ball(frame, far)
         with pytest.raises(GeometryError):
             from_ball(frame, np.full(3, frame.R_tilde))
+        with pytest.raises(GeometryError):  # NaN fails the ball test
+            to_ball(frame, np.full(4, np.nan))
 
 
 class TestMappedDistance:
@@ -200,15 +202,28 @@ class TestMappedDistance:
             math.atanh(0.5), abs=1e-12
         )
 
-    @pytest.mark.parametrize("outside", [[2.0, 0.0], [0.9, 0.0]], ids=["beyond-unit", "beyond-R~"])
+    @pytest.mark.parametrize(
+        "outside", [[2.0, 0.0], [0.9, 0.0], [math.nan, 0.0]], ids=["beyond-unit", "beyond-R~", "nan"]
+    )
     def test_refuses_points_outside_the_ball(self, outside):
         # H^2 pole frame, R = 1, R~ = tanh 1 = 0.762.  Unchecked, the lift
-        # clamps 1 - |x~|^2 < 0 and [2, 0] read 691.87, [0.9, 0] 1.472.
+        # clamps 1 - |x~|^2 < 0 and [2, 0] read 691.87, [0.9, 0] 1.472;
+        # pullback_gradient read them as [nan, nan] and [1.207, 0.459], and
+        # a NaN coordinate passed every ball test.  The ball rule refuses all.
         frame = make_frame(pole(2, CurvatureClass.hyperbolic()), 1.0)
         origin = [0.0, 0.0]
         for xt, yt in ((outside, origin), (origin, outside), ([origin, outside], [origin, origin])):
             with pytest.raises(GeometryError, match="exceed the frame radius"):
                 mapped_distance(frame, xt, yt)
+        x, g = from_ball(frame, [0.5, 0.0]), np.array([0.1, 0.2, 0.0])
+        for call in (
+            lambda: from_ball(frame, outside),
+            lambda: from_ball(frame, [origin, outside]),
+            lambda: pullback_gradient(frame, x, g, xt=outside),
+            lambda: pullback_gradient(frame, np.stack([x, x]), np.stack([g, g]), xt=[[0.5, 0.0], outside]),
+        ):
+            with pytest.raises(GeometryError, match="exceed the frame radius"):
+                call()
         edge = [frame.R_tilde + 0.5 * BALL_TOL, 0.0]
         assert mapped_distance(frame, edge, origin) == pytest.approx(1.0, abs=1e-8)
 

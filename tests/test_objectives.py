@@ -361,18 +361,24 @@ class TestClosedFormMapping:
                     assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want], name
 
     def test_point_beyond_radius_raises(self, space):
+        # A NaN coordinate fails the ball test too, in closed form and in the chain.
         center, objs = self.objectives(space, 3)
         frame = make_frame(center, 1.0)
+        F = objs["frechet"]
+
+        class Chain(ManifoldObjective):
+            value_c, grad_c = F.value_c, F.grad_c
+
         e = np.eye(3)[0]
-        for obj in objs.values():
+        for obj in (*objs.values(), Chain()):
             fmap = MappedObjective(obj, frame)
             fmap.value_and_grad((frame.R_tilde + 0.5 * BALL_TOL) * e)
-            beyond = (frame.R_tilde + 2 * BALL_TOL) * e
-            for call in (fmap.value, fmap.value_many, fmap.grad, fmap.value_and_grad):
+            for beyond in ((frame.R_tilde + 2 * BALL_TOL) * e, np.array([np.nan, 0.0, 0.0])):
+                for call in (fmap.value, fmap.value_many, fmap.grad, fmap.value_and_grad):
+                    with pytest.raises(GeometryError):
+                        call(beyond)
                 with pytest.raises(GeometryError):
-                    call(beyond)
-            with pytest.raises(GeometryError):
-                fmap.grad(np.stack([np.zeros(3), beyond]))
+                    fmap.grad(np.stack([np.zeros(3), beyond]))
 
     def test_library_objective_skips_the_chain(self, space, rng, monkeypatch):
         center, objs = self.objectives(space, 3)
