@@ -267,7 +267,7 @@ def run(f, params, x0_tilde, trace=None):
     IterationRecord per iteration; the solver itself performs no I/O.
     """
     x0 = np.asarray(x0_tilde, dtype=float)
-    if np.linalg.norm(x0) > params.R_tilde + 1e-9:
+    if not np.linalg.norm(x0) <= params.R_tilde + 1e-9:  # NaN fails too
         raise ValueError("start point lies outside the feasible ball")
     a, eps_hat = params.a, params.eps_hat
     state = SolverState.initial(x0)

@@ -8,8 +8,8 @@ Subcommands:
   bench verify [--samples N] [--seed N]
 
 Config files are flat ``key=value`` lines with ``#`` comments; CLI flags
-override file values.  Each run writes one CSV row per traced iteration
-with the schema
+override file values.  Each run streams one CSV row per traced iteration,
+as it is traced, to a file that replaces its output when the run ends:
 
   iter,grad_evals,f_gap,dist_to_opt,lambda,gamma_hat,wall_ns
 
@@ -71,8 +71,9 @@ MAX_HYPERBOLIC_R = math.acosh(math.sqrt(1e-2 / np.finfo(float).eps))
 # (samples, 11) floats, 11 being the largest checked dimension plus one.
 # These are upper bounds: building an instance peaked at about 27 vectors,
 # 5 anchor copies and 300 bytes per point under tracemalloc, and a verify
-# cell at about 12 arrays.  A reduction's round records add a d-vector
-# per iteration on top, which no size cap can bound.
+# cell at about 12 arrays.  A run streams its CSV rows and holds none, but
+# a traced reduction holds the iteration records of one round (restart_sc)
+# or stage (reduce_gc), a d-vector each, which no size cap can bound.
 MEMORY_BUDGET = 2**30
 VECTOR_BYTES, ANCHOR_COORD_BYTES, POINT_BYTES, SAMPLE_BYTES = 64 * 8, 16 * 8, 1024, 32 * 8 * 11
 MAX_VERIFY_SAMPLES = MEMORY_BUDGET // SAMPLE_BYTES
@@ -194,35 +195,9 @@ def _cast_field(key, value):
     return value
 
 
-class Row(NamedTuple):
-    iter: int
-    grad_evals: int
-    f_gap: float
-    dist_to_opt: float
-    lam: float
-    gamma_hat: float
-    wall_ns: int
-
-
 class RunReport(NamedTuple):
-    rows: list
-
-    @property
-    def total_evals(self):
-        return self.rows[-1].grad_evals
-
-    @property
-    def final_gap(self):
-        return self.rows[-1].f_gap
-
-    def write_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.iter},{r.grad_evals},{r.f_gap:.17g},{r.dist_to_opt:.17g},"
-                    f"{r.lam:.17g},{r.gamma_hat:.17g},{r.wall_ns}\n"
-                )
+    total_evals: int
+    final_gap: float
 
 
 class Instance(NamedTuple):
@@ -333,28 +308,53 @@ def _plan(cfg, inst):
 
 
 def run_experiment(cfg, instance=None):
+    """Run ``cfg`` and return its RunReport, holding no trace.
+
+    With ``cfg.output``, each CSV row streams as it is made to a temporary
+    file beside the output, made before the solve, which replaces the output
+    when the run ends; a run that fails removes it and leaves the output as
+    it was.
+    """
     cfg.validate()
     inst = instance or build_instance(cfg)
     start = _plan(cfg, inst)
+    if not cfg.output:
+        return _trace_run(cfg, inst, start, None)
+    tmp = f"{cfg.output}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", newline="\n")
+    try:
+        with fh:
+            fh.write(CSV_HEADER + "\n")
+            report = _trace_run(cfg, inst, start, fh)
+        os.replace(tmp, cfg.output)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return report
+
+
+def _trace_run(cfg, inst, start, fh):
+    """Solve ``cfg`` from its plan ``start``, writing each CSV row to ``fh``, if given, as it is made."""
     t0 = time.perf_counter_ns()
-    rows = []
-    spent = 0
+    last, count, spent = None, 0, 0
 
     def row(i, evals, x, f_value, lam, gamma_hat):
-        gap = max(f_value - inst.f_star, 0.0)
-        dist = float(distance(x, inst.x_star.coords, inst.x0.space.sign))
-        wall = time.perf_counter_ns() - t0 if cfg.timing else 0
-        rows.append(Row(i, evals, gap, dist, lam, gamma_hat, wall))
+        nonlocal last
+        last = RunReport(evals, max(f_value - inst.f_star, 0.0))
+        if fh is not None:
+            dist = float(distance(x, inst.x_star.coords, inst.x0.space.sign))
+            wall = time.perf_counter_ns() - t0 if cfg.timing else 0
+            fh.write(f"{i},{evals},{last.final_gap:.17g},{dist:.17g},{lam:.17g},{gamma_hat:.17g},{wall}\n")
 
     def on_rounds(rounds):
         # Gaps are taken on the instance objective: the records of a
         # regularization stage hold values of the regularized objective.
-        nonlocal spent
+        nonlocal count, spent
         for rt in rounds:
             for rec in rt.records:
                 x = from_ball(rt.frame, rec.x)
-                f_value = float(inst.objective.value_c(x))
-                row(len(rows) + 1, spent + rec.grad_evals, x, f_value, rec.lam, rec.gamma_hat)
+                count += 1
+                row(count, spent + rec.grad_evals, x, float(inst.objective.value_c(x)), rec.lam, rec.gamma_hat)
             spent += rt.grad_evals
 
     if cfg.solver == "axgd":
@@ -374,11 +374,7 @@ def run_experiment(cfg, instance=None):
         solve_strongly_gconvex(start, inst.x0, inst.R, cfg.epsilon, trace=lambda rt: on_rounds([rt]))
     else:
         solve_gconvex_via_sc(start, inst.x0, inst.R, cfg.epsilon, trace=lambda st: on_rounds(st.rounds))
-
-    report = RunReport(rows)
-    if cfg.output:
-        report.write_csv(cfg.output)
-    return report
+    return last
 
 
 def fit_rate_exponent(series, deflate_log=True):
@@ -412,7 +408,8 @@ def run_sweep(cfg, key, values, output_dir):
     """
     if not values:
         raise ConfigError(f"{key}: the sweep needs at least one value")
-    points = [replace(cfg, output=None, **{key: v}).validate() for v in values]
+    prefix = os.path.join(output_dir, cfg.solver + {"epsilon": "_eps", "condition": "_cond"}[key])
+    points = [replace(cfg, output=f"{prefix}{v:g}.csv", **{key: v}).validate() for v in values]
     if len(values) >= 4 and max(values) / min(values) < 100.0:
         raise ConfigError(f"{key}: a sweep of 4 or more points must span at least two decades")
     # The condition sets the declared L, so only an epsilon sweep shares one instance.
@@ -421,12 +418,8 @@ def run_sweep(cfg, key, values, output_dir):
     for point, inst in zip(points, instances):
         _plan(point, inst)
     os.makedirs(output_dir, exist_ok=True)
-    tag = {"epsilon": "eps", "condition": "cond"}[key]
-    series = []
-    for value, point, inst in zip(values, points, instances):
-        report = run_experiment(point, instance=inst)
-        report.write_csv(os.path.join(output_dir, f"{cfg.solver}_{tag}{value:g}.csv"))
-        series.append((value, report.total_evals, report.final_gap))
+    runs = zip(values, points, instances)
+    series = [(value, *run_experiment(point, instance=inst)) for value, point, inst in runs]
     summary = os.path.join(output_dir, f"{cfg.solver}_summary.csv")
     with open(summary, "w", newline="\n") as fh:
         fh.write(f"{key},grad_evals,f_gap\n")

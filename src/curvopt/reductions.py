@@ -18,10 +18,10 @@ first solve, and one planner lists each schedule:
 
 Each solver iterates over what ``plan_strongly_gconvex`` or
 ``plan_gconvex_via_sc`` returns, and callers may plan a run with them too.
-Both refuse, with one ``ValueError`` naming epsilon, an epsilon below the
-float64 floor eps_machine |F(x0)| and a plan that sums to more than
-``axgd.MAX_ITERATIONS`` iterations.  A single round above that cap already
-fails while planning, with ``axgd.BudgetError``.
+Both refuse an epsilon below the float64 floor eps_machine |F(x0)|, with
+one ``ValueError`` naming epsilon, and a plan that sums to more than
+``axgd.MAX_ITERATIONS`` iterations, with ``axgd.BudgetError``, as a single
+round above that cap already does while planning.
 """
 
 from __future__ import annotations
@@ -77,18 +77,16 @@ def _refuse_below_floor(F, x0, epsilon):
         )
 
 
-def _refuse_above_cap(n, epsilon):
+def _refuse_above_cap(n):
     if n > axgd.MAX_ITERATIONS:
-        raise ValueError(
-            f"epsilon = {epsilon:g} needs at least {n:.3g} iterations, over {axgd.MAX_ITERATIONS:.0e}"
-        )
+        raise axgd.BudgetError(f"the plan needs at least {n:.3g} iterations, over {axgd.MAX_ITERATIONS:.0e}")
 
 
 def plan_strongly_gconvex(F, x0, R, epsilon, recenter):
     """The ``restart_plan`` a ``solve_strongly_gconvex`` run follows, or the error that refuses it."""
     _refuse_below_floor(F, x0, epsilon)
     plan = restart_plan(F.space.sign, F.smoothness, F.strong_convexity, R, epsilon, recenter)
-    _refuse_above_cap(sum(params.t for _, params in plan), epsilon)
+    _refuse_above_cap(sum(params.t for _, params in plan))
     return plan
 
 
@@ -110,7 +108,7 @@ def solve_strongly_gconvex(F, x0, R, epsilon, recenter=True, trace=None):
     the geodesic map is rebuilt at each round's output with the radius
     shrunk by 1/sqrt(2), which requires F to be evaluable slightly outside
     the original ball.  The run follows ``restart_plan``, whose iteration
-    count is exact.
+    count is exact.  A round's records are kept only to pass to ``trace``.
     """
     plan = plan_strongly_gconvex(F, x0, R, epsilon, recenter)
     x, frame = x0, None if recenter else make_frame(x0, R)
@@ -119,7 +117,8 @@ def solve_strongly_gconvex(F, x0, R, epsilon, recenter=True, trace=None):
             frame = make_frame(x, R_frame)
         start = np.zeros(frame.d) if recenter else to_ball(frame, x)
         records = []
-        xt = axgd.run(MappedObjective(F, frame), params, start, trace=records.append)
+        traced = None if trace is None else records.append
+        xt = axgd.run(MappedObjective(F, frame), params, start, trace=traced)
         x = AmbientPoint(from_ball(frame, xt), F.space)
         if trace is not None:
             trace(RoundTrace(frame, params, records, x))
@@ -225,7 +224,7 @@ def plan_gconvex_via_sc(F, x0, R, epsilon, recenter):
     """The regularization plan a ``solve_gconvex_via_sc`` run follows, or the error that refuses it."""
     _refuse_below_floor(F, x0, epsilon)
     plan = make_regularization_plan(F.space, R, 2.0 * F.smoothness * R * R, epsilon)
-    _refuse_above_cap(planned_lower_bound(F, x0, R, plan, recenter), epsilon)
+    _refuse_above_cap(planned_lower_bound(F, x0, R, plan, recenter))
     return plan
 
 
@@ -240,6 +239,7 @@ def solve_gconvex_via_sc(F, x0, R, epsilon, recenter=True, trace=None):
     F_i: x*_i lies within R of x0, and within sqrt(2 g_i / sc_i) of any
     point of F_i gap at most g_i.  The run is refused before the first
     stage when ``planned_lower_bound`` exceeds ``axgd.MAX_ITERATIONS``.
+    A stage's rounds are kept only to pass to ``trace``.
     """
     plan = plan_gconvex_via_sc(F, x0, R, epsilon, recenter)
     x = x0
@@ -248,7 +248,8 @@ def solve_gconvex_via_sc(F, x0, R, epsilon, recenter=True, trace=None):
         if F.space.sign == SPHERICAL and R_stage >= math.pi / 2:
             raise GeometryError("stage ball cannot stay inside an open hemisphere; reduce R")
         rounds = []
-        x = solve_strongly_gconvex(F_i, x, R_stage, eps_i, recenter=recenter, trace=rounds.append)
+        traced = None if trace is None else rounds.append
+        x = solve_strongly_gconvex(F_i, x, R_stage, eps_i, recenter=recenter, trace=traced)
         if trace is not None:
             trace(StageTrace(F_i.mu_i, rounds, x))
     return x

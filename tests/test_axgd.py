@@ -341,6 +341,11 @@ class TestRunInvariants:
         with pytest.raises(ValueError):
             axgd.run(f, quad_params(), np.array([2.0]))
 
+    def test_nan_start_rejected(self):
+        f = Quadratic(2.0, [0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="start point lies outside the feasible ball"):
+            axgd.run(f, quad_params(), np.array([math.nan, 0.0]))
+
     @pytest.mark.parametrize("sign,R", [(-1, 1.0), (1, 1.1)])
     def test_convergence_bound_at_every_budget(self, sign, R):
         # The schedule guarantee must hold for any iteration count t, with

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,14 +121,23 @@ class TestConfig:
             build_instance(cfg)
 
 
+def _csv_rows(cfg, tmp_path, instance=None):
+    """Run ``cfg`` with an output in ``tmp_path``; return its report and its CSV rows as dicts."""
+    cfg = replace(cfg, output=str(tmp_path / "trace.csv"))
+    report = run_experiment(cfg, instance=instance)
+    header, *lines = (tmp_path / "trace.csv").read_text().splitlines()
+    keys = header.split(",")
+    return report, [dict(zip(keys, map(float, line.split(",")))) for line in lines]
+
+
 class TestRunExperiment:
-    def test_axgd_report(self):
+    def test_axgd_report(self, tmp_path):
         cfg = ExperimentConfig(epsilon=1e-3, seed=5)
-        report = run_experiment(cfg)
+        report, rows = _csv_rows(cfg, tmp_path)
         assert report.final_gap <= 1e-3
-        assert report.rows[0].iter == 1
-        assert report.total_evals == report.rows[-1].grad_evals
-        assert all(r.f_gap >= 0 for r in report.rows)
+        assert rows[0]["iter"] == 1
+        assert report.total_evals == rows[-1]["grad_evals"]
+        assert all(r["f_gap"] >= 0 for r in rows)
 
     def test_csv_schema(self, tmp_path):
         cfg = ExperimentConfig(epsilon=1e-2, seed=5, output=str(tmp_path / "out.csv"))
@@ -138,6 +148,32 @@ class TestRunExperiment:
         assert len(first) == 7
         assert first[-1] == "0"  # deterministic wall column by default
         float(first[2]), float(first[3])
+
+    def test_missing_output_directory_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(axgd, "run", _no_solve)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["run", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "No such file" in err, err
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_run_leaves_the_existing_output(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_text("earlier trace\n")
+        monkeypatch.setattr(axgd, "binary_line_search", _exhausted_line_search)
+        assert main(["run", "--epsilon", "1e-2", "--output", str(out)]) == 2
+        assert "line-search" in capsys.readouterr().err
+        assert out.read_text() == "earlier trace\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_run_streams_its_rows_without_holding_them(self, tmp_path):
+        # 8221 rows, which took 2.3 MB when a run held them until its end.
+        cfg = ExperimentConfig(weights="random", seed=20240, epsilon=1e-4, output=str(tmp_path / "out.csv"))
+        inst = build_instance(cfg)
+        report, peak = _traced_peak(run_experiment, cfg, inst)
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert int(lines[-1].split(",")[1]) == report.total_evals
+        assert peak < 0.5e6
 
     def test_rgd_budget_regimes(self):
         cfg = ExperimentConfig(seed=5)
@@ -189,12 +225,12 @@ class TestRunExperiment:
 
 class TestRows:
     @pytest.mark.parametrize("solver", ["restart_sc", "reduce_gc"])
-    def test_reduction_rows_count_evals_over_all_rounds(self, solver):
+    def test_reduction_rows_count_evals_over_all_rounds(self, solver, tmp_path):
         cfg = ExperimentConfig(solver=solver, epsilon=1e-3, seed=5)
         inst = build_instance(cfg)
-        rows = run_experiment(cfg, instance=inst).rows
-        assert [r.iter for r in rows] == list(range(1, len(rows) + 1))
-        evals = [r.grad_evals for r in rows]
+        _, rows = _csv_rows(cfg, tmp_path, instance=inst)
+        assert [r["iter"] for r in rows] == list(range(1, len(rows) + 1))
+        evals = [r["grad_evals"] for r in rows]
         assert evals == sorted(evals)
         rounds = []
         if solver == "restart_sc":
@@ -206,9 +242,9 @@ class TestRows:
         assert evals[-1] == sum(rt.grad_evals for rt in rounds)
 
     @pytest.mark.parametrize("solver", ["axgd", "rgd", "restart_sc", "reduce_gc"])
-    def test_timing_rows_have_positive_nondecreasing_wall(self, solver):
+    def test_timing_rows_have_positive_nondecreasing_wall(self, solver, tmp_path):
         cfg = ExperimentConfig(solver=solver, epsilon=1e-2, seed=5, timing=True)
-        wall = [r.wall_ns for r in run_experiment(cfg).rows]
+        wall = [r["wall_ns"] for r in _csv_rows(cfg, tmp_path)[1]]
         assert wall[0] > 0
         assert wall == sorted(wall)
 
@@ -347,7 +383,8 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-20\n", None, False, "epsilon = 1e-20 is below"),
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-30\n", None, False, "epsilon = 1e-30 is below"),
         (RUN, README_H2 + "solver = restart_sc\nepsilon = 1e-40\n", None, False, "epsilon = 1e-40 is below"),
-        (RUN, README_H2 + "R = 3\nsolver = reduce_gc\nepsilon = 1e-4\n", None, False, "epsilon = 0.0001 needs at least 3.21e+08"),
+        (RUN, README_H2 + "R = 3\nsolver = reduce_gc\nepsilon = 1e-4\n", None, False,
+         "error: epsilon = 0.0001, R = 3: the plan needs at least 3.21e+08 iterations"),
         (RUN, "solver = restart_sc\ntreat_gconvex = true\n", None, False, "restart reduction needs strictly positive"),
         (RUN, "anchor_count = 0\n", None, False, "anchor_count:"),
         (RUN, "anchor_count = -1\n", None, False, "anchor_count:"),
@@ -410,7 +447,8 @@ def test_bad_input_exits_2_with_one_error_line(
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert where.format(anchors=anchors_path) in err, err
-    assert not out.exists()
+    # Neither the output nor its temporary file is left, also after a failed solve.
+    assert {p.name for p in tmp_path.iterdir()} <= {"bad.cfg", "anchors.txt"}
 
 
 def test_sweep_fits_rgd_without_log_deflation(tmp_path, capsys):

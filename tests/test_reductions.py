@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvopt import AmbientPoint, CurvatureClass, GeometryError, pole, with_constants
+from curvopt import AmbientPoint, CurvatureClass, GeometryError, axgd, pole, with_constants
 from curvopt.baselines import reference_optimum
 from curvopt.bench import ExperimentConfig, build_instance
 from curvopt.manifolds import HYPERBOLIC, SPHERICAL, random_in_ball
@@ -209,6 +209,26 @@ class TestSolveGconvexViaSc:
         out = solve_gconvex_via_sc(Fg, center, 1.0, eps, trace=stages.append)
         assert len(stages) == 2
         assert Fg.value(out) - f_star <= eps
+
+    def test_untraced_run_keeps_no_records(self, monkeypatch):
+        # Without a trace, no round or stage passes a sink down to the solver.
+        sinks = []
+        run = axgd.run
+
+        def spy(f, params, x0, trace=None):
+            sinks.append(trace)
+            return run(f, params, x0, trace=trace)
+
+        monkeypatch.setattr(axgd, "run", spy)
+        space = CurvatureClass.hyperbolic()
+        center, F = frechet_instance(space, 2, 1.0, 4, seed=7, padding=0.75)
+        Fg = with_constants(F, strong_convexity=0.0)
+        untraced = solve_gconvex_via_sc(Fg, center, 1.0, 1e-3)
+        assert len(sinks) > 1 and sinks == [None] * len(sinks)
+        stages = []
+        traced = solve_gconvex_via_sc(Fg, center, 1.0, 1e-3, trace=stages.append)
+        assert np.array_equal(traced.coords, untraced.coords)
+        assert all(rt.records for st in stages for rt in st.rounds)
 
     def test_stage_constants_hold_on_samples(self):
         # Each stage's declared constants must satisfy the defining

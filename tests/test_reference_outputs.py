@@ -3,8 +3,11 @@
 A change that is meant to keep every trace as it is (a refactor, a leaner
 kernel) must leave these digests alone.  Each reference ``bench run``
 config is run in-process for every solver at epsilon = 1e-3 with random
-weights; its CSV trace and its stdout line are hashed.  ``bench verify
---samples 500`` is hashed on its stdout.  The digests were taken with
+weights; its CSV trace and its stdout line are hashed.  Two cheap sweeps,
+the README's ``rgd`` epsilon sweep on ``rate.cfg`` and a two-point
+``restart_sc`` condition sweep on ``cond.cfg``, are hashed on every file
+they write and on their stdout.  ``bench verify --samples 500`` is hashed
+on its stdout.  The digests were taken with
 numpy 2.4.6; a numpy that sums or rounds differently may move them, and
 then a change to the program is judged against a run of its parent on the
 same numpy.  A change to the algorithm on purpose regenerates them with
@@ -80,6 +83,38 @@ RUN_DIGESTS = {
         "b316c82d295b03c46aeb5fb9d2ac16da28c69eec4a20043bed3860905f986a0c",
     ),
 }
+# The README's sweep configs, and (config, sweep flags) per reference sweep.
+SWEEP_CONFIGS = {
+    "rate": "manifold = hyperbolic\nd = 2\nR = 1.0\nanchor_count = 5\nweights = random\n"
+    "treat_gconvex = true\nseed = 20240\n",
+    "cond": "manifold = hyperbolic\nd = 2\nR = 1.0\nanchor_count = 5\nweights = random\n"
+    "seed = 20240\nepsilon = 1e-6\n",
+}
+SWEEPS = {
+    "rate_rgd": ("rate", ["--solver", "rgd", "--epsilons", "1e-2,1e-3,1e-4,1e-5"]),
+    "cond_restart_sc": ("cond", ["--solver", "restart_sc", "--conditions", "10,100"]),
+}
+# sweep -> ({file name: sha256 of the file}, sha256 of the stdout)
+SWEEP_DIGESTS = {
+    "cond_restart_sc": (
+        {
+            "restart_sc_cond10.csv": "78c169f11d21c2b99f8042f630261a99286b2cfd62ff97313dcbd922d4b75991",
+            "restart_sc_cond100.csv": "2acba4cc9849f66a25dc2ba7183d3405d72a2d595771916554d18cc37c6219fb",
+            "restart_sc_summary.csv": "86f2e6142e829c72aebcd0cc0c827d2b70615f936e18967275ed6f99e3ed4087",
+        },
+        "55a234b9ca56898eee60e54ba700322f2e2a192c5fc0a84a073b021f9ac08f93",
+    ),
+    "rate_rgd": (
+        {
+            "rgd_eps0.0001.csv": "5cb24ef9ab471c78e7b10d2d4a1219e144410f5670936f58bef24c510ebea29c",
+            "rgd_eps0.001.csv": "773858123a1a01334eb72592cbca2c4881aaacb6275f2a2b5c764d5ff0ee7251",
+            "rgd_eps0.01.csv": "e7d47cb25c9a18da38e1c9fcfa19213f19a6b271e9405fffee83231b9a0c509f",
+            "rgd_eps1e-05.csv": "1195bf64e2ee91eb0129718a686f0d9b756a33145cbf04bd75ae35af970ffe74",
+            "rgd_summary.csv": "a67ad85e189ba463c1e9e75022578142c4a9cf3f14dc73b0824d7434559d4069",
+        },
+        "df26a9aa9bafd72267d4326bb2ba9cc6e19b7461f6b4d8f6ac6733921365c411",
+    ),
+}
 VERIFY_DIGEST = "ad195fb8e487256d3e1b79c86e3f6281133b529691975a500544d5fa69c20d4c"
 
 
@@ -103,6 +138,16 @@ def run_digests(config, solver, tmp_path, capsys):
     return _sha(csv.read_bytes()), _sha(out)
 
 
+def sweep_digests(sweep, tmp_path, capsys):
+    config, flags = SWEEPS[sweep]
+    cfg = tmp_path / f"{config}.cfg"
+    cfg.write_text(SWEEP_CONFIGS[config])
+    out_dir = tmp_path / sweep
+    code, out = _bench(["sweep", "--config", str(cfg), *flags, "--output-dir", str(out_dir)], capsys)
+    assert code == 0
+    return {f.name: _sha(f.read_bytes()) for f in sorted(out_dir.iterdir())}, _sha(out)
+
+
 def verify_digest(capsys):
     code, out = _bench(["verify", "--samples", "500"], capsys)
     assert code == 0
@@ -113,6 +158,11 @@ def verify_digest(capsys):
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_run_outputs_keep_their_bytes(config, solver, tmp_path, capsys):
     assert run_digests(config, solver, tmp_path, capsys) == RUN_DIGESTS[config, solver]
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_sweep_outputs_keep_their_bytes(sweep, tmp_path, capsys):
+    assert sweep_digests(sweep, tmp_path, capsys) == SWEEP_DIGESTS[sweep]
 
 
 def test_verify_output_keeps_its_bytes(capsys):
@@ -143,9 +193,17 @@ if __name__ == "__main__":
             for config in sorted(CONFIGS)
             for solver in SOLVERS
         }
+        sweeps = {sweep: sweep_digests(sweep, pathlib.Path(tmp), capture) for sweep in sorted(SWEEPS)}
         verify = verify_digest(capture)
     print("RUN_DIGESTS = {")
     for (config, solver), (csv, out) in table.items():
         print(f'    ("{config}", "{solver}"): (\n        "{csv}",\n        "{out}",\n    ),')
+    print("}")
+    print("SWEEP_DIGESTS = {")
+    for sweep, (files, out) in sweeps.items():
+        print(f'    "{sweep}": (\n        {{')
+        for name, sha in files.items():
+            print(f'            "{name}": "{sha}",')
+        print(f'        }},\n        "{out}",\n    ),')
     print("}")
     print(f'VERIFY_DIGEST = "{verify}"')
