@@ -79,7 +79,8 @@ class SolverParams:
 
 
 # Larger certified budgets come from configs no run can finish (hyperbolic
-# R = 15 certifies 2.1e37 axgd iterations); tests spend at most ~1.05e7.
+# R = 15 certifies 5.4e22 axgd iterations at epsilon = 1e-2); tests spend at
+# most ~1.05e7.
 MAX_ITERATIONS = 10**8
 
 

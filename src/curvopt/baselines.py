@@ -43,10 +43,12 @@ def rgd_run(F, x0, R, params, trace=None):
 
     The step is a pure function of x, so once an update returns x bit for
     bit (or the gradient is exactly zero) every later iteration repeats
-    this one: the run emits the remaining stride records and the final
-    record of the full budget, all with the one value, and returns without
-    computing them.  A record's ``grad_evals`` is then k + 1, the evals the
-    certified-budget method counts, not the oracle calls made.
+    this one, and once it returns the state of the step before, as clipped
+    iterates on the rim can, the later iterations alternate between those
+    two.  The run then emits the remaining stride records and the final
+    record of the full budget from the repeating states, and returns
+    without computing them.  A record's ``grad_evals`` is then k + 1, the
+    evals the certified-budget method counts, not the oracle calls made.
     """
     sign = F.space.sign
     center = x0.coords
@@ -62,7 +64,9 @@ def rgd_run(F, x0, R, params, trace=None):
     grad_c, value_c = F.grad_c, F.value_c
     step, last, tol, stride = params.step, params.max_iters, params.tol_grad, params.trace_stride
     x = x0.coords
-    prev = x.tobytes()  # bytes, not ==, so that -0.0 and 0.0 differ as they do to the step
+    # Bytes, not ==, so that -0.0 and 0.0 differ as they do to the step: those
+    # of x_k and x_{k-1}, and the gradient norm at x_{k-1}.
+    here, back, gn_back = x.tobytes(), None, None
     for k in range(last + 1):
         g = grad_c(x)
         sq = float(g.dot(g))
@@ -77,6 +81,7 @@ def rgd_run(F, x0, R, params, trace=None):
             trace(RgdRecord(k, x.copy(), float(value_c(x)), gn, k + 1))
         if stop:
             break
+        x_k = x
         if gn != 0.0:
             t = step * gn
             if sign < 0:
@@ -90,15 +95,19 @@ def rgd_run(F, x0, R, params, trace=None):
                 u = log_map(center, x, sign)
                 un = float(norm(u, sign))
                 x = exp_map(center, (R / un) * u, sign)
-            cur = x.tobytes()
-            if cur != prev:
-                prev = cur
+            nxt = x.tobytes()
+            if nxt != here and nxt != back:
+                here, back, gn_back = nxt, here, gn
                 continue
-        # A fixed point: iterations k + 1, ..., last would repeat iteration k.
+        # x_{k+1} is x_k, or x_{k-1} (then the states alternate from here).
+        # Iteration j > k starts from cycle[(j - k) mod len(cycle)].
+        cycle = ((x_k, gn),) if x is x_k or nxt == here else ((x_k, gn), (x, gn_back))
         if trace is not None:
-            f = float(value_c(x))
+            f = [float(value_c(s)) for s, _ in cycle]
             for j in (*range((k // stride + 1) * stride, last, stride), last):
-                trace(RgdRecord(j, x.copy(), f, gn, j + 1))
+                i = (j - k) % len(cycle)
+                trace(RgdRecord(j, cycle[i][0].copy(), f[i], cycle[i][1], j + 1))
+        x = cycle[(last - k) % len(cycle)][0]
         break
     return AmbientPoint(x, F.space)
 

@@ -185,7 +185,10 @@ def check_directional_ratio(sign, d, R, n, rng):
     """Sandwich gamma_p <= <grad F, Exp^-1 y> / <grad f, y~ - x~> <= 1/gamma_n.
 
     Also reports the extreme observed ratios, for the non-vacuousness
-    comparison against the closed-form constants.
+    comparison against the closed-form constants.  On the hyperboloid those
+    are the exact extremes of the ratio over the ball, moved outward by
+    ``geomap.RATIO_MARGIN``, so samples approach them from inside; on the
+    sphere they bound each distortion factor on its own.
     """
     frame = _cell_frame(sign, d, R)
     dc = deformation_constants_for(sign, R, 1.0)

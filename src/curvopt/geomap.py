@@ -249,15 +249,102 @@ class DeformationConstants(NamedTuple):
     dist_hi: float
 
 
+# Relative amount by which the hyperbolic ratio extremes are widened: it
+# covers the rounding of their evaluation, under 8 ulps (1.8e-15) with a
+# libm accurate to 2 ulps, with room for a less accurate one.
+RATIO_MARGIN = 1e-13
+
+
+def _ratio_extreme(R, side):
+    """delta / sinh(delta) * (cosh(delta - R) / cosh R)^side at its extreme over [0, 2R].
+
+    With q = ln(delta / sinh delta), q' = 1/delta - coth(delta) falls
+    strictly from 0 to -1, and the log-derivative is q' + side tanh(delta - R).
+
+    - side = -1 (a maximum): the log-derivative falls strictly, from tanh R
+      at 0 to q'(R) < 0 at R, so its one root lies in (0, R).
+    - side = +1 (a minimum): the log-derivative is negative on (0, R], where
+      both terms are, and 1/(2R) - 1/sinh(2R) > 0 at 2R.  At any root,
+      tanh(delta - R) = -q' gives the second derivative
+      q'' + sech^2(delta - R) = (2/delta)(coth(delta) - 1/delta) > 0, so
+      every root is a strict local minimum and there is one, in (R, 2R).
+
+    Bisection on the sign of the log-derivative inside that bracket ends at
+    adjacent floats and never evaluates delta = 0, where 1/delta - coth(delta)
+    vanishes only as a limit.  The value returned is the ratio at the delta
+    found, which an actual configuration attains, so the only errors of the
+    extreme are the rounding of that value and the second-order cost of
+    missing the root, which is far smaller.
+    """
+    lo, hi = (R, 2.0 * R) if side > 0 else (0.0, R)
+    while True:
+        delta = 0.5 * (lo + hi)
+        if delta <= lo or delta >= hi:
+            break
+        if side * (1.0 / delta - 1.0 / math.tanh(delta) + side * math.tanh(delta - R)) < 0.0:
+            lo = delta
+        else:
+            hi = delta
+    return delta / math.sinh(delta) * (math.cosh(delta - R) / math.cosh(R)) ** side
+
+
 def deformation_constants_for(sign, R, L):
+    """Worst-case distortion constants of the radius-R ball for an L-smooth objective.
+
+    On the hyperboloid gamma_p and 1/gamma_n are the exact extremes over
+    x, y in the ball of the directional ratio
+
+        rho = <grad F(x), Log_x y> / <grad f(x~), y~ - x~>,
+
+    each moved outward by the relative ``RATIO_MARGIN`` and capped at 1:
+
+    - rho does not depend on F.  With J the Jacobian of from_ball at x~,
+      grad f = J^T grad F, and J (y~ - x~) is a positive multiple of
+      Log_x y because the map sends geodesics to lines.  So rho is
+      d(x, y) / (|y~ - x~| v(x~)), with v the metric speed of the chord
+      per unit of Euclidean length: the chord's mean speed over its speed
+      at x~.
+    - On a line at distance b from the centre, at position l along it, the
+      radial and tangential eigenvalues of the map give
+      v = sqrt(1 - b^2) / (1 - b^2 - l^2).  With l = sqrt(1 - b^2) tanh(s),
+      v dl = ds, and a chord from s0 (x) to s1 (y) has, with
+      delta = s1 - s0,
+
+          rho = (s1 - s0) / ((tanh s1 - tanh s0) cosh^2 s0)
+              = (delta / sinh delta) cosh s1 / cosh s0.
+
+      b drops out.  The chord stays in the ball exactly when
+      tanh^2 s <= (R~^2 - b^2) / (1 - b^2), which is largest, tanh^2 R,
+      at b = 0.  So the extremes of rho are those over s0, s1 in [-R, R],
+      and b = 0 (a chord through the centre) is the worst case.
+    - Inside that square, d ln rho / d s1 = q'(delta) + tanh s1 and
+      d ln rho / d s0 = -q'(delta) - tanh s0, q = ln(delta / sinh delta).
+      Both vanish only where tanh s0 = tanh s1, so delta = 0, and then
+      only at s0 = s1 = 0, where rho = 1.  The edges reach below and above
+      that, 2R / sinh(2R) at (-R, R) and R coth(R) at (0, R), so the
+      extremes lie on the edges.  As rho(s0, s1) = rho(-s0, -s1), two
+      edges remain: x on the rim (s0 = -R) gives
+      rho_A = (delta / sinh delta) cosh(delta - R) / cosh R, and y on the
+      rim (s1 = -R) gives rho_B = (delta / sinh delta) cosh R /
+      cosh(delta - R), both over delta in [0, 2R].  rho_B / rho_A =
+      cosh^2 R / cosh^2(delta - R) >= 1, so gamma_p = min rho_A and
+      1/gamma_n = max rho_B (``_ratio_extreme``).
+
+    At R = 1 this gives [0.51454, 1.36452], where bounding each distortion
+    factor on its own (cosh^-3 R, cosh^2 R) gives [0.2722, 2.3811].  The
+    squares of two radii nest, so gamma_p and gamma_n are nonincreasing in
+    R, and both tend to 1 as R goes to 0.  The spherical constants still
+    bound each distortion factor on its own.
+    """
     if L <= 0:
         raise GeometryError("smoothness constant must be positive")
     root44 = math.sqrt(44.0)
     if sign == HYPERBOLIC:
         ch = math.cosh(R)
+        shrink = 1.0 - RATIO_MARGIN
         return DeformationConstants(
-            gamma_n=ch**-2,
-            gamma_p=ch**-3,
+            gamma_n=min(1.0, shrink / _ratio_extreme(R, -1)),
+            gamma_p=min(1.0, shrink * _ratio_extreme(R, 1)),
             L_tilde=root44 * L * max(1.0, R) * ch**4,
             dist_lo=1.0,
             dist_hi=ch**2,

@@ -204,9 +204,12 @@ def planned_lower_bound(F, x0, R, plan, recenter):
     - round k's budget is t = ceil(sqrt(8 L~ R~^2 / (gamma_n^2 gamma_p eps_k)))
       with eps_k = sc_i R_k^2 / 4 and the map constants at the frame radius
       r, which is R_k, or R on a fixed frame (there R_k / R is fixed).  So
-      t^2 is a constant times max(1, r) cosh(r)^9 (sinh(r) / r)^2 on the
-      hyperboloid and max(1, r) (tan(r) / r)^2 / cos(r)^8 on the sphere
-      (r < pi/2): products of positive nondecreasing factors of r.
+      t^2 is a constant times max(1, r) cosh(r)^2 (sinh(r) / r)^2 /
+      (gamma_n^2 gamma_p) on the hyperboloid and max(1, r) (tan(r) / r)^2 /
+      cos(r)^8 on the sphere (r < pi/2): products of positive nondecreasing
+      factors of r.  On the hyperboloid gamma_n and gamma_p are extremes of
+      the directional ratio over nested domains, the squares [-r, r]^2 of
+      ``geomap.deformation_constants_for``, so both are nonincreasing in r.
 
     The upper bound sqrt(2 g_i / sc_i) is not planned with: on the sphere it
     can exceed pi/2, where the map constants are undefined.

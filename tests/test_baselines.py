@@ -174,6 +174,7 @@ class TestFixedPointExit:
             )
         assert got[-1].grad_evals == params.max_iters + 1
         assert len(calls) < params.max_iters // 10  # the exit was taken
+        return got
 
     @pytest.mark.parametrize("stride", [100, 7, 3000], ids=["divides", "does-not-divide", "budget"])
     def test_fixed_point_in_the_interior(self, stride):
@@ -193,6 +194,18 @@ class TestFixedPointExit:
         a = AmbientPoint(exp_map(center.coords, D * np.array([math.cos(2.0), math.sin(2.0), 0.0]), space.sign), space)
         F = FrechetObjective([a], [1.0], center, D)
         self.assert_same_run(F, center, 0.4, RgdParams(1.0 / F.smoothness, 1000, -1.0, 9))
+
+    @pytest.mark.parametrize("last,stride", [(3000, 7), (3001, 1)])
+    @pytest.mark.parametrize("theta,R", [(1.1, 0.4), (0.3, 0.5)])
+    def test_two_cycle_on_the_rim(self, theta, R, last, stride):
+        # H^2, one anchor 0.9 from the centre outside the R-ball: the clipped
+        # iterates settle into two states a few ulps apart, not a fixed point.
+        space = CurvatureClass.hyperbolic()
+        center = pole(2, space)
+        a = AmbientPoint(exp_map(center.coords, 0.9 * np.array([math.cos(theta), math.sin(theta), 0.0]), -1), space)
+        F = FrechetObjective([a], [1.0], center, 0.9)
+        got = self.assert_same_run(F, center, R, RgdParams(1.0 / F.smoothness, last, -1.0, stride))
+        assert len({r.x.tobytes() for r in got[len(got) // 2:]}) == 2  # the records alternate
 
 
 class TestReferenceOptimum:

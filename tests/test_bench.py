@@ -369,22 +369,23 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, "manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False, "R:"),
         (RUN, "curvature = 0\n", None, False, "curvature:"),
         (RUN, "epsilon = 1e-2\n", None, True, "line-search"),
-        # Certified budgets of 2.1e37 (axgd) and 3.3e8 (rgd) iterations.
-        (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 2.09e+37"),
+        # Certified budgets of 5.4e22 (axgd) and 3.3e8 (rgd) iterations.
+        (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 5.37e+22"),
         (RUN, "R = 15\nepsilon = 1e-3\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 3.34e+08"),
         # A single axgd run or restart round over the cap names the config values.
         (RUN, "R = 12\nepsilon = 1e-4\n", None, False,
-         "error: epsilon = 0.0001, R = 12: certified budget t = 1.14e+31"),
+         "error: epsilon = 0.0001, R = 12: certified budget t = 4.55e+19"),
         (RUN, "R = 12\nepsilon = 1e-4\nsolver = restart_sc\n", None, False,
-         "error: epsilon = 0.0001, R = 12: certified budget t = 2.3e+28"),
+         "error: epsilon = 0.0001, R = 12: certified budget t = 9.14e+16"),
         (RUN, "R = 1000\n", None, False, "R:"),
         # The README H^2 instance below the float64 floor (2.98e-17 there),
-        # and at R = 3, where reduce_gc needs at least 3.21e8 iterations.
+        # and at R = 4, epsilon = 1e-6, where reduce_gc needs at least 2.1e8
+        # iterations, though no round of that bound needs more than 6.0e7.
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-20\n", None, False, "epsilon = 1e-20 is below"),
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-30\n", None, False, "epsilon = 1e-30 is below"),
         (RUN, README_H2 + "solver = restart_sc\nepsilon = 1e-40\n", None, False, "epsilon = 1e-40 is below"),
-        (RUN, README_H2 + "R = 3\nsolver = reduce_gc\nepsilon = 1e-4\n", None, False,
-         "error: epsilon = 0.0001, R = 3: the plan needs at least 3.21e+08 iterations"),
+        (RUN, README_H2 + "R = 4\nsolver = reduce_gc\nepsilon = 1e-6\n", None, False,
+         "error: epsilon = 1e-06, R = 4: the plan needs at least 2.1e+08 iterations"),
         (RUN, "solver = restart_sc\ntreat_gconvex = true\n", None, False, "restart reduction needs strictly positive"),
         (RUN, "anchor_count = 0\n", None, False, "anchor_count:"),
         (RUN, "anchor_count = -1\n", None, False, "anchor_count:"),

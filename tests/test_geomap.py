@@ -1,4 +1,5 @@
 import math
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from curvopt import (
     AmbientPoint,
     CurvatureClass,
     GeometryError,
+    checks,
     pole,
 )
 from curvopt.geomap import (
@@ -373,14 +375,125 @@ class TestAngleDeformation:
         assert abs(sin_a**2 + cos_a**2 - 1.0) < 1e-12
 
 
+def _golden_extreme(f, a, b, sign, mp):
+    """sign * max of sign * f over (a, b) by golden-section search, for f with one interior extreme."""
+    g = (mp.sqrt(5) - 1) / 2
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = sign * f(c), sign * f(d)
+    for _ in range(400):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = sign * f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = sign * f(d)
+    return sign * max(fc, fd)
+
+
+def _ratio_reference(R):
+    """50-digit (gamma_p, 1/gamma_n) on the hyperboloid from the rim edges of the chord ratio.
+
+    With R~ = tanh R and S(u) = (R + atanh u) / (R~ + u) on (-R~, R~],
+    gamma_p = (1 - R~^2) min S and 1/gamma_n = max (1 - u^2) S(u).
+    """
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    R = mp.mpf(R)
+    Rt = mp.tanh(R)
+
+    def S(u):
+        return (R + mp.atanh(u)) / (Rt + u)
+
+    lo = _golden_extreme(lambda u: (1 - Rt**2) * S(u), -Rt, Rt, -1, mp)
+    hi = _golden_extreme(lambda u: (1 - u**2) * S(u), -Rt, Rt, 1, mp)
+    return lo, hi
+
+
+def _chord_ratio(R, b, l0, l1):
+    """d(x, y) / (|y~ - x~| v(x~)) on the H^2 pole frame for x~ = (l0, b), y~ = (l1, b).
+
+    v(x~) is the metric speed of from_ball along the chord, from the
+    derivative of p = (x~, 1) / sqrt(1 - |x~|^2); the frame is the identity.
+    """
+    frame = make_frame(pole(2, CurvatureClass.hyperbolic()), R)
+    xt = np.stack([l0, b], axis=-1)
+    yt = np.stack([l1, b], axis=-1)
+    e = np.sign(l1 - l0)[..., None] * np.array([1.0, 0.0])
+    s2 = 1.0 - (xt * xt).sum(-1, keepdims=True)
+    p_dot = np.concatenate([e, np.zeros_like(s2)], -1) / np.sqrt(s2) + np.concatenate(
+        [xt, np.ones_like(s2)], -1
+    ) * (xt * e).sum(-1, keepdims=True) / s2**1.5
+    speed = np.sqrt(np.maximum(inner(p_dot, p_dot, HYPERBOLIC), 0.0))
+    d = distance(from_ball(frame, xt), from_ball(frame, yt), HYPERBOLIC)
+    return d / (np.abs(l1 - l0) * speed)
+
+
 class TestDeformationConstants:
+    @pytest.mark.parametrize("R", [1e-6, 0.3, 1.0, 1.5, 3.0, 9.0, 16.4])
+    def test_hyperbolic_ratio_extremes_match_references(self, R):
+        dc = deformation_constants_for(HYPERBOLIC, R, 2.0)
+        lo, hi = _ratio_reference(R)
+        assert dc.gamma_p == pytest.approx(float(lo), rel=1e-12)
+        assert 1.0 / dc.gamma_n == pytest.approx(float(hi), rel=1e-12)
+        # Moved outward, never inward, by the margin.
+        assert dc.gamma_p <= lo and 1.0 / dc.gamma_n >= hi
+
     def test_hyperbolic_r1(self):
         dc = deformation_constants_for(HYPERBOLIC, 1.0, 2.0)
-        assert dc.gamma_p == pytest.approx(COSH1**-3, abs=1e-15)
-        assert dc.gamma_n == pytest.approx(COSH1**-2, abs=1e-15)
+        assert dc.gamma_p == pytest.approx(0.51454, abs=5e-6)
+        assert 1.0 / dc.gamma_n == pytest.approx(1.36452, abs=5e-6)
         assert dc.dist_lo == 1.0
         assert dc.dist_hi == pytest.approx(COSH1**2, abs=1e-15)
         assert dc.L_tilde == pytest.approx(math.sqrt(44.0) * 2.0 * COSH1**4, rel=1e-12)
+
+    @pytest.mark.parametrize("R", [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 9.0, 16.4])
+    def test_hyperbolic_not_below_the_per_factor_bounds(self, R):
+        # The paper's constants bound each distortion factor on its own.  Below
+        # R of about 4e-7, RATIO_MARGIN (1e-13) exceeds the gap between them.
+        dc = deformation_constants_for(HYPERBOLIC, R, 1.0)
+        assert math.cosh(R) ** -3 <= dc.gamma_p <= 1.0
+        assert math.cosh(R) ** -2 <= dc.gamma_n <= 1.0
+
+    @pytest.mark.parametrize("R", [0.3, 1.0, 1.5, 3.0])
+    def test_hyperbolic_bounds_every_chord(self, R, rng):
+        # Random chords (b, l0, l1) of the ball, biased toward chords near the
+        # centre with ends on the rim, then the two rim edges of chords
+        # through the centre, all measured through the maps.
+        dc = deformation_constants_for(HYPERBOLIC, R, 1.0)
+        Rt = math.tanh(R)
+        n = 20_000
+        b = Rt * rng.uniform(0.0, 1.0, n) ** 2
+        half = np.sqrt(Rt**2 - b**2)
+        l0, l1 = (half * np.clip(rng.uniform(-1.3, 1.3, (2, n)), -1.0, 1.0))
+        keep = np.abs(l1 - l0) > 1e-6
+        rho = _chord_ratio(R, b[keep], l0[keep], l1[keep])
+        assert np.all(rho >= dc.gamma_p * (1 - 1e-9)) and np.all(rho <= (1 + 1e-9) / dc.gamma_n)
+        lo, hi = _ratio_reference(R)
+        assert rho.min() > lo and rho.max() < hi
+        # The extremes come from chords of the edge formulas: x on the rim
+        # (l0 = -R~), and y on the rim (l1 = -R~), found here by a grid.
+        u = np.tanh(np.linspace(-R, R, 20_001)[1:])
+        rim = np.full_like(u, -Rt)
+        zero = np.zeros_like(u)
+        assert _chord_ratio(R, zero, rim, u).min() == pytest.approx(float(lo), rel=1e-6)
+        assert _chord_ratio(R, zero, u, rim).max() == pytest.approx(float(hi), rel=1e-6)
+
+    def test_hyperbolic_directional_ratio_sandwich(self):
+        # check_directional_ratio at 10x run_grid's default samples on the H cells.
+        rng = np.random.default_rng(7)
+        for d in checks.DEFAULT_DIMS:
+            for R in dict(checks.DEFAULT_GRID)[HYPERBOLIC]:
+                res = checks.check_directional_ratio(HYPERBOLIC, d, R, 20_000, rng)
+                assert res.ok, res
+                assert res.bounds[0] <= res.extremes[0] and res.extremes[1] <= res.bounds[1]
+
+    def test_hyperbolic_call_cost(self):
+        # Pure float arithmetic, two bisections: about 30 us a call, asserted
+        # with room for a slow host.
+        best = min(timeit.repeat(lambda: deformation_constants_for(HYPERBOLIC, 1.0, 1.0), number=200, repeat=5))
+        assert best / 200 < 1e-3
 
     def test_spherical_r1(self):
         dc = deformation_constants_for(SPHERICAL, 1.0, 1.0)

@@ -161,6 +161,16 @@ class TestRegularizationPlan:
             assert gap == pytest.approx(mu * 0.36, rel=1e-12)
 
 
+@pytest.mark.parametrize("recenter,R_max", [(True, 5.0), (False, 4.0)])
+def test_hyperbolic_restart_plan_grows_with_the_radius(recenter, R_max):
+    # planned_lower_bound rests on this: a smaller radius never plans more.
+    totals = [
+        sum(params.t for _, params in restart_plan(HYPERBOLIC, 2.0, 1.0, R, 1e-3, recenter))
+        for R in np.linspace(R_max / 200, R_max, 200)
+    ]
+    assert all(a <= b for a, b in zip(totals, totals[1:]))
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -35,32 +35,32 @@ COMMON = "weights = random\nepsilon = 1e-3\n"
 # (config, solver) -> (sha256 of the CSV, sha256 of the stdout)
 RUN_DIGESTS = {
     ("h2", "axgd"): (
-        "1e49f854db513a079a50fd067cf85a6798e481589acf23f57eebe1c8caa0f444",
-        "4de1c47d527fd2fa9a532d557f6ec2ee164c04292992afddac5039206679e831",
+        "3e271b00cbb396a04ca39321f7df674b50f1fcbae0c0ddda0b819ab30626a3ab",
+        "5b3231d4cf9714609fbf0093691ad90eb6cdedb449dfae8ad0a40b6c54621162",
     ),
     ("h2", "restart_sc"): (
-        "17975838b7660e33b776638b23bb316c75d93c5ea833537bd1e18b1501434c43",
-        "971f6966c76fc1c3a7a4bf96d83bd26868a39a8910c88bf6df3c65cc780076e2",
+        "13748fbfa3b6fb93d2b55b9ae67c4a84cd3a8dd81265a798b5bf97d828120e46",
+        "1a4e186260a3be4febb6f102f6655e3e14c1d3a77529d07b473cb86cb13d411a",
     ),
     ("h2", "reduce_gc"): (
-        "738bce14a71862b3c94506d53b1e7e8a20082cb58418da54933f7ef7ef940917",
-        "e41f7b3a31bdc2773c5aec120098533458f876c9af854a9c21201f0937a3394e",
+        "fd366c50d656fc80bb0a0fc3adb15c092bc1ecd3dbbc89c63e97ec938bd024e6",
+        "c38068de09337c25923c5be24e7019f3078ea48f0316b37a0672027dd8b0b1b7",
     ),
     ("h2", "rgd"): (
         "6200472b0221cb0e711818dc65b163ea63c5ce26eda8208383b82fd4cd51d18e",
         "050f921715789c072227ab42df78729a5976338656e72c9f2f4ebba449bca52f",
     ),
     ("h2_cond300", "axgd"): (
-        "9f9e1334ed125ee4f96c34163c50cce469128efbb67d3b41f511d00cadedf694",
-        "c761822d4255af20e8acabd3c0e3c54bd46681b2580e016d34b7858cd2b1acff",
+        "d695c37ba09b6abc75c833328febf3fa2ec5f69bb430b5d6aa86cddc8c4aef9d",
+        "27d7e592a2fb0334a3efb18fcc2eb8de434b3abf1ffb22d2361ff9f98932479f",
     ),
     ("h2_cond300", "restart_sc"): (
-        "72077d68b2cfef5ebb2131cd74458a1d58615a4769b11dd7d5f42ae5a80adb43",
-        "0886b27729f021da264a4cf42e84c8919c55e30af05a67034db78c8c3ce52566",
+        "dee08be71669b623356f941a5d72167759af0812c0a0c6e8fe249bd8b4b41c81",
+        "4e8e76c1f7fcf0b342c16f7ad16a8b537ba6ae6a8c1e5622c48ee0ba71d581c1",
     ),
     ("h2_cond300", "reduce_gc"): (
-        "aae7979a7c25f3d517e45325d6bd9cdb1b38ab236fd603f1d6040559883ddc1b",
-        "74dbfd6debd97c6616b141f6f66ded870b61d23f1b256b2e8577270c1c54142e",
+        "e54b0b4c7b43cea8f9e16ef916cb234f867c465c2b205e882b469f3a6ab831e5",
+        "f552c86e2ac10ef661f9ef5a934d81cf9605b9badc9b11537d1c3bfbe52ad728",
     ),
     ("h2_cond300", "rgd"): (
         "93a9a51613a8bafb8b3ab6435b2177e71dc24a4f42f8ac8ccfe961a70c8a0c44",
@@ -98,11 +98,11 @@ SWEEPS = {
 SWEEP_DIGESTS = {
     "cond_restart_sc": (
         {
-            "restart_sc_cond10.csv": "78c169f11d21c2b99f8042f630261a99286b2cfd62ff97313dcbd922d4b75991",
-            "restart_sc_cond100.csv": "2acba4cc9849f66a25dc2ba7183d3405d72a2d595771916554d18cc37c6219fb",
-            "restart_sc_summary.csv": "86f2e6142e829c72aebcd0cc0c827d2b70615f936e18967275ed6f99e3ed4087",
+            "restart_sc_cond10.csv": "698449296cc54720273d6413663afcc15190f01622d042aa96d7c14531a52ec0",
+            "restart_sc_cond100.csv": "4860206e3a9f616bd0ae3ce518fc035668268d3c63a594a8cd5c1a26eca05799",
+            "restart_sc_summary.csv": "36de81c2b5068d2094eb35ca1725bf0ea99f234901291fe9620f8b5f3bc3324b",
         },
-        "55a234b9ca56898eee60e54ba700322f2e2a192c5fc0a84a073b021f9ac08f93",
+        "e299b8722c40686ea186167d5f225635b28f041dbea586122127e6da0d1455c2",
     ),
     "rate_rgd": (
         {
@@ -115,7 +115,7 @@ SWEEP_DIGESTS = {
         "df26a9aa9bafd72267d4326bb2ba9cc6e19b7461f6b4d8f6ac6733921365c411",
     ),
 }
-VERIFY_DIGEST = "ad195fb8e487256d3e1b79c86e3f6281133b529691975a500544d5fa69c20d4c"
+VERIFY_DIGEST = "590571695049328306a1d30079453bf9a370415b3753873217b15dba893c80ad"
 
 
 def _sha(data):
