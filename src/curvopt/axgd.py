@@ -195,6 +195,7 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr):
     neither passes, the endpoint inner products bracket a sign change and
     bisection on lambda keeps the bracket endpoints' signs opposite until
     the residual drops below eps_hat_i.  ``f_curr`` is f at ``state.x_t``.
+    A failed search raises ``LineSearchError`` naming iteration ``state.i``.
     """
     if state.i < 1:
         raise ValueError("line search is only defined from iteration 1 on")
@@ -215,7 +216,7 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr):
     (left, s_lo), (right, s_hi) = ends
     if not (s_lo < 0 < s_hi):
         raise LineSearchError(
-            "endpoint inner products do not bracket a sign change; the relaxed "
+            f"iteration {state.i}: endpoint inner products do not bracket a sign change; the relaxed "
             "convexity condition or the declared constants are violated",
             bracket=(left, right),
             residual=residual,
@@ -235,7 +236,7 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr):
         else:
             right = lam
     raise LineSearchError(
-        "line-search probe budget exhausted; smoothness or deformation "
+        f"iteration {state.i}: line-search probe budget exhausted; smoothness or deformation "
         "constants are likely misconfigured",
         bracket=(left, right),
         residual=residual,
@@ -276,10 +277,7 @@ def run(f, params, x0_tilde, trace=None):
     res = LineSearchResult(1.0, math.nan, math.nan, 1, cand, math.nan)
     for i in range(params.t):
         if i:  # cand is still the previous step, so cand.f_next is f at state.x_t
-            try:
-                res = binary_line_search(state, params, f, eps_hat(i), cand.f_next)
-            except LineSearchError as err:
-                raise LineSearchError(f"iteration {i}: {err}", err.bracket, err.residual, i) from err
+            res = binary_line_search(state, params, f, eps_hat(i), cand.f_next)
             cand = res.candidate
         x_prev = state.x_t
         state = SolverState(i + 1, cand.x_next, cand.z_next, state.A + a(i + 1), state.grad_evals + 2 * res.probes)

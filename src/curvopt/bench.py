@@ -8,8 +8,10 @@ Subcommands:
   bench verify [--samples N] [--seed N]
 
 Config files are flat ``key=value`` lines with ``#`` comments; CLI flags
-override file values.  Each run streams one CSV row per traced iteration,
-as it is traced, to a file that replaces its output when the run ends:
+override file values.  ``_plan`` plans each run once and returns its
+solve.  With an output, the run streams one CSV row per traced iteration,
+as it is traced, to a file that replaces its output when the run ends (a
+run stopped by SIGTERM exits 143 and removes that file):
 
   iter,grad_evals,f_gap,dist_to_opt,lambda,gamma_hat,wall_ns
 
@@ -31,7 +33,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -274,106 +278,104 @@ def rgd_budget(F, R, epsilon):
 
 
 def _plan(cfg, inst):
-    """Plan the run of ``cfg`` on ``inst`` through the calls its solver makes, without solving.
+    """Plan the run of ``cfg`` on ``inst`` through the calls its solver makes, and return its solve.
 
     Raises the error that refuses the run before its first solve; a
     certified budget over ``axgd.MAX_ITERATIONS`` is refused naming the
-    config values it grows with.  Returns (frame, params) for axgd, the
-    RgdParams for rgd, and for the reductions the objective they solve.
+    config values it grows with.  The returned ``solve(row)`` runs the
+    planned solver and hands each traced record to ``row(i, evals, frame,
+    x, f_value, lam, gamma_hat)``: x is a ball point of ``frame`` for axgd,
+    and a model point with ``frame=None`` for rgd and the reductions.
     """
-    F = inst.objective
+    F, x0, R, eps = inst.objective, inst.x0, inst.R, cfg.epsilon
     try:
         if cfg.solver == "axgd":
-            frame = make_frame(inst.x0, inst.R)
-            dc = deformation_constants(frame, F.smoothness)
-            return frame, axgd.params_from_constants(dc, frame.R_tilde, cfg.epsilon)
+            frame = make_frame(x0, R)
+            params = axgd.params_from_constants(deformation_constants(frame, F.smoothness), frame.R_tilde, eps)
+            return lambda row: axgd.run(
+                MappedObjective(F, frame), params, np.zeros(frame.d),
+                trace=lambda r: row(r.i, r.grad_evals, frame, r.x, r.f_value, r.lam, r.gamma_hat),
+            )
         if cfg.solver == "rgd":
-            budget = rgd_budget(F, inst.R, cfg.epsilon)
+            budget = rgd_budget(F, R, eps)
             # The baseline spends its certified budget; a target-gap stop would
             # need oracle knowledge of f(x*), which no real solver has.
             stride = max(1, budget // 1000)
-            return RgdParams(step=1.0 / F.smoothness, max_iters=budget, tol_grad=-1.0, trace_stride=stride)
+            params = RgdParams(step=1.0 / F.smoothness, max_iters=budget, tol_grad=-1.0, trace_stride=stride)
+            return lambda row: rgd_run(
+                F, x0, R, params, trace=lambda r: row(r.k, r.grad_evals, None, r.x, r.f_value, math.nan, math.nan)
+            )
         if cfg.solver == "restart_sc":
-            plan_strongly_gconvex(F, inst.x0, inst.R, cfg.epsilon, True)
-            return F
-        if F.strong_convexity > 0:
-            F = with_constants(F, strong_convexity=0.0)
-        plan_gconvex_via_sc(F, inst.x0, inst.R, cfg.epsilon, True)
-        return F
+            plan_strongly_gconvex(F, x0, R, eps, True)
+            return lambda row: solve_strongly_gconvex(F, x0, R, eps, trace=_round_rows(F, row, lambda rt: (rt,)))
+        F_gc = with_constants(F, strong_convexity=0.0) if F.strong_convexity > 0 else F
+        plan_gconvex_via_sc(F_gc, x0, R, eps, True)
+        return lambda row: solve_gconvex_via_sc(F_gc, x0, R, eps, trace=_round_rows(F, row, lambda st: st.rounds))
     except axgd.BudgetError as err:
-        keys = f"epsilon = {cfg.epsilon:g}, R = {cfg.R:g}"
-        if cfg.condition is not None:
-            keys += f", condition = {cfg.condition:g}"
-        raise ConfigError(f"{keys}: {err}") from None
+        condition = "" if cfg.condition is None else f", condition = {cfg.condition:g}"
+        raise ConfigError(f"epsilon = {cfg.epsilon:g}, R = {cfg.R:g}{condition}: {err}") from None
+
+
+def _round_rows(F, row, rounds_of):
+    """A reduction's trace sink, handing ``row`` each record of the rounds ``rounds_of(event)``.
+
+    Evals add up over the rounds, and gaps are taken on the instance objective
+    ``F``: the records of a regularization stage hold regularized values.
+    """
+    count = spent = 0
+
+    def sink(event):
+        nonlocal count, spent
+        for rt in rounds_of(event):
+            for rec in rt.records:
+                x = from_ball(rt.frame, rec.x)
+                count += 1
+                row(count, spent + rec.grad_evals, None, x, float(F.value_c(x)), rec.lam, rec.gamma_hat)
+            spent += rt.grad_evals
+
+    return sink
 
 
 def run_experiment(cfg, instance=None):
-    """Run ``cfg`` and return its RunReport, holding no trace.
+    """Plan and run ``cfg`` and return its RunReport, holding no trace (see ``_trace_run``)."""
+    cfg.validate()
+    inst = instance or build_instance(cfg)
+    return _trace_run(cfg, inst, _plan(cfg, inst))
+
+
+def _trace_run(cfg, inst, solve):
+    """Run the planned ``solve`` of ``cfg`` and return its RunReport, holding no trace.
 
     With ``cfg.output``, each CSV row streams as it is made to a temporary
     file beside the output, made before the solve, which replaces the output
     when the run ends; a run that fails removes it and leaves the output as
-    it was.
+    it was.  Without an output, no row's point is mapped or measured.
     """
-    cfg.validate()
-    inst = instance or build_instance(cfg)
-    start = _plan(cfg, inst)
+    last, fh, t0 = None, None, time.perf_counter_ns()
+
+    def row(i, evals, frame, x, f_value, lam, gamma_hat):
+        nonlocal last
+        last = RunReport(evals, max(f_value - inst.f_star, 0.0))
+        if fh is not None:
+            if frame is not None:
+                x = from_ball(frame, x)
+            dist = float(distance(x, inst.x_star.coords, inst.x0.space.sign))
+            wall = time.perf_counter_ns() - t0 if cfg.timing else 0
+            fh.write(f"{i},{evals},{last.final_gap:.17g},{dist:.17g},{lam:.17g},{gamma_hat:.17g},{wall}\n")
+
     if not cfg.output:
-        return _trace_run(cfg, inst, start, None)
+        solve(row)
+        return last
     tmp = f"{cfg.output}.{os.getpid()}.tmp"
     fh = open(tmp, "x", newline="\n")
     try:
         with fh:
             fh.write(CSV_HEADER + "\n")
-            report = _trace_run(cfg, inst, start, fh)
+            solve(row)
         os.replace(tmp, cfg.output)
     except BaseException:
         os.remove(tmp)
         raise
-    return report
-
-
-def _trace_run(cfg, inst, start, fh):
-    """Solve ``cfg`` from its plan ``start``, writing each CSV row to ``fh``, if given, as it is made."""
-    t0 = time.perf_counter_ns()
-    last, count, spent = None, 0, 0
-
-    def row(i, evals, x, f_value, lam, gamma_hat):
-        nonlocal last
-        last = RunReport(evals, max(f_value - inst.f_star, 0.0))
-        if fh is not None:
-            dist = float(distance(x, inst.x_star.coords, inst.x0.space.sign))
-            wall = time.perf_counter_ns() - t0 if cfg.timing else 0
-            fh.write(f"{i},{evals},{last.final_gap:.17g},{dist:.17g},{lam:.17g},{gamma_hat:.17g},{wall}\n")
-
-    def on_rounds(rounds):
-        # Gaps are taken on the instance objective: the records of a
-        # regularization stage hold values of the regularized objective.
-        nonlocal count, spent
-        for rt in rounds:
-            for rec in rt.records:
-                x = from_ball(rt.frame, rec.x)
-                count += 1
-                row(count, spent + rec.grad_evals, x, float(inst.objective.value_c(x)), rec.lam, rec.gamma_hat)
-            spent += rt.grad_evals
-
-    if cfg.solver == "axgd":
-        frame, params = start
-
-        def sink(rec):
-            row(rec.i, rec.grad_evals, from_ball(frame, rec.x), rec.f_value, rec.lam, rec.gamma_hat)
-
-        axgd.run(MappedObjective(inst.objective, frame), params, np.zeros(frame.d), trace=sink)
-    elif cfg.solver == "rgd":
-
-        def sink(rec):
-            row(rec.k, rec.grad_evals, rec.x, rec.f_value, math.nan, math.nan)
-
-        rgd_run(inst.objective, inst.x0, inst.R, start, trace=sink)
-    elif cfg.solver == "restart_sc":
-        solve_strongly_gconvex(start, inst.x0, inst.R, cfg.epsilon, trace=lambda rt: on_rounds([rt]))
-    else:
-        solve_gconvex_via_sc(start, inst.x0, inst.R, cfg.epsilon, trace=lambda st: on_rounds(st.rounds))
     return last
 
 
@@ -402,9 +404,9 @@ def run_sweep(cfg, key, values, output_dir):
     Writes one CSV trace per point and ``{solver}_summary.csv``, and returns
     the (value, grad_evals, final_gap) series.  Before the first solve and
     before the output directory is made, the axis is checked, and every
-    point is validated, built and planned as its run will be.  The axis
-    must hold a value, and 4 or more points, enough to fit an exponent,
-    must span two decades.
+    point is validated, built and planned; each point then runs the solve
+    it was planned with.  The axis must hold a value, and 4 or more points,
+    enough to fit an exponent, must span two decades.
     """
     if not values:
         raise ConfigError(f"{key}: the sweep needs at least one value")
@@ -415,11 +417,9 @@ def run_sweep(cfg, key, values, output_dir):
     # The condition sets the declared L, so only an epsilon sweep shares one instance.
     shared = build_instance(cfg) if key == "epsilon" else None
     instances = [shared or build_instance(point) for point in points]
-    for point, inst in zip(points, instances):
-        _plan(point, inst)
+    runs = [(point, inst, _plan(point, inst)) for point, inst in zip(points, instances)]
     os.makedirs(output_dir, exist_ok=True)
-    runs = zip(values, points, instances)
-    series = [(value, *run_experiment(point, instance=inst)) for value, point, inst in runs]
+    series = [(value, *_trace_run(*run)) for value, run in zip(values, runs)]
     summary = os.path.join(output_dir, f"{cfg.solver}_summary.csv")
     with open(summary, "w", newline="\n") as fh:
         fh.write(f"{key},grad_evals,f_gap\n")
@@ -520,11 +520,18 @@ def main(argv=None):
     p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
+    # SIGTERM unwinds a run (exit 143), which removes its temporary trace;
+    # only the main thread may set a signal handler.
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum)) if on_main else None
     try:
         return args.func(args)
     except (ConfigError, GeometryError, axgd.LineSearchError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

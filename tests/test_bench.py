@@ -1,5 +1,6 @@
 import math
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -12,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvopt import axgd, bench, solve_gconvex_via_sc, solve_strongly_gconvex, with_constants
+from curvopt import (
+    axgd,
+    bench,
+    deformation_constants,
+    make_frame,
+    solve_gconvex_via_sc,
+    solve_strongly_gconvex,
+    with_constants,
+)
 from curvopt.bench import (
     ConfigError,
     ExperimentConfig,
@@ -313,6 +322,24 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr.startswith("error:")
 
+    def test_sigterm_removes_the_temporary_trace(self, tmp_path):
+        # A restart_sc run at R = 3, epsilon = 1e-4 is still solving when its temporary file appears.
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("R = 3\nsolver = restart_sc\nepsilon = 1e-4\n")
+        argv = [sys.executable, "-m", "curvopt", "run", "--config", str(cfg), "--output", str(tmp_path / "out.csv")]
+        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not list(tmp_path.glob("out.csv.*.tmp")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 143
+        finally:
+            proc.kill()
+            proc.wait()
+        assert [p.name for p in tmp_path.iterdir()] == ["slow.cfg"]
+
     def test_verify_exits_zero(self):
         r = self.run_cli("verify", "--samples", "50", "--seed", "1")
         assert r.returncode == 0
@@ -342,6 +369,36 @@ def test_sweep_series_monotone(tmp_path):
     assert evals == sorted(evals)
     for eps, _, gap in series:
         assert gap <= eps
+
+
+def _counting(monkeypatch, name):
+    """Replace bench's ``name`` by a wrapper that counts its calls; return the list of calls."""
+    calls, original = [], getattr(bench, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bench, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["no-output", "output"])
+def test_axgd_rows_map_points_only_when_written(tmp_path, monkeypatch, output):
+    cfg = ExperimentConfig(epsilon=1e-2, seed=5, output=str(tmp_path / "out.csv") if output else None)
+    inst = build_instance(cfg)
+    frame = make_frame(inst.x0, inst.R)
+    t = axgd.params_from_constants(deformation_constants(frame, inst.objective.smoothness), frame.R_tilde, 1e-2).t
+    calls = _counting(monkeypatch, "from_ball")
+    run_experiment(cfg, instance=inst)
+    assert len(calls) == (t if output else 0)
+
+
+@pytest.mark.parametrize("solver,planner", [("axgd", "make_frame"), ("reduce_gc", "plan_gconvex_via_sc")])
+def test_sweep_plans_each_point_once(tmp_path, monkeypatch, solver, planner):
+    calls = _counting(monkeypatch, planner)
+    run_sweep(ExperimentConfig(solver=solver, seed=5), "epsilon", [1e-2, 1e-3], str(tmp_path))
+    assert len(calls) == 2
 
 
 def _exhausted_line_search(*args, **kwargs):
@@ -547,7 +604,7 @@ def _no_solve(*args, **kwargs):
     ],
 )
 def test_sweep_axis_checked_before_any_solve(tmp_path, capsys, monkeypatch, axis, values, where):
-    monkeypatch.setattr(bench, "run_experiment", _no_solve)
+    monkeypatch.setattr(bench, "_trace_run", _no_solve)
     outdir = tmp_path / "out"
     assert main(["sweep", axis, values, "--output-dir", str(outdir)]) == 2
     err = capsys.readouterr().err
