@@ -44,7 +44,7 @@ import numpy as np
 
 from . import axgd
 from .baselines import RgdParams, reference_optimum, rgd_run
-from .geomap import deformation_constants, from_ball, make_frame
+from .geomap import ball_radius, deformation_constants, from_ball, make_frame
 from .manifolds import (
     HYPERBOLIC,
     SPHERICAL,
@@ -61,11 +61,6 @@ from .reductions import solve_gconvex_via_sc, solve_strongly_gconvex
 
 SOLVERS = ("axgd", "rgd", "restart_sc", "reduce_gc")
 CSV_HEADER = "iter,grad_evals,f_gap,dist_to_opt,lambda,gamma_hat,wall_ns"
-# Hyperboloid coordinates have size cosh R, so -<p, p> (true value 1) carries
-# a rounding error of about cosh(R)^2 x 2.2e-16.  Above this radius (16.4)
-# that error exceeds 1e-2 and rounding, not geometry, sets how points are
-# renormalized; from R = 18 (error 0.24) even its sign is chance.
-MAX_HYPERBOLIC_R = math.acosh(math.sqrt(1e-2 / np.finfo(float).eps))
 # d, anchor_count and ``verify --samples`` size float64 arrays linearly, so
 # a typo such as anchor_count = 1000000000 would ask numpy for 24 GB.  They
 # are capped so that what the program holds at once stays within one
@@ -144,18 +139,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: must be finite, got {value!r}")
         if self.epsilon <= 0:
             raise ConfigError("epsilon: must be positive")
-        if self.R <= 0:
-            raise ConfigError("R: must be positive")
         sign = SPHERICAL if self.manifold == "spherical" else HYPERBOLIC
         if self.curvature * sign <= 0:
             raise ConfigError("curvature: sign must match the manifold")
-        if sign == SPHERICAL and math.sqrt(self.curvature) * self.R >= math.pi / 2:
-            raise ConfigError("R: sqrt(curvature) R must stay below pi/2 on the sphere")
-        if sign == HYPERBOLIC and math.sqrt(-self.curvature) * self.R > MAX_HYPERBOLIC_R:
-            raise ConfigError(
-                f"R: sqrt(-curvature) R = {math.sqrt(-self.curvature) * self.R:g} exceeds "
-                f"{MAX_HYPERBOLIC_R:.1f}, beyond which hyperboloid coordinates lose the model to rounding"
-            )
+        try:
+            ball_radius(sign, math.sqrt(abs(self.curvature)) * self.R)
+        except GeometryError as err:
+            raise ConfigError(f"R: on the unit-curvature model, {err}") from None
         if self.weights not in ("equal", "random"):
             raise ConfigError(f"weights: unknown value {self.weights!r}")
         if self.condition is not None and self.condition <= 0:

@@ -44,6 +44,11 @@ from .manifolds import (
 )
 
 BALL_TOL = 1e-9
+# Hyperboloid coordinates have size cosh R, so -<p, p> (true value 1) carries
+# a rounding error of about cosh(R)^2 x 2.2e-16.  Above this radius (16.4)
+# that error exceeds 1e-2 and rounding, not geometry, sets how points are
+# renormalized; from R = 18 (error 0.24) even its sign is chance.
+MAX_HYPERBOLIC_R = math.acosh(math.sqrt(1e-2 / np.finfo(float).eps))
 
 
 class MapFrame(NamedTuple):
@@ -73,13 +78,19 @@ class MapFrame(NamedTuple):
 
 
 def ball_radius(sign, R):
-    """Radius R~ of the image of a radius-R ball: tan R (sphere, R < pi/2) or tanh R."""
-    if R <= 0:
-        raise GeometryError("ball radius must be positive")
+    """Radius R~ of the image of a radius-R ball: tan R (sphere) or tanh R (hyperboloid).
+
+    This is the library's one radius rule: it refuses, with one
+    ``GeometryError`` naming R and the bound, an R that is not in (0, pi/2)
+    on the sphere (an open hemisphere) or in (0, MAX_HYPERBOLIC_R] on the
+    hyperboloid.  The tests are written so that NaN fails them.
+    """
     if sign == SPHERICAL:
-        if R >= math.pi / 2:
-            raise GeometryError("spherical ball radius must stay below pi/2")
+        if not 0.0 < R < math.pi / 2:
+            raise GeometryError(f"ball radius R = {float(R)!r} must lie in (0, pi/2) on the sphere")
         return math.tan(R)
+    if not 0.0 < R <= MAX_HYPERBOLIC_R:
+        raise GeometryError(f"ball radius R = {float(R)!r} must lie in (0, {MAX_HYPERBOLIC_R!r}] on the hyperboloid")
     return math.tanh(R)
 
 
@@ -270,11 +281,15 @@ def _ratio_extreme(R, side):
       every root is a strict local minimum and there is one, in (R, 2R).
 
     Bisection on the sign of the log-derivative inside that bracket ends at
-    adjacent floats and never evaluates delta = 0, where 1/delta - coth(delta)
+    adjacent floats and never tests delta = 0, where 1/delta - coth(delta)
     vanishes only as a limit.  The value returned is the ratio at the delta
     found, which an actual configuration attains, so the only errors of the
     extreme are the rounding of that value and the second-order cost of
-    missing the root, which is far smaller.
+    missing the root, which is far smaller.  Below R = 1.2e-308 the
+    bisection may end at delta = 0: 1/delta overflows to inf there, the
+    NaN test moves hi down, and at R = 5e-324 the bracket (0, R) holds no
+    float.  There every ratio rounds to 1, and delta / sinh(delta) takes
+    its limit 1.
     """
     lo, hi = (R, 2.0 * R) if side > 0 else (0.0, R)
     while True:
@@ -285,7 +300,7 @@ def _ratio_extreme(R, side):
             lo = delta
         else:
             hi = delta
-    return delta / math.sinh(delta) * (math.cosh(delta - R) / math.cosh(R)) ** side
+    return (delta / math.sinh(delta) if delta else 1.0) * (math.cosh(delta - R) / math.cosh(R)) ** side
 
 
 def deformation_constants_for(sign, R, L):

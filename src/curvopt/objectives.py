@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geomap import BALL_TOL, _ball_scale, _isometry, from_ball, pullback_gradient
+from .geomap import BALL_TOL, _ball_scale, _isometry, ball_radius, from_ball, pullback_gradient
 from .manifolds import (
     HYPERBOLIC,
     SPHERICAL,
@@ -148,10 +148,11 @@ class FrechetObjective(ManifoldObjective):
     """Weighted sum of halved squared distances to anchor points.
 
     ``center``/``radius`` describe the geodesic ball the objective will be
-    evaluated on; the declared constants are computed for the largest
-    anchor distance reachable there (plus ``padding``, for callers that
-    re-center the ball during a run).  On the sphere that reach must stay
-    below pi/2, which is also exactly the g-convexity condition.
+    evaluated on, and ``radius`` must pass ``geomap.ball_radius``; the
+    declared constants are computed for the largest anchor distance
+    reachable there (plus ``padding``, for callers that re-center the ball
+    during a run).  On the sphere that reach must stay below pi/2, which is
+    also exactly the g-convexity condition.
 
     The solvers call ``grad_c`` on one 1-D point at a time, so a point takes
     its own branch: 1-D ``.dot`` with the stored transposed rows
@@ -172,8 +173,9 @@ class FrechetObjective(ManifoldObjective):
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-9:
             raise GeometryError("weights must sum to 1")
         self.anchors = anchors
+        ball_radius(sign, radius)
         anchor_dists = distance(center.coords, self.anchor_coords, sign)
-        if np.any(anchor_dists > radius + 1e-9):
+        if not np.all(anchor_dists <= radius + BALL_TOL):  # written so that NaN fails it
             raise GeometryError("all anchors must lie inside the ball")
         reach = float(np.max(anchor_dists)) + radius + padding
         sign_k = float(sign)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import axgd
 from .geomap import ball_radius, deformation_constants_for, from_ball, make_frame, to_ball
-from .manifolds import SPHERICAL, AmbientPoint, GeometryError
+from .manifolds import AmbientPoint, GeometryError
 from .objectives import DeltaConstants, MappedObjective, delta_constants, regularized
 
 
@@ -47,15 +47,19 @@ def restart_plan(sign, L, mu, R, epsilon, recenter):
     the radius of the ball its map covers, R_k when the map is re-centered
     each round and R (the fixed frame's) otherwise, and the solver
     parameters certified on that ball for target eps_k = params.epsilon.
+    R must pass ``geomap.ball_radius``, and each eps_k must not round to 0.
     """
     if mu <= 0:
         raise GeometryError("restart reduction needs strictly positive strong convexity")
-    if epsilon <= 0 or R <= 0:
-        raise GeometryError("epsilon and R must be positive")
+    if epsilon <= 0:
+        raise GeometryError("epsilon must be positive")
+    ball_radius(sign, R)  # the radius rule, before the log2 that needs R
     plan = []
     for k in range(max(1, math.ceil(math.log2(mu * R * R / epsilon) - 1.0))):
         R_k = R / 2 ** (k / 2.0)
         eps_k = mu * R_k * R_k / 4.0
+        if not eps_k > 0.0:
+            raise GeometryError(f"the target mu R_k^2 / 4 of round {k} underflows to 0 at R = {float(R)!r}")
         R_frame = R_k if recenter else R
         dc = deformation_constants_for(sign, R_frame, L)
         plan.append((R_frame, axgd.params_from_constants(dc, ball_radius(sign, R_frame), eps_k)))
@@ -241,15 +245,15 @@ def solve_gconvex_via_sc(F, x0, R, epsilon, recenter=True, trace=None):
     min(d(x, x0) + R, sqrt(2 g_i / sc_i)), sc_i the strong convexity of
     F_i: x*_i lies within R of x0, and within sqrt(2 g_i / sc_i) of any
     point of F_i gap at most g_i.  The run is refused before the first
-    stage when ``planned_lower_bound`` exceeds ``axgd.MAX_ITERATIONS``.
+    stage when ``planned_lower_bound`` exceeds ``axgd.MAX_ITERATIONS``, and
+    a stage whose radius ``geomap.ball_radius`` refuses (on the sphere, one
+    reaching pi/2) by its ``restart_plan``, before its first round.
     A stage's rounds are kept only to pass to ``trace``.
     """
     plan = plan_gconvex_via_sc(F, x0, R, epsilon, recenter)
     x = x0
     for F_i, eps_i, R_up in _stage_problems(F, x0, plan):
         R_stage = min(x.distance_to(x0) + R, R_up)
-        if F.space.sign == SPHERICAL and R_stage >= math.pi / 2:
-            raise GeometryError("stage ball cannot stay inside an open hemisphere; reduce R")
         rounds = []
         traced = None if trace is None else rounds.append
         x = solve_strongly_gconvex(F_i, x, R_stage, eps_i, recenter=recenter, trace=traced)

@@ -4,10 +4,21 @@ Imported by name (``from instances import ...``), not through conftest, so
 that a run of ``tests`` and ``perfbench/tests`` together resolves it.
 """
 
+import math
+
 import numpy as np
 
 from curvopt import AmbientPoint, FrechetObjective, pole
+from curvopt.geomap import MAX_HYPERBOLIC_R
 from curvopt.manifolds import SPHERICAL, random_in_ball
+
+# Edge values of a radius or a curvature: zeros, subnormals, extremes,
+# non-finite values, and pi/2 and MAX_HYPERBOLIC_R with their float neighbours.
+RADIUS_EDGES = [
+    0.0, -0.0, 5e-324, 1e-310, 1e-308, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf,
+    math.nextafter(math.pi / 2, 0.0), math.pi / 2, math.nextafter(math.pi / 2, 4.0),
+    math.nextafter(MAX_HYPERBOLIC_R, 0.0), MAX_HYPERBOLIC_R, math.nextafter(MAX_HYPERBOLIC_R, 20.0),
+]
 
 
 def frechet_instance(space, d, R, n_anchors, seed, anchor_radius=None, weights=None, padding=0.0):

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import signal
@@ -5,8 +6,10 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +36,8 @@ from curvopt.bench import (
     run_experiment,
     run_sweep,
 )
+
+from instances import RADIUS_EDGES
 
 CFG_TEXT = """\
 # benchmark instance
@@ -507,6 +512,31 @@ def test_bad_input_exits_2_with_one_error_line(
     assert where.format(anchors=anchors_path) in err, err
     # Neither the output nor its temporary file is left, also after a failed solve.
     assert {p.name for p in tmp_path.iterdir()} <= {"bad.cfg", "anchors.txt"}
+
+
+@given(
+    manifold=st.sampled_from(["hyperbolic", "spherical"]),
+    curvature=st.sampled_from([-1.0, 1.0, *RADIUS_EDGES]),
+    R=st.sampled_from([1.0, *RADIUS_EDGES]),
+    solver=st.sampled_from(bench.SOLVERS),
+)
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+def test_edge_radius_and_curvature_exit_2_or_plan(tmp_path_factory, manifold, curvature, R, solver):
+    # The run is planned, not solved: the solve reaches a stub of _trace_run.
+    cfg = tmp_path_factory.getbasetemp() / "edge.cfg"
+    cfg.write_text(f"manifold = {manifold}\ncurvature = {curvature!r}\nR = {R!r}\nsolver = {solver}\n")
+    planned, out, err = [], io.StringIO(), io.StringIO()
+
+    def plan_only(_cfg, _inst, solve):
+        planned.append(solve)
+        return bench.RunReport(0, 0.0)
+
+    with mock.patch.object(bench, "_trace_run", plan_only), redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", "--config", str(cfg)])
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), err.getvalue()
+    else:
+        assert code == 0 and len(planned) == 1 and err.getvalue() == ""
 
 
 def test_sweep_fits_rgd_without_log_deflation(tmp_path, capsys):

@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 from curvopt import (
     AmbientPoint,
     CurvatureClass,
+    FrechetObjective,
     GeometryError,
+    axgd,
     checks,
     pole,
 )
 from curvopt.geomap import (
     BALL_TOL,
+    MAX_HYPERBOLIC_R,
     angle_deformation,
+    ball_radius,
     deformation_constants,
     deformation_constants_for,
     from_ball,
@@ -39,8 +43,9 @@ from curvopt.manifolds import (
     random_in_ball,
     random_tangent,
 )
+from curvopt.reductions import restart_plan
 
-from instances import dense_frame
+from instances import RADIUS_EDGES, dense_frame
 
 COSH1 = math.cosh(1.0)
 
@@ -144,7 +149,9 @@ class TestFrame:
         assert make_frame(pole(2, hy), 0.7).R_tilde == pytest.approx(math.tanh(0.7), abs=1e-15)
 
     def test_spherical_radius_limit(self):
-        with pytest.raises(GeometryError):
+        # The bound is open: the float below pi/2 is accepted.
+        assert make_frame(pole(2, CurvatureClass.spherical()), math.nextafter(math.pi / 2, 0.0)).R_tilde > 1e15
+        with pytest.raises(GeometryError, match=r"must lie in \(0, pi/2\) on the sphere"):
             make_frame(pole(2, CurvatureClass.spherical()), math.pi / 2)
 
 
@@ -513,3 +520,59 @@ class TestDeformationConstants:
         assert deformation_constants(frame, 1.5) == deformation_constants_for(
             HYPERBOLIC, 0.8, 1.5
         )
+
+
+ABOVE_MAX_HYPERBOLIC_R = math.nextafter(MAX_HYPERBOLIC_R, 20.0)
+
+
+class TestRadiusRule:
+    """``ball_radius`` is the one radius rule, and each library caller that takes a radius applies it."""
+
+    @staticmethod
+    def _callers(R):
+        center = pole(2, CurvatureClass.hyperbolic())
+        return [
+            lambda: make_frame(center, R),
+            lambda: restart_plan(HYPERBOLIC, 1.0, 1.0, R, 1e-3, True),
+            lambda: FrechetObjective([center], [1.0], center, R),
+        ]
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf, ABOVE_MAX_HYPERBOLIC_R], ids=["nan", "inf", "above-max"])
+    def test_callers_refuse_a_radius_outside_the_rule(self, R):
+        for call in self._callers(R):
+            with pytest.raises(GeometryError, match=rf"R = {R!r} must lie in \(0, {MAX_HYPERBOLIC_R!r}\]"):
+                call()
+
+    def test_callers_accept_the_bound(self, monkeypatch):
+        # At the bound a restart round certifies about 1e14 iterations: lift
+        # the cap so the plan itself is returned.
+        monkeypatch.setattr(axgd, "MAX_ITERATIONS", math.inf)
+        frame, plan, F = (call() for call in self._callers(MAX_HYPERBOLIC_R))
+        assert frame.R == plan[0][0] == MAX_HYPERBOLIC_R
+        assert F.smoothness > 0
+
+    @pytest.mark.parametrize("R", [5e-324, 1e-310, 1e-308])
+    def test_subnormal_hyperbolic_radius_has_constants(self, R):
+        dc = deformation_constants_for(HYPERBOLIC, R, 1.0)
+        assert all(math.isfinite(c) for c in dc)
+        assert 0.0 < dc.gamma_n <= 1.0 and 0.0 < dc.gamma_p <= 1.0
+
+    @given(
+        sign=st.sampled_from([SPHERICAL, HYPERBOLIC]),
+        R=st.sampled_from(RADIUS_EDGES),
+        d=st.sampled_from([1, 2, 10]),
+    )
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    def test_edge_radius_raises_or_gives_finite_constants(self, sign, R, d):
+        accepted = 0.0 < R < math.pi / 2 if sign == SPHERICAL else 0.0 < R <= MAX_HYPERBOLIC_R
+        try:
+            R_tilde = ball_radius(sign, R)
+            frame = make_frame(pole(d, CurvatureClass(sign)), R)
+            dc = deformation_constants(frame, 1.0)
+        except GeometryError:
+            assert not accepted
+            return
+        assert accepted
+        assert 0.0 < R_tilde == frame.R_tilde < math.inf
+        assert all(math.isfinite(c) for c in dc)
+        assert 0.0 < dc.gamma_n <= 1.0 and 0.0 < dc.gamma_p <= 1.0

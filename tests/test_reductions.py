@@ -40,6 +40,11 @@ class TestRestartPlan:
     def test_minimum_one_round(self):
         assert len(restart_plan(HYPERBOLIC, 1.0, 1.0, 1.0, 10.0, True)) == 1
 
+    def test_rejects_a_radius_whose_round_target_underflows(self):
+        # mu R^2 is subnormal, so log2(mu R^2 / epsilon) is finite, and mu R^2 / 4 rounds to 0.
+        with pytest.raises(GeometryError, match="of round 0 underflows to 0 at R = 3e-162"):
+            restart_plan(SPHERICAL, 1.0, 1.0, 3e-162, 1e-3, True)
+
     def test_rejects_zero_mu(self):
         with pytest.raises(GeometryError):
             restart_plan(HYPERBOLIC, 1.0, 0.0, 1.0, 1e-3, True)
@@ -90,6 +95,16 @@ class TestSolveStronglyGconvex:
         _, F, start, x_star, f_star = instance_with_offset_start(space, 2, 1.0, seed=2)
         out = solve_strongly_gconvex(F, start, 1.0, eps, recenter=recenter)
         assert F.value(out) - f_star <= eps
+
+    def test_spherical_radius_at_pi_over_2_refused_before_any_round(self, monkeypatch):
+        # The radius rule refuses the plan: no round, and so no axgd run, starts.
+        space = CurvatureClass.spherical()
+        center, F = frechet_instance(space, 2, 0.5, 3, seed=1)
+        runs = []
+        monkeypatch.setattr(axgd, "run", lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(GeometryError, match=r"R = 1.5707963267948966 must lie in \(0, pi/2\) on the sphere"):
+            solve_strongly_gconvex(F, center, math.pi / 2, 1e-3)
+        assert runs == []
 
     def test_spherical_instance(self):
         space = CurvatureClass.spherical()
