@@ -79,7 +79,7 @@ class SolverParams:
 
 
 # Larger certified budgets come from configs no run can finish (hyperbolic
-# R = 15 certifies 5.4e22 axgd iterations at epsilon = 1e-2); tests spend at
+# R = 15 certifies 4.2e22 axgd iterations at epsilon = 1e-2); tests spend at
 # most ~1.05e7.
 MAX_ITERATIONS = 10**8
 
@@ -96,10 +96,15 @@ def ceil_budget(t):
 
 
 def iteration_budget(L_tilde, gamma_n, gamma_p, epsilon, R_tilde):
-    """Iterations sufficient for an epsilon-minimizer from the diameter bound.
+    """Certified iteration budget t = ceil(sqrt(2 L_tilde (2 R_tilde)^2 / (gamma_n^2 gamma_p epsilon))).
 
-    t = ceil(sqrt(2 L_tilde (2 R_tilde)^2 / (gamma_n^2 gamma_p epsilon)));
-    the start-to-optimum distance is bounded by the ball diameter.
+    After t iterations the gap is at most 2 L_tilde |x0~ - x*~|^2 /
+    (gamma_n^2 gamma_p t (t + 1)) + epsilon / 2, and t^2 >= 8 L_tilde
+    R_tilde^2 / (gamma_n^2 gamma_p epsilon).  So t certifies a gap of
+    0.75 epsilon from the ball centre (|x0~ - x*~| <= R_tilde), as every
+    CLI axgd run and every re-centered restart round starts, and 1.5
+    epsilon from any other start in the ball (|x0~ - x*~| <= 2 R_tilde),
+    as the rounds k >= 1 of a fixed-frame restart run start.
     """
     t = math.sqrt(2.0 * L_tilde * (2.0 * R_tilde) ** 2 / (gamma_n**2 * gamma_p * epsilon))
     return ceil_budget(t)

@@ -47,15 +47,19 @@ def restart_plan(sign, L, mu, R, epsilon, recenter):
     the radius of the ball its map covers, R_k when the map is re-centered
     each round and R (the fixed frame's) otherwise, and the solver
     parameters certified on that ball for target eps_k = params.epsilon.
-    R must pass ``geomap.ball_radius``, and each eps_k must not round to 0.
+    R must pass ``geomap.ball_radius``, and neither mu R^2 / epsilon nor
+    any eps_k may round to 0.
     """
     if mu <= 0:
         raise GeometryError("restart reduction needs strictly positive strong convexity")
     if epsilon <= 0:
         raise GeometryError("epsilon must be positive")
     ball_radius(sign, R)  # the radius rule, before the log2 that needs R
+    ratio = mu * R * R / epsilon
+    if not ratio > 0.0:
+        raise GeometryError(f"mu R^2 / epsilon underflows to 0 at R = {float(R)!r}")
     plan = []
-    for k in range(max(1, math.ceil(math.log2(mu * R * R / epsilon) - 1.0))):
+    for k in range(max(1, math.ceil(math.log2(ratio) - 1.0))):
         R_k = R / 2 ** (k / 2.0)
         eps_k = mu * R_k * R_k / 4.0
         if not eps_k > 0.0:
@@ -160,8 +164,10 @@ def make_regularization_plan(space, R, Delta, epsilon):
     That, not epsilon, is what the schedule certifies.  Runs meet epsilon
     only because the stage solves overshoot their targets.
     """
-    if Delta <= 0 or epsilon <= 0:
-        raise GeometryError("Delta and epsilon must be positive")
+    if epsilon <= 0:
+        raise GeometryError("epsilon must be positive")
+    if not Delta > 0.0:
+        raise GeometryError(f"the initial gap bound Delta = {float(Delta)!r} must be positive, at R = {float(R)!r}")
     mu0 = Delta / (R * R)
     stages = []
     gap = Delta
@@ -208,7 +214,7 @@ def planned_lower_bound(F, x0, R, plan, recenter):
     - round k's budget is t = ceil(sqrt(8 L~ R~^2 / (gamma_n^2 gamma_p eps_k)))
       with eps_k = sc_i R_k^2 / 4 and the map constants at the frame radius
       r, which is R_k, or R on a fixed frame (there R_k / R is fixed).  So
-      t^2 is a constant times max(1, r) cosh(r)^2 (sinh(r) / r)^2 /
+      t^2 is a constant times (1 + 4 r tanh r) cosh(r)^2 (sinh(r) / r)^2 /
       (gamma_n^2 gamma_p) on the hyperboloid and max(1, r) (tan(r) / r)^2 /
       cos(r)^8 on the sphere (r < pi/2): products of positive nondecreasing
       factors of r.  On the hyperboloid gamma_n and gamma_p are extremes of

@@ -5,6 +5,8 @@ that a run of ``tests`` and ``perfbench/tests`` together resolves it.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,18 @@ RADIUS_EDGES = [
     math.nextafter(math.pi / 2, 0.0), math.pi / 2, math.nextafter(math.pi / 2, 4.0),
     math.nextafter(MAX_HYPERBOLIC_R, 0.0), MAX_HYPERBOLIC_R, math.nextafter(MAX_HYPERBOLIC_R, 20.0),
 ]
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_env():
+    """Environment for a child ``python`` process: this checkout's ``src`` first on its PYTHONPATH.
+
+    pytest's ``pythonpath`` setting reaches only the test process, so a
+    child such as ``python -m curvopt`` needs it to import the package from
+    a checkout that is not installed.
+    """
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def frechet_instance(space, d, R, n_anchors, seed, anchor_radius=None, weights=None, padding=0.0):

@@ -39,6 +39,8 @@ from curvopt.reductions import (
     solve_strongly_gconvex,
 )
 
+from instances import cli_env
+
 GRID = checks.DEFAULT_GRID
 DIMS = checks.DEFAULT_DIMS
 SEED = 20240
@@ -400,6 +402,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                 "--output",
                 str(out),
             ],
+            env=cli_env(),
             capture_output=True,
             text=True,
         )

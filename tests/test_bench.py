@@ -37,7 +37,7 @@ from curvopt.bench import (
     run_sweep,
 )
 
-from instances import RADIUS_EDGES
+from instances import RADIUS_EDGES, cli_env
 
 CFG_TEXT = """\
 # benchmark instance
@@ -295,7 +295,7 @@ class TestFitRateExponent:
 class TestCli:
     def run_cli(self, *args, module="curvopt"):
         return subprocess.run(
-            [sys.executable, "-m", module, *args], capture_output=True, text=True
+            [sys.executable, "-m", module, *args], env=cli_env(), capture_output=True, text=True
         )
 
     @pytest.mark.parametrize("module", ["curvopt", "curvopt.bench"])
@@ -332,7 +332,7 @@ class TestCli:
         cfg = tmp_path / "slow.cfg"
         cfg.write_text("R = 3\nsolver = restart_sc\nepsilon = 1e-4\n")
         argv = [sys.executable, "-m", "curvopt", "run", "--config", str(cfg), "--output", str(tmp_path / "out.csv")]
-        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        proc = subprocess.Popen(argv, env=cli_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             deadline = time.monotonic() + 60.0
             while not list(tmp_path.glob("out.csv.*.tmp")):
@@ -431,23 +431,28 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, "manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False, "R:"),
         (RUN, "curvature = 0\n", None, False, "curvature:"),
         (RUN, "epsilon = 1e-2\n", None, True, "line-search"),
-        # Certified budgets of 5.4e22 (axgd) and 3.3e8 (rgd) iterations.
-        (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 5.37e+22"),
+        # Certified budgets of 4.2e22 (axgd) and 3.3e8 (rgd) iterations.
+        (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 4.2e+22"),
         (RUN, "R = 15\nepsilon = 1e-3\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 3.34e+08"),
         # A single axgd run or restart round over the cap names the config values.
         (RUN, "R = 12\nepsilon = 1e-4\n", None, False,
-         "error: epsilon = 0.0001, R = 12: certified budget t = 4.55e+19"),
+         "error: epsilon = 0.0001, R = 12: certified budget t = 3.57e+19"),
         (RUN, "R = 12\nepsilon = 1e-4\nsolver = restart_sc\n", None, False,
-         "error: epsilon = 0.0001, R = 12: certified budget t = 9.14e+16"),
+         "error: epsilon = 0.0001, R = 12: certified budget t = 7.17e+16"),
         (RUN, "R = 1000\n", None, False, "R:"),
         # The README H^2 instance below the float64 floor (2.98e-17 there),
-        # and at R = 4, epsilon = 1e-6, where reduce_gc needs at least 2.1e8
-        # iterations, though no round of that bound needs more than 6.0e7.
+        # and at R = 4, epsilon = 1e-6, where reduce_gc needs at least 1.68e8
+        # iterations, though no round of that bound needs more than 4.9e7.
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-20\n", None, False, "epsilon = 1e-20 is below"),
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-30\n", None, False, "epsilon = 1e-30 is below"),
         (RUN, README_H2 + "solver = restart_sc\nepsilon = 1e-40\n", None, False, "epsilon = 1e-40 is below"),
         (RUN, README_H2 + "R = 4\nsolver = reduce_gc\nepsilon = 1e-6\n", None, False,
-         "error: epsilon = 1e-06, R = 4: the plan needs at least 2.1e+08 iterations"),
+         "error: epsilon = 1e-06, R = 4: the plan needs at least 1.68e+08 iterations"),
+        # Unit-model radii (1.25e-300, 4.05e-300) whose squares underflow to 0.
+        (RUN, "manifold = spherical\ncurvature = 1.5707963267948966\nR = 1e-300\nsolver = restart_sc\n", None,
+         False, "error: mu R^2 / epsilon underflows to 0 at R = 1.2533141373155e-300"),
+        (RUN, "curvature = -16.412388782124474\nR = 1e-300\nsolver = reduce_gc\n", None, False,
+         "error: the initial gap bound Delta = 0.0 must be positive, at R = 4.051220653349368e-300"),
         (RUN, "solver = restart_sc\ntreat_gconvex = true\n", None, False, "restart reduction needs strictly positive"),
         (RUN, "anchor_count = 0\n", None, False, "anchor_count:"),
         (RUN, "anchor_count = -1\n", None, False, "anchor_count:"),
@@ -483,6 +488,7 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget",
         "axgd-round-over-cap", "restart-round-over-cap", "radius",
         "reduce-below-floor", "reduce-far-below-floor", "restart-below-floor", "reduce-over-cap",
+        "restart-radius-underflow", "reduce-radius-underflow",
         "restart-gconvex", "no-anchors", "negative-anchor-count", "anchor-count-not-the-files", "negative-seed",
         "radius-not-a-number", "d-not-an-integer", "seed-not-an-integer", "timing-not-a-boolean",
         "verify-negative-seed",

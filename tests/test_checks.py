@@ -2,17 +2,13 @@
 the acceptance suite reruns the heavy subsets at full scale."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 from curvopt import checks
 from curvopt.objectives import validate_constants
 
-from instances import frechet_instance
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from instances import cli_env, frechet_instance
 
 LIBRARY = ["curvopt.axgd", "curvopt.baselines", "curvopt.geomap", "curvopt.manifolds",
            "curvopt.objectives", "curvopt.reductions"]
@@ -31,9 +27,7 @@ print(json.dumps([loaded, n, "curvopt.checks" in sys.modules, bench.main is curv
 
 def test_import_curvopt_loads_checks_on_first_access():
     # ... and bench too: ``import curvopt`` loads the six library modules only.
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=cli_env(), capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     loaded, n, after, bench_reached = json.loads(r.stdout)
     assert loaded == LIBRARY

@@ -453,15 +453,58 @@ class TestDeformationConstants:
         assert 1.0 / dc.gamma_n == pytest.approx(1.36452, abs=5e-6)
         assert dc.dist_lo == 1.0
         assert dc.dist_hi == pytest.approx(COSH1**2, abs=1e-15)
-        assert dc.L_tilde == pytest.approx(math.sqrt(44.0) * 2.0 * COSH1**4, rel=1e-12)
+        assert dc.L_tilde == pytest.approx(2.0 * COSH1**4 * (1.0 + 4.0 * math.tanh(1.0)), rel=1e-12)
+        assert dc.L_tilde == pytest.approx(45.8829, abs=5e-5)
+
+    @pytest.mark.parametrize("R", [1e-3, 0.3, 1.0, 3.0, 9.0])
+    def test_hyperbolic_smoothness_bounds_every_line(self, R):
+        # Second differences of f = 1/2 d(., a)^2 o from_ball along lines
+        # x~ + tau v of the ball, with the anchor a and x~ biased to the rim
+        # and 30% of the lines radial.  F is L-smooth on the ball with
+        # L = 2R coth 2R, and its minimizer a lies in the ball.
+        rng = np.random.default_rng(11)
+        n, d = 3000, 3
+        frame = make_frame(pole(d, CurvatureClass.hyperbolic()), R)
+        Rt = frame.R_tilde
+        h = 1e-3 * min(Rt, 1.0 - Rt)
+
+        def rim_biased(radius):
+            u = rng.standard_normal((n, d))
+            r = radius * np.clip(rng.uniform(0.0, 1.3, n), 0.0, 1.0)
+            return u * (r / np.linalg.norm(u, axis=1))[:, None]
+
+        a = from_ball(frame, rim_biased(Rt))
+        x = rim_biased(Rt - h)  # so that the stencil stays in the ball
+        v = np.where((rng.random(n) < 0.3)[:, None], x, rng.standard_normal((n, d)))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+
+        def f(y):
+            return 0.5 * distance(from_ball(frame, y), a, HYPERBOLIC) ** 2
+
+        second = (f(x + h * v) - 2.0 * f(x) + f(x - h * v)) / h**2
+        L = 2.0 * R / math.tanh(2.0 * R)
+        worst = second.max() / deformation_constants_for(HYPERBOLIC, R, L).L_tilde
+        assert worst <= 1.0
+        if R < 0.01:  # nearly attained as R goes to 0
+            assert worst > 0.99
+
+    def test_hyperbolic_mapped_smoothness_check(self):
+        # check_mapped_smoothness at 10x run_grid's default samples on the H cells.
+        rng = np.random.default_rng(8)
+        for d in checks.DEFAULT_DIMS:
+            for R in dict(checks.DEFAULT_GRID)[HYPERBOLIC]:
+                res = checks.check_mapped_smoothness(HYPERBOLIC, d, R, 20_000, rng)
+                assert res.ok, res
 
     @pytest.mark.parametrize("R", [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 9.0, 16.4])
     def test_hyperbolic_not_below_the_per_factor_bounds(self, R):
         # The paper's constants bound each distortion factor on its own.  Below
         # R of about 4e-7, RATIO_MARGIN (1e-13) exceeds the gap between them.
+        # L~ is at least 1.5x below sqrt(44) L max(1, R) cosh^4 R (least near R = 2).
         dc = deformation_constants_for(HYPERBOLIC, R, 1.0)
         assert math.cosh(R) ** -3 <= dc.gamma_p <= 1.0
         assert math.cosh(R) ** -2 <= dc.gamma_n <= 1.0
+        assert dc.L_tilde * 1.5 <= math.sqrt(44.0) * max(1.0, R) * math.cosh(R) ** 4
 
     @pytest.mark.parametrize("R", [0.3, 1.0, 1.5, 3.0])
     def test_hyperbolic_bounds_every_chord(self, R, rng):

@@ -35,32 +35,32 @@ COMMON = "weights = random\nepsilon = 1e-3\n"
 # (config, solver) -> (sha256 of the CSV, sha256 of the stdout)
 RUN_DIGESTS = {
     ("h2", "axgd"): (
-        "3e271b00cbb396a04ca39321f7df674b50f1fcbae0c0ddda0b819ab30626a3ab",
-        "5b3231d4cf9714609fbf0093691ad90eb6cdedb449dfae8ad0a40b6c54621162",
+        "146360209282621d4d1c217161624f3e28629835ec15508e9d72dae8816785f4",
+        "7dcbb5df076ae055a66b424b434c0e8e0c99609438712a6390c53ac4e09f2e6a",
     ),
     ("h2", "restart_sc"): (
-        "13748fbfa3b6fb93d2b55b9ae67c4a84cd3a8dd81265a798b5bf97d828120e46",
-        "1a4e186260a3be4febb6f102f6655e3e14c1d3a77529d07b473cb86cb13d411a",
+        "ce522b3ce5d88eb561a0dae37d5883aeab3b5e740a96e4bda91def81ecb51b09",
+        "152f2009661f2a9f3d20dff89c1be50d3740dfdb7d89c396b3a80bb9c3c24058",
     ),
     ("h2", "reduce_gc"): (
-        "fd366c50d656fc80bb0a0fc3adb15c092bc1ecd3dbbc89c63e97ec938bd024e6",
-        "c38068de09337c25923c5be24e7019f3078ea48f0316b37a0672027dd8b0b1b7",
+        "20ca0180c01b81676daa717f3d35d21f59a3f36b0fa3b558c87d4e86253c02ea",
+        "ae15f1972a56d4fa474f64e51a40d4b8dce61890ada20a39e2f00db05411a43e",
     ),
     ("h2", "rgd"): (
         "6200472b0221cb0e711818dc65b163ea63c5ce26eda8208383b82fd4cd51d18e",
         "050f921715789c072227ab42df78729a5976338656e72c9f2f4ebba449bca52f",
     ),
     ("h2_cond300", "axgd"): (
-        "d695c37ba09b6abc75c833328febf3fa2ec5f69bb430b5d6aa86cddc8c4aef9d",
-        "27d7e592a2fb0334a3efb18fcc2eb8de434b3abf1ffb22d2361ff9f98932479f",
+        "cc3c7d76dd5a1667953c194dbacf3e50ec25c66bf909693cf1f829c01beefe32",
+        "5616939de818e29a0ded0a090dfb1b2870630831c6d5042cbaa77f93a08c756d",
     ),
     ("h2_cond300", "restart_sc"): (
-        "dee08be71669b623356f941a5d72167759af0812c0a0c6e8fe249bd8b4b41c81",
-        "4e8e76c1f7fcf0b342c16f7ad16a8b537ba6ae6a8c1e5622c48ee0ba71d581c1",
+        "44abe7195e9f870c61cf1b2ee950d56af411f8d657718d79de0bad71c6241124",
+        "1f788cf03863db9f5765767033622ddf68bcdb778598471e8e782cdbcd9c7692",
     ),
     ("h2_cond300", "reduce_gc"): (
-        "e54b0b4c7b43cea8f9e16ef916cb234f867c465c2b205e882b469f3a6ab831e5",
-        "f552c86e2ac10ef661f9ef5a934d81cf9605b9badc9b11537d1c3bfbe52ad728",
+        "47da4a5dd5266867d2274bab158b06e85c09f0f1d5d328619a7e285cab7edcc8",
+        "4e5ab1f52b0b29eb5ef230492188a7e9a3fd6b6aadff83b3dc54c3eac15df4b2",
     ),
     ("h2_cond300", "rgd"): (
         "93a9a51613a8bafb8b3ab6435b2177e71dc24a4f42f8ac8ccfe961a70c8a0c44",
@@ -98,11 +98,11 @@ SWEEPS = {
 SWEEP_DIGESTS = {
     "cond_restart_sc": (
         {
-            "restart_sc_cond10.csv": "698449296cc54720273d6413663afcc15190f01622d042aa96d7c14531a52ec0",
-            "restart_sc_cond100.csv": "4860206e3a9f616bd0ae3ce518fc035668268d3c63a594a8cd5c1a26eca05799",
-            "restart_sc_summary.csv": "36de81c2b5068d2094eb35ca1725bf0ea99f234901291fe9620f8b5f3bc3324b",
+            "restart_sc_cond10.csv": "505c7d99b5d0d9514dc5cccc73bc551cc0799bd984b51f92c84c4529c0bebe4d",
+            "restart_sc_cond100.csv": "ff191dbff62a1a0ae3ee3c83a2b3a3ff17b20c94cc81fbdd4be06cba99670a7c",
+            "restart_sc_summary.csv": "7686b6c2fce6dd16f392a1e31a6323e408affc0042bde1ae6c46575f38df4b1e",
         },
-        "e299b8722c40686ea186167d5f225635b28f041dbea586122127e6da0d1455c2",
+        "2f6dba071641e9f8d2fe81a16d0faa29f412b0553fd814a3128bae42e42692dd",
     ),
     "rate_rgd": (
         {
@@ -115,7 +115,7 @@ SWEEP_DIGESTS = {
         "df26a9aa9bafd72267d4326bb2ba9cc6e19b7461f6b4d8f6ac6733921365c411",
     ),
 }
-VERIFY_DIGEST = "590571695049328306a1d30079453bf9a370415b3753873217b15dba893c80ad"
+VERIFY_DIGEST = "1ef5c3b52422b1e24fb4141b3de44d501227991d0c807d872d8e361217d7dd90"
 
 
 def _sha(data):
