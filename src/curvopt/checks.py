@@ -36,6 +36,7 @@ from .manifolds import (
     pole,
     random_in_ball,
     random_tangent,
+    rowsum,
 )
 from .objectives import FrechetObjective, MappedObjective, definition_slacks, delta_constants
 
@@ -130,9 +131,8 @@ def check_distance_deformation(sign, d, R, n, rng):
     x, y = _sample_pairs(frame, n, rng)
     dd = distance(x, y, sign)
     keep = dd > 1e-12
-    ratio = dd[keep] / np.linalg.norm(
-        to_ball(frame, x)[keep] - to_ball(frame, y)[keep], axis=-1
-    )
+    dt = to_ball(frame, x)[keep] - to_ball(frame, y)[keep]
+    ratio = dd[keep] / np.sqrt(rowsum(dt * dt))
     lo_slack = float(np.max(dc.dist_lo * (1 - 1e-9) - ratio))
     hi_slack = float(np.max(ratio - dc.dist_hi * (1 + 1e-9)))
     return CheckResult(
@@ -149,9 +149,10 @@ def check_angle_deformation(sign, d, R, n, rng):
     xt, yt = to_ball(frame, x), to_ball(frame, y)
     a = -xt
     b = yt - xt
-    cos_t = np.sum(a * b, -1) / (np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1))
+    r = np.sqrt(rowsum(xt * xt))  # |a|: a * a and xt * xt are the same bits
+    cos_t = rowsum(a * b) / (r * np.sqrt(rowsum(b * b)))
     alpha_t = np.arccos(np.clip(cos_t, -1.0, 1.0))
-    sin_f, cos_f = angle_deformation(np.linalg.norm(xt, axis=-1), alpha_t, sign)
+    sin_f, cos_f = angle_deformation(r, alpha_t, sign)
     u = log_map(x, np.broadcast_to(frame.x0.coords, x.shape), sign)
     w = log_map(x, y, sign)
     cos_m = inner(u, w, sign) / (norm(u, sign) * norm(w, sign))
@@ -174,8 +175,8 @@ def check_gradient_orthogonality(sign, d, R, n, rng):
     v = v - (inner(v, g, sign) / gn**2)[..., None] * g
     vt = pushforward(frame, x, v)
     gt = pullback_gradient(frame, x, g)
-    num = np.abs(np.sum(vt * gt, -1))
-    den = np.linalg.norm(vt, axis=-1) * np.linalg.norm(gt, axis=-1)
+    num = np.abs(rowsum(vt * gt))
+    den = np.sqrt(rowsum(vt * vt)) * np.sqrt(rowsum(gt * gt))
     keep = den > 1e-14
     worst = float(np.max(num[keep] / den[keep]))
     return CheckResult("gradient orthogonality preservation", worst, 1e-8, f"K={sign} d={d} R={R}")
@@ -198,7 +199,7 @@ def check_directional_ratio(sign, d, R, n, rng):
     num = inner(g, log_map(x, y, sign), sign)
     xt, yt = to_ball(frame, x), to_ball(frame, y)
     gt = pullback_gradient(frame, x, g, xt=xt)
-    den = np.sum(gt * (yt - xt), -1)
+    den = rowsum(gt * (yt - xt))
     keep = np.abs(den) > 1e-10
     ratio = num[keep] / den[keep]
     lo_slack = float(np.max(dc.gamma_p * (1 - 1e-9) - ratio))
@@ -224,7 +225,7 @@ def check_relaxed_convexity(sign, d, R, n, rng):
     fx = F.value_c(x)
     fy = F.value_c(y)
     gt = pullback_gradient(frame, x, F.grad_c(x), xt=xt)
-    den = np.sum(gt * (yt - xt), -1)
+    den = rowsum(gt * (yt - xt))
     coeff = np.where(den <= 0, 1.0 / dc.gamma_n, dc.gamma_p)
     slack = fx + coeff * den - fy
     scale = 1.0 + np.abs(fx) + np.abs(fy)
@@ -253,9 +254,8 @@ def check_pullback_fd(sign, d, R, n, rng):
         e = np.zeros(d)
         e[j] = step
         fd[:, j] = (fmap.value_many(xt + e) - fmap.value_many(xt - e)) / (2 * step)
-    err = np.linalg.norm(fd - grad, axis=-1)
-    gn = np.linalg.norm(grad, axis=-1)
-    worst = float(np.max(err / gn))
+    err = fd - grad
+    worst = float(np.max(np.sqrt(rowsum(err * err)) / np.sqrt(rowsum(grad * grad))))
     return CheckResult("gradient pullback vs finite differences", worst, 1e-6, f"K={sign} d={d} R={R}")
 
 
@@ -268,9 +268,10 @@ def check_mapped_smoothness(sign, d, R, n, rng):
     xt, yt = to_ball(frame, x), to_ball(frame, y)
     gx = pullback_gradient(frame, x, F.grad_c(x), xt=xt)
     gy = pullback_gradient(frame, y, F.grad_c(y), xt=yt)
-    dx = np.linalg.norm(xt - yt, axis=-1)
+    dxt, dg = xt - yt, gx - gy
+    dx = np.sqrt(rowsum(dxt * dxt))
     keep = dx > 1e-9
-    lip = np.linalg.norm(gx - gy, axis=-1)[keep] / dx[keep]
+    lip = np.sqrt(rowsum(dg * dg))[keep] / dx[keep]
     worst = float(np.max(lip) - dc.L_tilde)
     return CheckResult("mapped smoothness within bound", worst, 0.0, f"K={sign} d={d} R={R}")
 

@@ -41,6 +41,7 @@ from .manifolds import (
     distance,
     inner,
     norm,
+    rowsum,
 )
 
 BALL_TOL = 1e-9
@@ -49,6 +50,7 @@ BALL_TOL = 1e-9
 # that error exceeds 1e-2 and rounding, not geometry, sets how points are
 # renormalized; from R = 18 (error 0.24) even its sign is chance.
 MAX_HYPERBOLIC_R = math.acosh(math.sqrt(1e-2 / np.finfo(float).eps))
+_LIGHTLIKE = "ball coordinates lift to no point of the hyperboloid: 1 - |x~|^2 is not positive"
 
 
 class MapFrame(NamedTuple):
@@ -144,20 +146,27 @@ def to_ball(frame, x):
     return p[..., :-1] / p[..., -1:]
 
 
-def _ball_r2(frame, xt):
-    """|x~|^2, shape (..., 1), of ball point(s) x~ within R~ + BALL_TOL, or raise.
+def _ball_s2(frame, xt):
+    """1 + K |x~|^2, shape (..., 1), of ball point(s) x~, or raise.
 
-    The test is written so that NaN fails it.
+    x~ must lie within R~ + BALL_TOL, and 1 + K |x~|^2 must be positive.
+    The latter fails only on the hyperboloid once tanh R is within BALL_TOL
+    of 1 (R above about 10.7): there such an x~ lifts to a lightlike or
+    spacelike vector, no point of the model.  Both tests are written so
+    that NaN fails them.
     """
-    r2 = (xt * xt).sum(-1, keepdims=True)
+    r2 = rowsum(xt * xt, keepdims=True)
     if not (np.sqrt(r2) <= frame.R_tilde + BALL_TOL).all():
         raise GeometryError("ball coordinates exceed the frame radius")
-    return r2
+    s2 = 1.0 + frame.sign * r2
+    if not (s2 > 0.0).all():
+        raise GeometryError(_LIGHTLIKE)
+    return s2
 
 
 def _ball_scale(frame, xt):
-    """s = 1 / sqrt(1 + K |x~|^2), shape (..., 1), of ball point(s) x~ checked by ``_ball_r2``."""
-    return 1.0 / np.sqrt(np.maximum(1.0 + frame.sign * _ball_r2(frame, xt), 1e-300))
+    """s = 1 / sqrt(1 + K |x~|^2), shape (..., 1), of ball point(s) x~ checked by ``_ball_s2``."""
+    return 1.0 / np.sqrt(_ball_s2(frame, xt))
 
 
 def _lift(frame, xt):
@@ -171,7 +180,8 @@ def from_ball(frame, xt):
     """Inverse map: ambient coordinates M^{-1} p of ball point(s) x~ on the model.
 
     p = s (x~, 1) (``_lift``) is the image of the manifold point under the
-    frame isometry; ball coordinates beyond R~ + BALL_TOL raise.
+    frame isometry; ball coordinates beyond R~ + BALL_TOL raise, and so do
+    those that lift to no point of the model (see ``_ball_s2``).
     """
     return _isometry(frame, _lift(frame, xt), inverse=True)
 
@@ -202,7 +212,7 @@ def pushforward(frame, x, v):
     """
     vn = norm(v, frame.sign)[..., None]
     w = map_differential(frame, x, v)
-    wn = np.linalg.norm(w, axis=-1, keepdims=True)
+    wn = np.sqrt(rowsum(w * w, keepdims=True))
     return np.where(wn > 0, vn * w / np.maximum(wn, 1e-300), np.zeros_like(w))
 
 
@@ -217,15 +227,15 @@ def pullback_gradient(frame, x, g, xt=None):
 
         grad f = (q[:d] - K x~ (x~ . q[:d] + q[d]) / s2) / sqrt(s2).
 
-    Like ``from_ball``, it refuses ball coordinates beyond R~ + BALL_TOL.
+    Like ``from_ball``, it refuses the ball coordinates that ``_ball_s2`` refuses.
     """
     xt = to_ball(frame, x) if xt is None else np.asarray(xt, dtype=float)
     K = float(frame.sign)
     q = _isometry(frame, g)
     q[..., -1] *= K  # G = diag(1, ..., 1, K): the Minkowski flip of the last slot
     qd = q[..., :-1]
-    s2 = 1.0 + K * _ball_r2(frame, xt)
-    radial = (xt * qd).sum(-1, keepdims=True) + q[..., -1:]
+    s2 = _ball_s2(frame, xt)
+    radial = rowsum(xt * qd, keepdims=True) + q[..., -1:]
     return (qd - K * xt * radial / s2) / np.sqrt(s2)
 
 

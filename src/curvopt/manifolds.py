@@ -7,6 +7,13 @@ coordinate arrays of shape (..., d+1) and broadcasts over leading axes,
 tangent vectors included; ``AmbientPoint`` is a thin validated wrapper
 around a single point.
 
+Batched kernels reduce rows with ``rowsum``.  numpy's ``add.reduce`` along
+a short last axis costs about 25 ns per row, 4 to 10 times an elementwise
+pass over the batch, and its order, so its bits, depend on the batch's
+memory layout.  ``rowsum`` adds whole columns in numpy's order for a
+C-contiguous batch: the same bits, for every layout, at a fraction of the
+cost.
+
 Only the unit models are represented.  A problem of curvature K is the
 unit-model problem with every distance scaled by sqrt|K|, so callers scale
 the ball radius to sqrt|K| R (and smoothness and strong convexity by 1/|K|)
@@ -30,12 +37,39 @@ class GeometryError(ValueError):
     """A geometric precondition or invariant was violated beyond tolerance."""
 
 
+def rowsum(p, keepdims=False):
+    """``np.add.reduce(p, -1, keepdims=keepdims)`` of a float64 array, bit for bit.
+
+    A batch of rows of n <= 128 is summed as whole-column adds over the
+    batch, in the order of numpy's pairwise summation (Higham, SIAM J. Sci.
+    Comput. 14, 1993), which adds each row to +0.0: left to right for
+    n < 8; for n >= 8, eight accumulators over strides of 8, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail.  One
+    point (1-D) and wider rows take ``np.add.reduce``.  Which of two
+    different NaNs survives an add is left to the hardware, as numpy
+    leaves it.
+    """
+    n = p.shape[-1]
+    if p.ndim < 2 or n > 128:
+        return np.add.reduce(p, -1, keepdims=keepdims)
+    m = n - n % 8
+    s = np.zeros(p.shape[:-1])
+    if m:
+        r = p[..., :8]
+        for i in range(8, m, 8):
+            r = r + p[..., i : i + 8]
+        s += ((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])) + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7]))
+    for j in range(m, n):
+        s += p[..., j]
+    return s[..., None] if keepdims else s
+
+
 def inner(u, v, sign):
     """Ambient metric inner product along the last axis.
 
     Euclidean for the sphere, Minkowski (+,...,+,-) for the hyperboloid.
     """
-    s = np.sum(u * v, axis=-1)
+    s = rowsum(u * v)
     if sign == HYPERBOLIC:
         s = s - 2.0 * u[..., -1] * v[..., -1]
     return s
@@ -53,7 +87,7 @@ def project_point(p, sign):
     A norm that is not finite raises: NaN passes every sign test below.
     """
     p = np.asarray(p, dtype=float)
-    q = np.linalg.norm(p, axis=-1, keepdims=True) if sign == SPHERICAL else -inner(p, p, sign)
+    q = np.sqrt(rowsum(p * p, keepdims=True)) if sign == SPHERICAL else -inner(p, p, sign)
     if not np.isfinite(q).all():
         raise GeometryError("point coordinates and their norm must be finite")
     if sign == SPHERICAL:
@@ -84,9 +118,8 @@ def distance(x, y, sign):
     if sign == SPHERICAL:
         if np.any(np.abs(c) > 1.0 + DOMAIN_TOL):
             raise GeometryError("arccos argument outside [-1, 1] beyond tolerance")
-        return 2.0 * np.arctan2(
-            np.linalg.norm(x - y, axis=-1), np.linalg.norm(x + y, axis=-1)
-        )
+        dm, dp = x - y, x + y
+        return 2.0 * np.arctan2(np.sqrt(rowsum(dm * dm)), np.sqrt(rowsum(dp * dp)))
     if np.any(-c < 1.0 - DOMAIN_TOL):
         raise GeometryError("arccosh argument below 1 beyond tolerance")
     return 2.0 * np.arcsinh(0.5 * norm(x - y, sign))

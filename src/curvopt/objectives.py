@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geomap import BALL_TOL, _ball_scale, _isometry, ball_radius, from_ball, pullback_gradient
+from .geomap import _LIGHTLIKE, BALL_TOL, _ball_scale, _isometry, ball_radius, from_ball, pullback_gradient
 from .manifolds import (
     HYPERBOLIC,
     SPHERICAL,
@@ -36,6 +36,7 @@ from .manifolds import (
     inner,
     log_map,
     random_in_ball,
+    rowsum,
 )
 
 
@@ -141,7 +142,8 @@ def _as_points(x):
 
 
 def _sqdist_value(theta, weights):
-    return 0.5 * np.add.reduce(weights * (theta * theta), -1)
+    wt = weights * (theta * theta)  # one point, the solvers' hot path, skips the call to rowsum
+    return 0.5 * (np.add.reduce(wt) if wt.ndim == 1 else rowsum(wt))
 
 
 class FrechetObjective(ManifoldObjective):
@@ -207,7 +209,7 @@ class FrechetObjective(ManifoldObjective):
         # directions toward the anchors, scaled by distance over tangential norm.
         if x.ndim == 1:
             return np.add.reduce(k * c) * x - k.dot(self.anchor_coords)
-        return np.add.reduce(k * c, -1, keepdims=True) * x - k @ self.anchor_coords
+        return rowsum(k * c, keepdims=True) * x - k @ self.anchor_coords
 
 
 class RegularizedObjective(ManifoldObjective):
@@ -363,7 +365,7 @@ class MappedObjective:
 
         numpy sums ``xt.dot`` of a strided view in another order, so the
         callers copy one in: the bits must not depend on the layout.  One point, the
-        hot path, keeps ``geomap._ball_r2``'s rule, NaN failing it, in Python floats:
+        hot path, keeps ``geomap._ball_s2``'s rules, NaN failing them, in Python floats:
         ``xt.dot(xt)`` rounds apart from ``(xt * xt).sum(-1)`` (~1 point in 6); solver
         traces pin it.
         """
@@ -372,7 +374,10 @@ class MappedObjective:
             r2 = float(xt.dot(xt))
             if not math.sqrt(r2) <= self._r_max:
                 raise GeometryError("ball coordinates exceed the frame radius")
-            s = 1.0 / math.sqrt(max(1.0 + K * r2, 1e-300))
+            s2 = 1.0 + K * r2
+            if not s2 > 0.0:
+                raise GeometryError(_LIGHTLIKE)
+            s = 1.0 / math.sqrt(s2)
         else:
             s = _ball_scale(self.frame, xt)
         c = s * (xt.dot(self._BT) + self._b)
@@ -380,7 +385,7 @@ class MappedObjective:
         return s, c, theta, k
 
     def _grad(self, xt, s, c, k):
-        kc = float(k.dot(c)) if xt.ndim == 1 else (k * c).sum(-1, keepdims=True)
+        kc = float(k.dot(c)) if xt.ndim == 1 else rowsum(k * c, keepdims=True)
         return (s * s * kc) * xt - s * k.dot(self._KB)
 
     def value(self, xt):

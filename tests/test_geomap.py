@@ -236,6 +236,22 @@ class TestMappedDistance:
         edge = [frame.R_tilde + 0.5 * BALL_TOL, 0.0]
         assert mapped_distance(frame, edge, origin) == pytest.approx(1.0, abs=1e-8)
 
+    def test_refuses_the_lightlike_lift(self):
+        # At R = 12, tanh R is within BALL_TOL of 1, so |x~| = 1 passes the
+        # radius test.  1 - |x~|^2 = 0 was clamped to 1e-300: from_ball([1, 0])
+        # returned the lightlike [1e150, 0, 1e150], at distance 0.0 from the pole.
+        frame = make_frame(pole(2, CurvatureClass.hyperbolic()), 12.0)
+        rim, inside = [1.0, 0.0], [0.5, 0.0]
+        x, g = from_ball(frame, inside), np.array([0.1, 0.2, 0.0])
+        for call in (
+            lambda: from_ball(frame, rim),
+            lambda: from_ball(frame, [inside, rim]),
+            lambda: mapped_distance(frame, rim, inside),
+            lambda: pullback_gradient(frame, x, g, xt=rim),
+        ):
+            with pytest.raises(GeometryError, match="lift to no point"):
+                call()
+
     def test_zero_for_equal_points(self, space, rng):
         frame = random_frame(space, 2, 1.0, rng)
         xt = to_ball(frame, random_in_ball(frame.x0.coords, space.sign, 1.0, rng, 5))

@@ -1,9 +1,13 @@
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvopt import (
     AmbientPoint,
@@ -24,6 +28,7 @@ from curvopt.manifolds import (
     project_tangent,
     random_in_ball,
     random_tangent,
+    rowsum,
 )
 
 
@@ -225,6 +230,88 @@ class TestNonFinite:
         else:
             ref = out / np.sqrt(-inner(out, out, sign))[..., None]
         assert exp_map(x, v, sign).tobytes() == ref.tobytes()
+
+
+def _summed(p, keepdims):
+    """The bytes and shape of ``rowsum`` and of ``np.add.reduce``, and the kinds of warning each gave.
+
+    Which of two different NaNs survives an add is up to numpy's loop, not
+    the order (``np.add`` keeps the second operand's in the tail of a
+    contiguous loop), so a NaN is compared as NaN, by position and not by
+    payload.  Signed zeros count.
+    """
+    out = []
+    for f in (rowsum, lambda a, keepdims: np.add.reduce(a, -1, keepdims=keepdims)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            s = np.asarray(f(p, keepdims=keepdims))
+        kinds = sorted({str(w.message).split()[0] for w in caught})
+        out.append((np.where(np.isnan(s), np.nan, s).tobytes(), s.shape, kinds))
+    return out
+
+
+# Zeros of both signs, subnormals, magnitudes that overflow when added, and non-finite values.
+SUM_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+class TestRowsum:
+    """``rowsum`` gives numpy's bits: if a numpy release changes how it sums a row, this fails first."""
+
+    LEADS = [(), (1,), (5,), (2, 3)]
+
+    @given(n=st.integers(0, 140), lead=st.sampled_from(LEADS), data=st.data())
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_equals_numpy_to_the_bit(self, n, lead, data):
+        values = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(SUM_EDGES), st.floats())
+        p = data.draw(arrays(np.float64, lead + (n,), elements=values))
+        for keepdims in (False, True):
+            ours, numpy_ = _summed(p, keepdims)
+            assert ours == numpy_
+
+    def test_every_row_width(self, rng):
+        # n = 0 to 140, both sides of 8 and of 128.  Rows of like magnitudes
+        # round apart in another order; rows from 1e-300 to 1e300 overflow
+        # and underflow.  Half an edge value per row.
+        for n in range(141):
+            for lead in ((), (2, 3), (200,)):
+                shape = lead + (n,)
+                for exponents in ((-3, 3), (-300, 300)):
+                    p = rng.standard_normal(shape) * 10.0 ** rng.uniform(*exponents, shape)
+                    p = np.where(rng.random(shape) < 0.5 / max(n, 1), rng.choice(SUM_EDGES, shape), p)
+                    for keepdims in (False, True):
+                        ours, numpy_ = _summed(p, keepdims)
+                        assert ours == numpy_, (n, lead, exponents)
+
+
+class TestLayout:
+    """Batched kernels give the same bits on a Fortran-ordered batch as on its C-contiguous copy.
+
+    numpy reduces a Fortran-ordered (2000, 11) batch column by column, left
+    to right, and a C-contiguous one pairwise, row by row; ``rowsum`` sums
+    every layout in the latter order.
+    """
+
+    KERNELS = {
+        "inner": lambda x, y, v, sign: inner(x, y, sign),
+        "norm": lambda x, y, v, sign: norm(v, sign),
+        "distance": lambda x, y, v, sign: distance(x, y, sign),
+        "exp_map": lambda x, y, v, sign: exp_map(x, v, sign),
+        "log_map": lambda x, y, v, sign: log_map(x, y, sign),
+        "project_point": lambda x, y, v, sign: project_point(x + 1e-3 * y, sign),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_fortran_batch_keeps_the_bits(self, space, kernel):
+        rng = np.random.default_rng(7)
+        sign = space.sign
+        c = pole(10, space).coords
+        x = random_in_ball(c, sign, 1.0, rng, 2000)
+        y = random_in_ball(c, sign, 1.0, rng, 2000)
+        v = random_tangent(x, sign, rng) * rng.uniform(0.0, 1.0, (2000, 1))
+        f = self.KERNELS[kernel]
+        want = f(x, y, v, sign)
+        got = f(*(np.asfortranarray(a) for a in (x, y, v)), sign)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGradHalfSqdist:

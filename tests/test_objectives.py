@@ -380,6 +380,26 @@ class TestClosedFormMapping:
                 with pytest.raises(GeometryError):
                     fmap.grad(np.stack([np.zeros(3), beyond]))
 
+    @pytest.mark.parametrize("method", ["value", "grad", "value_and_grad", "value_many"])
+    def test_lightlike_lift_raises(self, method):
+        # H^2 at R = 12: |x~| = 1 passes the radius test, as tanh R is within
+        # BALL_TOL of 1, and 1 - |x~|^2 = 0 was clamped to 1e-300, so
+        # value_and_grad([1, 0]) returned 61673 and a gradient of 3.5e302 here.
+        space = CurvatureClass.hyperbolic()
+        center, F = frechet_instance(space, 2, 12.0, 3, seed=5)
+
+        class Chain(ManifoldObjective):
+            value_c, grad_c = F.value_c, F.grad_c
+
+        frame = make_frame(center, 12.0)
+        rim = np.array([1.0, 0.0])
+        for obj in (F, Chain()):
+            call = getattr(MappedObjective(obj, frame), method)
+            call(0.5 * rim)
+            for xt in (rim, np.stack([0.5 * rim, rim])):
+                with pytest.raises(GeometryError, match="lift to no point"):
+                    call(xt)
+
     def test_library_objective_skips_the_chain(self, space, rng, monkeypatch):
         center, objs = self.objectives(space, 3)
         frame = make_frame(center, 1.0)

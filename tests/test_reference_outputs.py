@@ -10,7 +10,9 @@ they write and on their stdout.  ``bench verify --samples 500`` is hashed
 on its stdout.  The digests were taken with
 numpy 2.4.6; a numpy that sums or rounds differently may move them, and
 then a change to the program is judged against a run of its parent on the
-same numpy.  A change to the algorithm on purpose regenerates them with
+same numpy.  When they move after a numpy upgrade, look first at
+``tests/test_manifolds.py::TestRowsum``: it fails, and names the row
+width, if numpy no longer sums a row the way ``manifolds.rowsum`` does.  A change to the algorithm on purpose regenerates them with
 ``python tests/test_reference_outputs.py`` and says so.
 """
 
