@@ -50,11 +50,12 @@ class SolverParams:
     R_tilde: float
 
     def __post_init__(self):
+        # Each test is written so that NaN fails it.
         if not (0 < self.gamma_n <= 1 and 0 < self.gamma_p <= 1):
             raise ValueError("gamma_n, gamma_p must lie in (0, 1]")
-        if self.L_tilde <= 0 or self.epsilon <= 0 or self.R_tilde <= 0:
-            raise ValueError("L_tilde, epsilon, R_tilde must be positive")
-        if self.t < 1:
+        if not all(0 < v < math.inf for v in (self.L_tilde, self.epsilon, self.R_tilde)):
+            raise ValueError("L_tilde, epsilon, R_tilde must be finite and positive")
+        if not self.t >= 1:
             raise ValueError("need at least one iteration")
 
     @cached_property
@@ -79,7 +80,7 @@ class SolverParams:
 
 
 # Larger certified budgets come from configs no run can finish (hyperbolic
-# R = 15 certifies 4.2e22 axgd iterations at epsilon = 1e-2); tests spend at
+# R = 15 certifies 3.0e22 axgd iterations at epsilon = 1e-2); tests spend at
 # most ~1.05e7.
 MAX_ITERATIONS = 10**8
 
@@ -95,29 +96,39 @@ def ceil_budget(t):
     return max(1, math.ceil(t))
 
 
-def iteration_budget(L_tilde, gamma_n, gamma_p, epsilon, R_tilde):
-    """Certified iteration budget t = ceil(sqrt(2 L_tilde (2 R_tilde)^2 / (gamma_n^2 gamma_p epsilon))).
+def iteration_budget(L_tilde, gamma_n, gamma_p, epsilon, D):
+    """Least t with t (t + 1) >= 4 L_tilde D^2 / (gamma_n^2 gamma_p epsilon), for a start within D of x*~.
 
-    After t iterations the gap is at most 2 L_tilde |x0~ - x*~|^2 /
-    (gamma_n^2 gamma_p t (t + 1)) + epsilon / 2, and t^2 >= 8 L_tilde
-    R_tilde^2 / (gamma_n^2 gamma_p epsilon).  So t certifies a gap of
-    0.75 epsilon from the ball centre (|x0~ - x*~| <= R_tilde), as every
-    CLI axgd run and every re-centered restart round starts, and 1.5
-    epsilon from any other start in the ball (|x0~ - x*~| <= 2 R_tilde),
-    as the rounds k >= 1 of a fixed-frame restart run start.
+    After t iterations from x0~ the gap is at most 2 L_tilde |x0~ - x*~|^2 /
+    (gamma_n^2 gamma_p t (t + 1)) + epsilon / 2, so with D >= |x0~ - x*~|
+    this t certifies epsilon.  D is R_tilde from the ball centre, where
+    every CLI axgd run and every re-centered restart round starts, and at
+    most 2 R_tilde from any start in the ball.  The float root of t^2 + t =
+    q is settled in integers, so that its rounding never moves t; budgets
+    over MAX_ITERATIONS raise ``BudgetError``.
     """
-    t = math.sqrt(2.0 * L_tilde * (2.0 * R_tilde) ** 2 / (gamma_n**2 * gamma_p * epsilon))
+    if not 0 < D < math.inf:
+        raise ValueError(f"the start's distance bound D = {D!r} must be finite and positive")
+    q = 4.0 * L_tilde * D * D / (gamma_n**2 * gamma_p * epsilon)
+    t = ceil_budget(math.sqrt(q + 0.25) - 0.5)
+    if t * (t + 1) < q:
+        t += 1
+    elif t > 1 and (t - 1) * t >= q:
+        t -= 1
     return ceil_budget(t)
 
 
-def params_from_constants(dc, R_tilde, epsilon):
-    """SolverParams from deformation constants, with the certified budget t."""
+def params_from_constants(dc, R_tilde, epsilon, D=None):
+    """SolverParams from deformation constants, with the budget t certified from within D of x*~.
+
+    D defaults to R_tilde, which bounds the distance from the ball centre.
+    """
     return SolverParams(
         L_tilde=dc.L_tilde,
         gamma_n=dc.gamma_n,
         gamma_p=dc.gamma_p,
         epsilon=epsilon,
-        t=iteration_budget(dc.L_tilde, dc.gamma_n, dc.gamma_p, epsilon, R_tilde),
+        t=iteration_budget(dc.L_tilde, dc.gamma_n, dc.gamma_p, epsilon, R_tilde if D is None else D),
         R_tilde=R_tilde,
     )
 

@@ -15,9 +15,10 @@ class RgdParams(_Frozen):
     __slots__ = ("step", "max_iters", "tol_grad", "trace_stride")
 
     def __init__(self, step, max_iters, tol_grad=0.0, trace_stride=1):
-        if step <= 0:
-            raise GeometryError("step size must be positive")
-        if max_iters < 0 or trace_stride < 1:
+        # Each test is written so that NaN fails it.
+        if not 0 < step < math.inf:
+            raise GeometryError("step size must be finite and positive")
+        if not (0 <= max_iters < math.inf and trace_stride >= 1):
             raise GeometryError("invalid iteration or stride settings")
         self._init(step, max_iters, tol_grad, trace_stride)
 

@@ -274,8 +274,10 @@ def _plan(cfg, inst):
     certified budget over ``axgd.MAX_ITERATIONS`` is refused naming the
     config values it grows with.  The returned ``solve(row)`` runs the
     planned solver and hands each traced record to ``row(i, evals, frame,
-    x, f_value, lam, gamma_hat)``: x is a ball point of ``frame`` for axgd,
-    and a model point with ``frame=None`` for rgd and the reductions.
+    x, f_value, lam, gamma_hat)``: x is a ball point of ``frame`` for axgd
+    and the reductions, and a model point with ``frame=None`` for rgd;
+    ``f_value=None`` stands for the instance objective at x, which the
+    records of a regularization stage do not hold.
     """
     F, x0, R, eps = inst.objective, inst.x0, inst.R, cfg.epsilon
     try:
@@ -297,20 +299,21 @@ def _plan(cfg, inst):
             )
         if cfg.solver == "restart_sc":
             plan_strongly_gconvex(F, x0, R, eps, True)
-            return lambda row: solve_strongly_gconvex(F, x0, R, eps, trace=_round_rows(F, row, lambda rt: (rt,)))
+            return lambda row: solve_strongly_gconvex(F, x0, R, eps, trace=_round_rows(row, lambda rt: (rt,)))
         F_gc = with_constants(F, strong_convexity=0.0) if F.strong_convexity > 0 else F
         plan_gconvex_via_sc(F_gc, x0, R, eps, True)
-        return lambda row: solve_gconvex_via_sc(F_gc, x0, R, eps, trace=_round_rows(F, row, lambda st: st.rounds))
+        return lambda row: solve_gconvex_via_sc(F_gc, x0, R, eps, trace=_round_rows(row, lambda st: st.rounds))
     except axgd.BudgetError as err:
         condition = "" if cfg.condition is None else f", condition = {cfg.condition:g}"
         raise ConfigError(f"epsilon = {cfg.epsilon:g}, R = {cfg.R:g}{condition}: {err}") from None
 
 
-def _round_rows(F, row, rounds_of):
+def _round_rows(row, rounds_of):
     """A reduction's trace sink, handing ``row`` each record of the rounds ``rounds_of(event)``.
 
-    Evals add up over the rounds, and gaps are taken on the instance objective
-    ``F``: the records of a regularization stage hold regularized values.
+    Evals add up over the rounds.  Each record goes with its round's frame
+    and ``f_value=None``: its gap is taken on the instance objective, since
+    the records of a regularization stage hold regularized values.
     """
     count = spent = 0
 
@@ -318,9 +321,8 @@ def _round_rows(F, row, rounds_of):
         nonlocal count, spent
         for rt in rounds_of(event):
             for rec in rt.records:
-                x = from_ball(rt.frame, rec.x)
                 count += 1
-                row(count, spent + rec.grad_evals, None, x, float(F.value_c(x)), rec.lam, rec.gamma_hat)
+                row(count, spent + rec.grad_evals, rt.frame, rec.x, None, rec.lam, rec.gamma_hat)
             spent += rt.grad_evals
 
     return sink
@@ -339,23 +341,32 @@ def _trace_run(cfg, inst, solve):
     With ``cfg.output``, each CSV row streams as it is made to a temporary
     file beside the output, made before the solve, which replaces the output
     when the run ends; a run that fails removes it and leaves the output as
-    it was.  Without an output, no row's point is mapped or measured.
+    it was.  Without an output, only the last row's gap is taken: a
+    reduction's last record is mapped once, as a written row is, and no
+    other point is mapped or measured.
     """
     last, fh, t0 = None, None, time.perf_counter_ns()
 
+    def report(evals, frame, x, f_value):
+        if f_value is None:
+            f_value = float(inst.objective.value_c(x if frame is None else from_ball(frame, x)))
+        return RunReport(evals, max(f_value - inst.f_star, 0.0))
+
     def row(i, evals, frame, x, f_value, lam, gamma_hat):
         nonlocal last
-        last = RunReport(evals, max(f_value - inst.f_star, 0.0))
-        if fh is not None:
-            if frame is not None:
-                x = from_ball(frame, x)
-            dist = float(distance(x, inst.x_star.coords, inst.x0.space.sign))
-            wall = time.perf_counter_ns() - t0 if cfg.timing else 0
-            fh.write(f"{i},{evals},{last.final_gap:.17g},{dist:.17g},{lam:.17g},{gamma_hat:.17g},{wall}\n")
+        if fh is None:
+            last = (evals, frame, x, f_value)
+            return
+        if frame is not None:
+            x = from_ball(frame, x)
+        last = report(evals, None, x, f_value)
+        dist = float(distance(x, inst.x_star.coords, inst.x0.space.sign))
+        wall = time.perf_counter_ns() - t0 if cfg.timing else 0
+        fh.write(f"{i},{evals},{last.final_gap:.17g},{dist:.17g},{lam:.17g},{gamma_hat:.17g},{wall}\n")
 
     if not cfg.output:
         solve(row)
-        return last
+        return report(*last)
     tmp = f"{cfg.output}.{os.getpid()}.tmp"
     fh = open(tmp, "x", newline="\n")
     try:

@@ -170,9 +170,10 @@ class FrechetObjective(ManifoldObjective):
         sign = self.space.sign
         self.anchor_coords = np.stack([a.coords for a in anchors])
         self.weights = np.asarray(weights, dtype=float)
-        if self.weights.shape != (len(anchors),) or np.any(self.weights <= 0):
+        # Both tests are written so that NaN fails them.
+        if self.weights.shape != (len(anchors),) or not np.all(self.weights > 0):
             raise GeometryError("weights must be positive, one per anchor")
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-9:
+        if not abs(float(np.sum(self.weights)) - 1.0) <= 1e-9:
             raise GeometryError("weights must sum to 1")
         self.anchors = anchors
         ball_radius(sign, radius)

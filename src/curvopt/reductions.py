@@ -47,8 +47,14 @@ def restart_plan(sign, L, mu, R, epsilon, recenter):
     the radius of the ball its map covers, R_k when the map is re-centered
     each round and R (the fixed frame's) otherwise, and the solver
     parameters certified on that ball for target eps_k = params.epsilon.
-    R must pass ``geomap.ball_radius``, and neither mu R^2 / epsilon nor
-    any eps_k may round to 0.
+    A round's budget is certified from its start's distance D to the
+    minimizer in ball coordinates (``axgd.iteration_budget``).  A
+    re-centered round, and round 0 of a fixed frame, starts at the ball
+    centre, so D = R~, the ball's image radius.  Round k >= 1 of a fixed
+    frame starts at the previous output, within R_k of the minimizer, and
+    points a distance d apart lie at most d / dist_lo apart in the ball, so
+    D = min(2 R~, R_k / dist_lo).  R must pass ``geomap.ball_radius``, and neither
+    mu R^2 / epsilon nor any eps_k may round to 0.
     """
     if mu <= 0:
         raise GeometryError("restart reduction needs strictly positive strong convexity")
@@ -66,7 +72,9 @@ def restart_plan(sign, L, mu, R, epsilon, recenter):
             raise GeometryError(f"the target mu R_k^2 / 4 of round {k} underflows to 0 at R = {float(R)!r}")
         R_frame = R_k if recenter else R
         dc = deformation_constants_for(sign, R_frame, L)
-        plan.append((R_frame, axgd.params_from_constants(dc, ball_radius(sign, R_frame), eps_k)))
+        R_tilde = ball_radius(sign, R_frame)
+        D = R_tilde if recenter or k == 0 else min(2.0 * R_tilde, R_k / dc.dist_lo)
+        plan.append((R_frame, axgd.params_from_constants(dc, R_tilde, eps_k, D)))
     return plan
 
 
@@ -211,15 +219,23 @@ def planned_lower_bound(F, x0, R, plan, recenter):
 
     - the round count max(1, ceil(log2(sc_i R^2 / eps_i) - 1)) and every
       round radius R_k = R / 2^(k/2) grow with R;
-    - round k's budget is t = ceil(sqrt(8 L~ R~^2 / (gamma_n^2 gamma_p eps_k)))
-      with eps_k = sc_i R_k^2 / 4 and the map constants at the frame radius
-      r, which is R_k, or R on a fixed frame (there R_k / R is fixed).  So
-      t^2 is a constant times (1 + 4 r tanh r) cosh(r)^2 (sinh(r) / r)^2 /
-      (gamma_n^2 gamma_p) on the hyperboloid and max(1, r) (tan(r) / r)^2 /
-      cos(r)^8 on the sphere (r < pi/2): products of positive nondecreasing
-      factors of r.  On the hyperboloid gamma_n and gamma_p are extremes of
-      the directional ratio over nested domains, the squares [-r, r]^2 of
-      ``geomap.deformation_constants_for``, so both are nonincreasing in r.
+    - round k's budget is the least t with t (t + 1) >= q = 4 L~ D^2 /
+      (gamma_n^2 gamma_p eps_k), nondecreasing in q, with eps_k = sc_i R_k^2
+      / 4 and the map constants at the frame radius r, which is R_k, or R
+      on a fixed frame (there R_k / R is fixed).  From the ball centre D =
+      r~, tanh r or tan r, so q is a constant times (1 + 4 r tanh r)
+      cosh(r)^2 (sinh(r) / r)^2 / (gamma_n^2 gamma_p) on the hyperboloid
+      and max(1, r) (tan(r) / r)^2 / cos(r)^8 on the sphere (r < pi/2):
+      products of positive nondecreasing factors of r.  A fixed-frame
+      round k >= 1 has D = min(2 r~, R_k / dist_lo), so q is the smaller of
+      4 times that and a constant times L~ / (dist_lo^2 gamma_n^2 gamma_p),
+      which is cosh(r)^4 (1 + 4 r tanh r) / (gamma_n^2 gamma_p) on the
+      hyperboloid (dist_lo = 1) and max(1, r) / cos(r)^12 on the sphere
+      (dist_lo = cos(r)^2); the smaller of two nondecreasing functions is
+      nondecreasing.  On the hyperboloid gamma_n and gamma_p are extremes
+      of the directional ratio over nested domains, the squares [-r, r]^2
+      of ``geomap.deformation_constants_for``, so both are nonincreasing in
+      r.
 
     The upper bound sqrt(2 g_i / sc_i) is not planned with: on the sphere it
     can exceed pi/2, where the map constants are undefined.

@@ -236,11 +236,10 @@ def test_criterion_04_solver_correctness(instance_h, axgd_sweep):
     eps = 1e-4
     params, records, f_final = axgd_sweep[eps]
     dc, frame = instance_h.dc, instance_h.frame
-    budget = math.ceil(
-        math.sqrt(
-            2 * dc.L_tilde * (2 * frame.R_tilde) ** 2 / (dc.gamma_n**2 * dc.gamma_p * eps)
-        )
-    )
+    # The least t with t (t + 1) >= 4 L~ R~^2 / (gamma_n^2 gamma_p eps): the
+    # run starts at the ball centre, within R~ of the optimum.
+    q = 4 * dc.L_tilde * frame.R_tilde**2 / (dc.gamma_n**2 * dc.gamma_p * eps)
+    budget = math.ceil(math.sqrt(q + 0.25) - 0.5)
     gap = f_final - instance_h.f_star
     recheck_ok = True
     f_prev = None
@@ -327,6 +326,31 @@ def test_criterion_07_restart_contraction(instance_h):
         details.append(f"recenter={recenter}: {len(rounds)} rounds, worst ratio {worst:.3f}")
     detail = "; ".join(details) + " (halving tolerance 0.5*(1+1e-6))"
     assert report(7, ok, detail), detail
+
+
+def test_fixed_frame_restart_rounds_meet_their_targets(instance_h):
+    """Criterion 7's fixed-frame run: each round reaches its target mu R_k^2 / 4
+    on the budget certified from its start's distance D to the optimum, R~
+    from the centre in round 0 and min(2 R~, R_k / dist_lo) after it."""
+    rng = np.random.default_rng(SEED + 1)
+    start = AmbientPoint(
+        random_in_ball(instance_h.x_star.coords, -1, 0.8, rng, 1)[0],
+        instance_h.center.space,
+    )
+    F, mu = instance_h.F, instance_h.F.strong_convexity
+    rounds = []
+    solve_strongly_gconvex(F, start, 1.0, mu / 2**6, recenter=False, trace=rounds.append)
+    assert len(rounds) == 5
+    R_tilde = rounds[0].frame.R_tilde
+    dc = deformation_constants(rounds[0].frame, F.smoothness)
+    for k, rt in enumerate(rounds):
+        R_k = 1.0 / 2 ** (k / 2)
+        D = R_tilde if k == 0 else min(2 * R_tilde, R_k / dc.dist_lo)
+        q = 4 * dc.L_tilde * D**2 / (dc.gamma_n**2 * dc.gamma_p * rt.params.epsilon)
+        t = rt.params.t
+        assert rt.params.epsilon == pytest.approx(mu * R_k**2 / 4, rel=1e-15)
+        assert t * (t + 1) >= q > (t - 1) * t
+        assert F.value(rt.x_end) - instance_h.f_star <= rt.params.epsilon, k
 
 
 def test_criterion_08_regularization_schedule(instance_h):

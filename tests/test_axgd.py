@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -123,8 +124,56 @@ class TestSchedule:
         assert total == pytest.approx(p.epsilon / 2, rel=1e-12)
 
     def test_budget_formula(self):
-        t = iteration_budget(10.0, 0.5, 0.5, 1e-4, 0.8)
-        assert t == math.ceil(math.sqrt(2 * 10.0 * (1.6) ** 2 / (0.25 * 0.5 * 1e-4)))
+        # R~ = 0.8: D = R~ bounds a start at the centre, 2 R~ any start in the
+        # ball.  The least t with t (t + 1) >= q makes the rate term
+        # 2 L~ D^2 / (gamma_n^2 gamma_p t (t + 1)) at most epsilon / 2.
+        for D, expected in ((0.8, 1431), (1.6, 2862)):
+            q = 4 * 10.0 * D**2 / (0.25 * 0.5 * 1e-4)
+            t = iteration_budget(10.0, 0.5, 0.5, 1e-4, D)
+            assert t * (t + 1) >= q > (t - 1) * t
+            assert 2 * 10.0 * D**2 / (0.25 * 0.5 * t * (t + 1)) <= 1e-4 / 2
+            assert t == expected
+
+    @given(k=st.integers(1, axgd.MAX_ITERATIONS - 1), step=st.sampled_from([-1, 0, 1]))
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    def test_budget_is_the_least_certifying_t(self, k, step):
+        # L~ = q / 4 with unit gammas, epsilon and D gives q exactly; around
+        # q = k (k + 1) the float root can round to a t one too small.
+        q = float(k * (k + 1))
+        q = math.nextafter(q, math.inf) if step > 0 else math.nextafter(q, 0.0) if step < 0 else q
+        t = iteration_budget(q / 4, 1.0, 1.0, 1.0, 1.0)
+        assert t * (t + 1) >= q > (t - 1) * t
+
+    def test_budget_settles_a_root_that_rounds_down(self):
+        k = 18034064
+        q = math.nextafter(float(k * (k + 1)), math.inf)
+        assert math.ceil(math.sqrt(q + 0.25) - 0.5) == k  # one too small
+        assert iteration_budget(q / 4, 1.0, 1.0, 1.0, 1.0) == k + 1
+
+    def test_budget_cap(self):
+        cap = axgd.MAX_ITERATIONS
+        q = float(cap * (cap + 1))
+        assert iteration_budget(q / 4, 1.0, 1.0, 1.0, 1.0) == cap
+        with pytest.raises(axgd.BudgetError, match="exceeds 1e[+]08"):
+            iteration_budget(math.nextafter(q, math.inf) / 4, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(axgd.BudgetError, match="exceeds 1e[+]08"):
+            iteration_budget(1e300, 1.0, 1.0, 1e-300, 1.0)  # q overflows to inf
+
+    @pytest.mark.parametrize("D", [0.0, -1.0, math.nan, math.inf])
+    def test_budget_refuses_a_distance_bound_that_is_not_finite_and_positive(self, D):
+        with pytest.raises(ValueError, match="D = "):
+            iteration_budget(10.0, 0.5, 0.5, 1e-4, D)
+
+    def test_params_default_to_the_centre_start(self):
+        dc = SimpleNamespace(L_tilde=10.0, gamma_n=0.5, gamma_p=0.5)
+        assert params_from_constants(dc, 0.8, 1e-4).t == iteration_budget(10.0, 0.5, 0.5, 1e-4, 0.8)
+        assert params_from_constants(dc, 0.8, 1e-4, 1.6).t == iteration_budget(10.0, 0.5, 0.5, 1e-4, 1.6)
+
+    @pytest.mark.parametrize("field", ["L_tilde", "epsilon", "R_tilde"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_params_refuse_a_constant_that_is_not_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            replace(quad_params(), **{field: value})
 
 
 class TestStep:

@@ -21,8 +21,16 @@ class TestRgdParams:
             dict(step=-1.0, max_iters=10),
             dict(step=1.0, max_iters=-1),
             dict(step=1.0, max_iters=10, trace_stride=0),
+            dict(step=math.nan, max_iters=10),
+            dict(step=math.inf, max_iters=10),
+            dict(step=1.0, max_iters=math.nan),
+            dict(step=1.0, max_iters=math.inf),
+            dict(step=1.0, max_iters=10, trace_stride=math.nan),
         ],
-        ids=["zero-step", "negative-step", "negative-max-iters", "zero-stride"],
+        ids=[
+            "zero-step", "negative-step", "negative-max-iters", "zero-stride",
+            "nan-step", "inf-step", "nan-max-iters", "inf-max-iters", "nan-stride",
+        ],
     )
     def test_rejects_invalid_settings(self, kwargs):
         with pytest.raises(GeometryError):

@@ -181,7 +181,7 @@ class TestRunExperiment:
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_run_streams_its_rows_without_holding_them(self, tmp_path):
-        # 8221 rows, which took 2.3 MB when a run held them until its end.
+        # 1892 rows, whose records alone take 1.1 MB when a run holds them.
         cfg = ExperimentConfig(weights="random", seed=20240, epsilon=1e-4, output=str(tmp_path / "out.csv"))
         inst = build_instance(cfg)
         report, peak = _traced_peak(run_experiment, cfg, inst)
@@ -399,6 +399,22 @@ def test_axgd_rows_map_points_only_when_written(tmp_path, monkeypatch, output):
     assert len(calls) == (t if output else 0)
 
 
+@pytest.mark.parametrize("solver", ["restart_sc", "reduce_gc"])
+def test_reduction_rows_map_points_only_when_written(tmp_path, monkeypatch, solver):
+    # Without an output only the last record is mapped, for the final gap,
+    # as its written row is; so both runs report the same bytes.
+    cfg = ExperimentConfig(solver=solver, epsilon=1e-2, seed=5)
+    inst = build_instance(cfg)
+    calls = _counting(monkeypatch, "from_ball")
+    quiet = run_experiment(cfg, instance=inst)
+    assert len(calls) == 1
+    out = tmp_path / "out.csv"
+    written = run_experiment(replace(cfg, output=str(out)), instance=inst)
+    rows = len(out.read_text().splitlines()) - 1
+    assert rows > 1 and len(calls) == 1 + rows
+    assert written == quiet
+
+
 @pytest.mark.parametrize("solver,planner", [("axgd", "make_frame"), ("reduce_gc", "plan_gconvex_via_sc")])
 def test_sweep_plans_each_point_once(tmp_path, monkeypatch, solver, planner):
     calls = _counting(monkeypatch, planner)
@@ -431,23 +447,23 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, "manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False, "R:"),
         (RUN, "curvature = 0\n", None, False, "curvature:"),
         (RUN, "epsilon = 1e-2\n", None, True, "line-search"),
-        # Certified budgets of 4.2e22 (axgd) and 3.3e8 (rgd) iterations.
-        (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 4.2e+22"),
+        # Certified budgets of 3.0e22 (axgd) and 3.3e8 (rgd) iterations.
+        (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 2.97e+22"),
         (RUN, "R = 15\nepsilon = 1e-3\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 3.34e+08"),
         # A single axgd run or restart round over the cap names the config values.
         (RUN, "R = 12\nepsilon = 1e-4\n", None, False,
-         "error: epsilon = 0.0001, R = 12: certified budget t = 3.57e+19"),
+         "error: epsilon = 0.0001, R = 12: certified budget t = 2.52e+19"),
         (RUN, "R = 12\nepsilon = 1e-4\nsolver = restart_sc\n", None, False,
-         "error: epsilon = 0.0001, R = 12: certified budget t = 7.17e+16"),
+         "error: epsilon = 0.0001, R = 12: certified budget t = 5.07e+16"),
         (RUN, "R = 1000\n", None, False, "R:"),
         # The README H^2 instance below the float64 floor (2.98e-17 there),
-        # and at R = 4, epsilon = 1e-6, where reduce_gc needs at least 1.68e8
-        # iterations, though no round of that bound needs more than 4.9e7.
+        # and at R = 4, epsilon = 1e-6, where reduce_gc needs at least 1.19e8
+        # iterations, though no round of that bound needs more than 3.5e7.
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-20\n", None, False, "epsilon = 1e-20 is below"),
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-30\n", None, False, "epsilon = 1e-30 is below"),
         (RUN, README_H2 + "solver = restart_sc\nepsilon = 1e-40\n", None, False, "epsilon = 1e-40 is below"),
         (RUN, README_H2 + "R = 4\nsolver = reduce_gc\nepsilon = 1e-6\n", None, False,
-         "error: epsilon = 1e-06, R = 4: the plan needs at least 1.68e+08 iterations"),
+         "error: epsilon = 1e-06, R = 4: the plan needs at least 1.19e+08 iterations"),
         # Unit-model radii (1.25e-300, 4.05e-300) whose squares underflow to 0.
         (RUN, "manifold = spherical\ncurvature = 1.5707963267948966\nR = 1e-300\nsolver = restart_sc\n", None,
          False, "error: mu R^2 / epsilon underflows to 0 at R = 1.2533141373155e-300"),

@@ -60,6 +60,13 @@ class TestFrechet:
         with pytest.raises(GeometryError):
             FrechetObjective([center], [-1.0], center, 0.8)
 
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan]])
+    def test_nan_weights_refused(self, space, weights):
+        # Both comparisons used to be False for NaN, so such weights passed.
+        center = pole(3, space)
+        with pytest.raises(GeometryError, match="weights must be positive"):
+            FrechetObjective([center, center], weights, center, 0.8)
+
     def test_anchors_must_be_inside_ball(self, space, rng):
         center = pole(3, space)
         far = AmbientPoint(

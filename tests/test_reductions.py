@@ -186,6 +186,16 @@ def test_hyperbolic_restart_plan_grows_with_the_radius(recenter, R_max):
     assert all(a <= b for a, b in zip(totals, totals[1:]))
 
 
+@pytest.mark.parametrize("recenter", [True, False])
+def test_spherical_restart_plan_grows_with_the_radius(recenter):
+    # As above; a fixed frame's rounds k >= 1 take min(2 R~, R_k / cos^2 R) as D.
+    totals = [
+        sum(params.t for _, params in restart_plan(SPHERICAL, 2.0, 1.0, R, 1e-3, recenter))
+        for R in np.linspace(1.3 / 200, 1.3, 200)
+    ]
+    assert all(a <= b for a, b in zip(totals, totals[1:]))
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -37,48 +37,48 @@ COMMON = "weights = random\nepsilon = 1e-3\n"
 # (config, solver) -> (sha256 of the CSV, sha256 of the stdout)
 RUN_DIGESTS = {
     ("h2", "axgd"): (
-        "146360209282621d4d1c217161624f3e28629835ec15508e9d72dae8816785f4",
-        "7dcbb5df076ae055a66b424b434c0e8e0c99609438712a6390c53ac4e09f2e6a",
+        "403812c2b2f423d8fef66ec502240d41ec86c2d65aca8213d75be858bf45b329",
+        "ba4adf2407fd85daf193141d84f654269e8880ffe1b383b0c6940533adfef5e0",
     ),
     ("h2", "restart_sc"): (
-        "ce522b3ce5d88eb561a0dae37d5883aeab3b5e740a96e4bda91def81ecb51b09",
-        "152f2009661f2a9f3d20dff89c1be50d3740dfdb7d89c396b3a80bb9c3c24058",
+        "9b908d61372425678786e34579e19303d351b14dfad89b3b818c40bf0409aaa2",
+        "8485e127ea71c8a794dc9abcaa99e04225c1f153dc5cd27e0305dd248985b5d5",
     ),
     ("h2", "reduce_gc"): (
-        "20ca0180c01b81676daa717f3d35d21f59a3f36b0fa3b558c87d4e86253c02ea",
-        "ae15f1972a56d4fa474f64e51a40d4b8dce61890ada20a39e2f00db05411a43e",
+        "499f9b0b7c7ad015d112ff7ce15898ecf713535384e3ba9ec26754433b0fb5e5",
+        "01ba915cb9c43f5b8debc8de633a2ef04e7c87e92e1cb15fa6d0d87081321eac",
     ),
     ("h2", "rgd"): (
         "6200472b0221cb0e711818dc65b163ea63c5ce26eda8208383b82fd4cd51d18e",
         "050f921715789c072227ab42df78729a5976338656e72c9f2f4ebba449bca52f",
     ),
     ("h2_cond300", "axgd"): (
-        "cc3c7d76dd5a1667953c194dbacf3e50ec25c66bf909693cf1f829c01beefe32",
-        "5616939de818e29a0ded0a090dfb1b2870630831c6d5042cbaa77f93a08c756d",
+        "a835ee9cbf1d5b36612989a36c45ee0936ecc5a056d6fab2c9ab01606a3b41a2",
+        "d315e570462cd8b7e5d4e17836b6a04d27c2c0fbf7396a2ae4df9c895c7faa23",
     ),
     ("h2_cond300", "restart_sc"): (
-        "44abe7195e9f870c61cf1b2ee950d56af411f8d657718d79de0bad71c6241124",
-        "1f788cf03863db9f5765767033622ddf68bcdb778598471e8e782cdbcd9c7692",
+        "124603b3f9265bd6274bf0d7fd4f67fb717a10267b4d7c448ab239f1342bbc9f",
+        "fd2bffaee6311bff78de67dd85155f6f8c7aff49ef9671abbf98e35f55a4e63b",
     ),
     ("h2_cond300", "reduce_gc"): (
-        "47da4a5dd5266867d2274bab158b06e85c09f0f1d5d328619a7e285cab7edcc8",
-        "4e5ab1f52b0b29eb5ef230492188a7e9a3fd6b6aadff83b3dc54c3eac15df4b2",
+        "5a9bbd05b15acfe1a17ae76a03d5dd0a31c48c985fd0c01af9f6036e939c8688",
+        "b1652ae3c7b0deb4037d23f58e5867c2157f9600640936bb4109d4dcdb8afd15",
     ),
     ("h2_cond300", "rgd"): (
         "93a9a51613a8bafb8b3ab6435b2177e71dc24a4f42f8ac8ccfe961a70c8a0c44",
         "971d6f377101187e13a0a80317f7bc50566c5a821466c7566250d8d989e56eb7",
     ),
     ("s5", "axgd"): (
-        "7a30beea1ab101bce926110c6b69e900b715622f95d81a55440b08ec57239d09",
-        "c4bf8f1a02e0db05c130f0cfc38a383d99432105718de224fb754fb21212655a",
+        "ab6c177a51517217fb062b3de16be48783d7a16878ba8c494ffbfc6f801dc40a",
+        "1ef6df0561b6dc0602af4c5a8cee080192dbef1ce04dbc28e101dd6b16a61335",
     ),
     ("s5", "restart_sc"): (
-        "e1ca28356307ebbef6311df3b63959b11bc24da0ce3c6fdb6f062d72d4b55d55",
-        "ad941e9dba8d42fb2b2f8de589a8650611cf8a49e8cc07ed544178c0bbeff32b",
+        "bae7e9682fd8dd1556b31421cb066e0046cc6b8f4009a728c7eb84865634502d",
+        "bd82e9c386d3cb57d502ce7eefaf7b8aae1e5777c51e623c1a218baebfa41f94",
     ),
     ("s5", "reduce_gc"): (
-        "f17ef089b6368392cd4c4acb51f7b691794eb2154cebb782c231fa25b0cd3803",
-        "29fe050713ab46dc0e37870c673d1bbdf5664c05222822ccbbbfc372e8fb3f55",
+        "cba7fd8dcbeaeb81306e29967ba9bbeac3a27d1b0ce95af1672c9fa033b13617",
+        "89fbbe9ff067b49d253d36bad973254edc7b9e69af48deba1d659ccb8c727480",
     ),
     ("s5", "rgd"): (
         "8781ef47e565a4f92b2491b48e57ea9ac091c774b2cdbfaba94c8146ba4634d3",
@@ -100,11 +100,11 @@ SWEEPS = {
 SWEEP_DIGESTS = {
     "cond_restart_sc": (
         {
-            "restart_sc_cond10.csv": "505c7d99b5d0d9514dc5cccc73bc551cc0799bd984b51f92c84c4529c0bebe4d",
-            "restart_sc_cond100.csv": "ff191dbff62a1a0ae3ee3c83a2b3a3ff17b20c94cc81fbdd4be06cba99670a7c",
-            "restart_sc_summary.csv": "7686b6c2fce6dd16f392a1e31a6323e408affc0042bde1ae6c46575f38df4b1e",
+            "restart_sc_cond10.csv": "0a6246e3d0b49801527506d36772eb31bbaee884ea6dbdeef185eff864f11f9b",
+            "restart_sc_cond100.csv": "f82b9a6d62c661db6788395fc0124cdd20312c94a209986aaebbec82270f3e22",
+            "restart_sc_summary.csv": "9a3ae46c76818b4b9e769bc5f1d317ef8b0bfd88535f58155712057380cd7730",
         },
-        "2f6dba071641e9f8d2fe81a16d0faa29f412b0553fd814a3128bae42e42692dd",
+        "1e0587c8409086b6d1543a644f63502644708b664b9cb03f7b16fc211cab3076",
     ),
     "rate_rgd": (
         {
