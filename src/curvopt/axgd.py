@@ -105,11 +105,15 @@ def iteration_budget(L_tilde, gamma_n, gamma_p, epsilon, D):
     every CLI axgd run and every re-centered restart round starts, and at
     most 2 R_tilde from any start in the ball.  The float root of t^2 + t =
     q is settled in integers, so that its rounding never moves t; budgets
-    over MAX_ITERATIONS raise ``BudgetError``.
+    over MAX_ITERATIONS raise ``BudgetError``, also when the denominator of
+    q underflows to 0, which leaves q infinite.
     """
     if not 0 < D < math.inf:
         raise ValueError(f"the start's distance bound D = {D!r} must be finite and positive")
-    q = 4.0 * L_tilde * D * D / (gamma_n**2 * gamma_p * epsilon)
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon = {epsilon!r} must be finite and positive")
+    denominator = gamma_n**2 * gamma_p * epsilon
+    q = 4.0 * L_tilde * D * D / denominator if denominator > 0.0 else math.inf
     t = ceil_budget(math.sqrt(q + 0.25) - 0.5)
     if t * (t + 1) < q:
         t += 1

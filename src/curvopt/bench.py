@@ -56,8 +56,7 @@ from .manifolds import (
     random_in_ball,
 )
 from .objectives import FrechetObjective, MappedObjective, load_anchors, with_constants
-from .reductions import plan_gconvex_via_sc, plan_strongly_gconvex
-from .reductions import solve_gconvex_via_sc, solve_strongly_gconvex
+from .reductions import plan_gconvex_via_sc, plan_strongly_gconvex, refuse_below_floor
 
 SOLVERS = ("axgd", "rgd", "restart_sc", "reduce_gc")
 CSV_HEADER = "iter,grad_evals,f_gap,dist_to_opt,lambda,gamma_hat,wall_ns"
@@ -268,18 +267,22 @@ def rgd_budget(F, R, epsilon):
 
 
 def _plan(cfg, inst):
-    """Plan the run of ``cfg`` on ``inst`` through the calls its solver makes, and return its solve.
+    """Plan the run of ``cfg`` on ``inst`` once, and return its solve.
 
-    Raises the error that refuses the run before its first solve; a
-    certified budget over ``axgd.MAX_ITERATIONS`` is refused naming the
-    config values it grows with.  The returned ``solve(row)`` runs the
-    planned solver and hands each traced record to ``row(i, evals, frame,
-    x, f_value, lam, gamma_hat)``: x is a ball point of ``frame`` for axgd
-    and the reductions, and a model point with ``frame=None`` for rgd;
-    ``f_value=None`` stands for the instance objective at x, which the
-    records of a regularization stage do not hold.
+    Raises the error that refuses the run before its first solve: an
+    epsilon below ``refuse_below_floor``'s float64 floor, for every solver,
+    and a certified budget over ``axgd.MAX_ITERATIONS``, refused naming the
+    config values it grows with.  For the reductions the solve is the run
+    their planner checked, so nothing is planned again.  The returned
+    ``solve(row)`` runs the planned solver and hands each traced record to
+    ``row(i, evals, frame, x, f_value, lam, gamma_hat)``: x is a ball point
+    of ``frame`` for axgd and the reductions, and a model point with
+    ``frame=None`` for rgd; ``f_value=None`` stands for the instance
+    objective at x, which the records of a regularization stage do not hold.
     """
     F, x0, R, eps = inst.objective, inst.x0, inst.R, cfg.epsilon
+    if cfg.solver in ("axgd", "rgd"):  # the reductions' planners apply the rule themselves
+        refuse_below_floor(F, x0, eps)
     try:
         if cfg.solver == "axgd":
             frame = make_frame(x0, R)
@@ -298,11 +301,11 @@ def _plan(cfg, inst):
                 F, x0, R, params, trace=lambda r: row(r.k, r.grad_evals, None, r.x, r.f_value, math.nan, math.nan)
             )
         if cfg.solver == "restart_sc":
-            plan_strongly_gconvex(F, x0, R, eps, True)
-            return lambda row: solve_strongly_gconvex(F, x0, R, eps, trace=_round_rows(row, lambda rt: (rt,)))
+            run = plan_strongly_gconvex(F, x0, R, eps)
+            return lambda row: run(_round_rows(row, lambda rt: (rt,)))
         F_gc = with_constants(F, strong_convexity=0.0) if F.strong_convexity > 0 else F
-        plan_gconvex_via_sc(F_gc, x0, R, eps, True)
-        return lambda row: solve_gconvex_via_sc(F_gc, x0, R, eps, trace=_round_rows(row, lambda st: st.rounds))
+        run = plan_gconvex_via_sc(F_gc, x0, R, eps)
+        return lambda row: run(_round_rows(row, lambda st: st.rounds))
     except axgd.BudgetError as err:
         condition = "" if cfg.condition is None else f", condition = {cfg.condition:g}"
         raise ConfigError(f"epsilon = {cfg.epsilon:g}, R = {cfg.R:g}{condition}: {err}") from None
@@ -405,9 +408,10 @@ def run_sweep(cfg, key, values, output_dir):
     Writes one CSV trace per point and ``{solver}_summary.csv``, and returns
     the (value, grad_evals, final_gap) series.  Before the first solve and
     before the output directory is made, the axis is checked, and every
-    point is validated, built and planned; each point then runs the solve
-    it was planned with.  The axis must hold a value, and 4 or more points,
-    enough to fit an exponent, must span two decades.
+    point is validated, built and planned once; each point then runs the
+    solve ``_plan`` returned for it, which does not plan again.  The axis
+    must hold a value, and 4 or more points, enough to fit an exponent,
+    must span two decades.
     """
     if not values:
         raise ConfigError(f"{key}: the sweep needs at least one value")

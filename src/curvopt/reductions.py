@@ -16,12 +16,13 @@ first solve, and one planner lists each schedule:
   entry holds mu_i and a bound on the stage's initial gap, a quarter of
   which is the stage's target.
 
-Each solver iterates over what ``plan_strongly_gconvex`` or
-``plan_gconvex_via_sc`` returns, and callers may plan a run with them too.
-Both refuse an epsilon below the float64 floor eps_machine |F(x0)|, with
-one ``ValueError`` naming epsilon, and a plan that sums to more than
-``axgd.MAX_ITERATIONS`` iterations, with ``axgd.BudgetError``, as a single
-round above that cap already does while planning.
+``plan_strongly_gconvex`` and ``plan_gconvex_via_sc`` plan a run once and
+return it as ``run(trace=None)``; each ``solve_*`` is its planner's run,
+called at once.  Both planners refuse an epsilon below the float64 floor
+(``refuse_below_floor``, one ``ValueError`` naming epsilon) and a plan that
+sums to more than ``axgd.MAX_ITERATIONS`` iterations, with
+``axgd.BudgetError``, as a single round above that cap already does while
+planning.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def restart_plan(sign, L, mu, R, epsilon, recenter):
     return plan
 
 
-def _refuse_below_floor(F, x0, epsilon):
+def refuse_below_floor(F, x0, epsilon):
+    """Raise ``ValueError`` naming epsilon when it lies below eps_machine |F(x0)|, which no float64 run certifies."""
     # A certificate F(x) - F* <= epsilon rests on differences of computed
     # values of F, and a computed value v carries the rounding of its
     # result, up to eps_machine |v| / 2.  A run descends from F(x0) to near
@@ -98,12 +100,32 @@ def _refuse_above_cap(n):
         raise axgd.BudgetError(f"the plan needs at least {n:.3g} iterations, over {axgd.MAX_ITERATIONS:.0e}")
 
 
-def plan_strongly_gconvex(F, x0, R, epsilon, recenter):
-    """The ``restart_plan`` a ``solve_strongly_gconvex`` run follows, or the error that refuses it."""
-    _refuse_below_floor(F, x0, epsilon)
+def plan_strongly_gconvex(F, x0, R, epsilon, recenter=True):
+    """Plan a ``solve_strongly_gconvex`` run, or raise the error that refuses it.
+
+    Returns ``run(trace=None)``, which follows the checked ``restart_plan``
+    and returns the final point, handing ``trace`` a ``RoundTrace`` per
+    round.
+    """
+    refuse_below_floor(F, x0, epsilon)
     plan = restart_plan(F.space.sign, F.smoothness, F.strong_convexity, R, epsilon, recenter)
     _refuse_above_cap(sum(params.t for _, params in plan))
-    return plan
+
+    def run(trace=None):
+        x, frame = x0, None if recenter else make_frame(x0, R)
+        for R_frame, params in plan:
+            if recenter:
+                frame = make_frame(x, R_frame)
+            start = np.zeros(frame.d) if recenter else to_ball(frame, x)
+            records = []
+            traced = None if trace is None else records.append
+            xt = axgd.run(MappedObjective(F, frame), params, start, trace=traced)
+            x = AmbientPoint(from_ball(frame, xt), F.space)
+            if trace is not None:
+                trace(RoundTrace(frame, params, records, x))
+        return x
+
+    return run
 
 
 class RoundTrace(NamedTuple):
@@ -126,19 +148,7 @@ def solve_strongly_gconvex(F, x0, R, epsilon, recenter=True, trace=None):
     the original ball.  The run follows ``restart_plan``, whose iteration
     count is exact.  A round's records are kept only to pass to ``trace``.
     """
-    plan = plan_strongly_gconvex(F, x0, R, epsilon, recenter)
-    x, frame = x0, None if recenter else make_frame(x0, R)
-    for R_frame, params in plan:
-        if recenter:
-            frame = make_frame(x, R_frame)
-        start = np.zeros(frame.d) if recenter else to_ball(frame, x)
-        records = []
-        traced = None if trace is None else records.append
-        xt = axgd.run(MappedObjective(F, frame), params, start, trace=traced)
-        x = AmbientPoint(from_ball(frame, xt), F.space)
-        if trace is not None:
-            trace(RoundTrace(frame, params, records, x))
-    return x
+    return plan_strongly_gconvex(F, x0, R, epsilon, recenter)(trace)
 
 
 class RegularizationPlan(NamedTuple):
@@ -174,6 +184,10 @@ def make_regularization_plan(space, R, Delta, epsilon):
     """
     if epsilon <= 0:
         raise GeometryError("epsilon must be positive")
+    # An infinite Delta / epsilon asks for infinitely many stages, over any
+    # cap; a NaN Delta fails this test too.
+    if not Delta / epsilon < math.inf:
+        raise axgd.BudgetError(f"the initial gap bound Delta = {Delta:g} over epsilon = {epsilon:g} is not finite")
     if not Delta > 0.0:
         raise GeometryError(f"the initial gap bound Delta = {float(Delta)!r} must be positive, at R = {float(R)!r}")
     mu0 = Delta / (R * R)
@@ -249,12 +263,30 @@ def planned_lower_bound(F, x0, R, plan, recenter):
     )
 
 
-def plan_gconvex_via_sc(F, x0, R, epsilon, recenter):
-    """The regularization plan a ``solve_gconvex_via_sc`` run follows, or the error that refuses it."""
-    _refuse_below_floor(F, x0, epsilon)
+def plan_gconvex_via_sc(F, x0, R, epsilon, recenter=True):
+    """Plan a ``solve_gconvex_via_sc`` run, or raise the error that refuses it.
+
+    Returns ``run(trace=None)``, which follows the checked regularization
+    plan and returns the final point, handing ``trace`` a ``StageTrace`` per
+    stage.  Each stage calls ``solve_strongly_gconvex`` by its module name,
+    so that a wrapper bound to that name sees every stage.
+    """
+    refuse_below_floor(F, x0, epsilon)
     plan = make_regularization_plan(F.space, R, 2.0 * F.smoothness * R * R, epsilon)
     _refuse_above_cap(planned_lower_bound(F, x0, R, plan, recenter))
-    return plan
+
+    def run(trace=None):
+        x = x0
+        for F_i, eps_i, R_up in _stage_problems(F, x0, plan):
+            R_stage = min(x.distance_to(x0) + R, R_up)
+            rounds = []
+            traced = None if trace is None else rounds.append
+            x = solve_strongly_gconvex(F_i, x, R_stage, eps_i, recenter=recenter, trace=traced)
+            if trace is not None:
+                trace(StageTrace(F_i.mu_i, rounds, x))
+        return x
+
+    return run
 
 
 def solve_gconvex_via_sc(F, x0, R, epsilon, recenter=True, trace=None):
@@ -272,13 +304,4 @@ def solve_gconvex_via_sc(F, x0, R, epsilon, recenter=True, trace=None):
     reaching pi/2) by its ``restart_plan``, before its first round.
     A stage's rounds are kept only to pass to ``trace``.
     """
-    plan = plan_gconvex_via_sc(F, x0, R, epsilon, recenter)
-    x = x0
-    for F_i, eps_i, R_up in _stage_problems(F, x0, plan):
-        R_stage = min(x.distance_to(x0) + R, R_up)
-        rounds = []
-        traced = None if trace is None else rounds.append
-        x = solve_strongly_gconvex(F_i, x, R_stage, eps_i, recenter=recenter, trace=traced)
-        if trace is not None:
-            trace(StageTrace(F_i.mu_i, rounds, x))
-    return x
+    return plan_gconvex_via_sc(F, x0, R, epsilon, recenter)(trace)

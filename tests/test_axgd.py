@@ -164,6 +164,19 @@ class TestSchedule:
         with pytest.raises(ValueError, match="D = "):
             iteration_budget(10.0, 0.5, 0.5, 1e-4, D)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    def test_budget_refuses_an_epsilon_that_is_not_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon = ") as info:
+            iteration_budget(10.0, 0.5, 0.5, epsilon, 1.0)
+        assert not isinstance(info.value, axgd.BudgetError)
+
+    @pytest.mark.parametrize("L_tilde", [10.0, 5e-324])
+    def test_budget_refuses_a_denominator_that_underflows(self, L_tilde):
+        # gamma_n^2 gamma_p epsilon = 0.125 * 5e-324 rounds to 0: q is
+        # infinite, also when its numerator is subnormal, not a division by 0.
+        with pytest.raises(axgd.BudgetError, match="t = inf"):
+            iteration_budget(L_tilde, 0.5, 0.5, 5e-324, 1.0)
+
     def test_params_default_to_the_centre_start(self):
         dc = SimpleNamespace(L_tilde=10.0, gamma_n=0.5, gamma_p=0.5)
         assert params_from_constants(dc, 0.8, 1e-4).t == iteration_budget(10.0, 0.5, 0.5, 1e-4, 0.8)

@@ -21,6 +21,7 @@ from curvopt import (
     bench,
     deformation_constants,
     make_frame,
+    reductions,
     solve_gconvex_via_sc,
     solve_strongly_gconvex,
     with_constants,
@@ -422,6 +423,41 @@ def test_sweep_plans_each_point_once(tmp_path, monkeypatch, solver, planner):
     assert len(calls) == 2
 
 
+def _counting_reductions(monkeypatch, names):
+    """Replace each of ``names`` on ``curvopt.reductions`` by a wrapper that records its results."""
+    made = {}
+    for name in names:
+        made[name] = results = []
+        original = getattr(reductions, name)
+
+        def counted(*args, _original=original, _results=results, **kwargs):
+            _results.append(_original(*args, **kwargs))
+            return _results[-1]
+
+        monkeypatch.setattr(reductions, name, counted)
+    return made
+
+
+@pytest.mark.parametrize("solver", ["restart_sc", "reduce_gc"])
+def test_each_reduction_run_is_planned_once(tmp_path, monkeypatch, solver):
+    # A reduce_gc run plans its stages once, bounds them once, and makes
+    # one restart plan per stage for that bound and one per stage solve.
+    names = ("restart_plan", "make_regularization_plan", "planned_lower_bound", "refuse_below_floor")
+    made = _counting_reductions(monkeypatch, names)
+    cfg = ExperimentConfig(solver=solver, epsilon=1e-4, seed=1)
+    run_experiment(cfg)
+    counts = [len(made[name]) for name in names]
+    assert counts == ([1, 0, 0, 1] if solver == "restart_sc" else [18, 1, 1, 10])
+    for results in made.values():
+        results.clear()
+    run_sweep(cfg, "epsilon", [1e-3, 1e-4], str(tmp_path))
+    if solver == "restart_sc":
+        assert [len(made[name]) for name in names] == [2, 0, 0, 2]
+    else:
+        stages = sum(plan.T for plan in made["make_regularization_plan"])
+        assert [len(made[name]) for name in names] == [2 * stages, 2, 2, 2 + stages]
+
+
 def _exhausted_line_search(*args, **kwargs):
     raise axgd.LineSearchError("line-search probe budget exhausted")
 
@@ -462,6 +498,11 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-20\n", None, False, "epsilon = 1e-20 is below"),
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-30\n", None, False, "epsilon = 1e-30 is below"),
         (RUN, README_H2 + "solver = restart_sc\nepsilon = 1e-40\n", None, False, "epsilon = 1e-40 is below"),
+        # The same rule refuses axgd and rgd, which have no planner of their own.
+        (RUN, README_H2 + "solver = axgd\nepsilon = 1e-40\n", None, False,
+         "error: epsilon = 1e-40 is below the float64 floor eps_machine |F(x0)| = 2.98e-17"),
+        (RUN, README_H2 + "solver = rgd\nepsilon = 1e-40\n", None, False,
+         "error: epsilon = 1e-40 is below the float64 floor eps_machine |F(x0)| = 2.98e-17"),
         (RUN, README_H2 + "R = 4\nsolver = reduce_gc\nepsilon = 1e-6\n", None, False,
          "error: epsilon = 1e-06, R = 4: the plan needs at least 1.19e+08 iterations"),
         # Unit-model radii (1.25e-300, 4.05e-300) whose squares underflow to 0.
@@ -503,7 +544,8 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         "empty-anchor-file", "missing-anchor-file", "off-model-anchor", "non-numeric-anchor",
         "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget",
         "axgd-round-over-cap", "restart-round-over-cap", "radius",
-        "reduce-below-floor", "reduce-far-below-floor", "restart-below-floor", "reduce-over-cap",
+        "reduce-below-floor", "reduce-far-below-floor", "restart-below-floor", "axgd-below-floor",
+        "rgd-below-floor", "reduce-over-cap",
         "restart-radius-underflow", "reduce-radius-underflow",
         "restart-gconvex", "no-anchors", "negative-anchor-count", "anchor-count-not-the-files", "negative-seed",
         "radius-not-a-number", "d-not-an-integer", "seed-not-an-integer", "timing-not-a-boolean",
@@ -544,9 +586,27 @@ def test_bad_input_exits_2_with_one_error_line(
 )
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 def test_edge_radius_and_curvature_exit_2_or_plan(tmp_path_factory, manifold, curvature, R, solver):
-    # The run is planned, not solved: the solve reaches a stub of _trace_run.
     cfg = tmp_path_factory.getbasetemp() / "edge.cfg"
     cfg.write_text(f"manifold = {manifold}\ncurvature = {curvature!r}\nR = {R!r}\nsolver = {solver}\n")
+    _assert_exit_2_or_planned_once(cfg)
+
+
+@pytest.mark.parametrize("condition", [None, 1e308], ids=["condition-unset", "condition-1e308"])
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-320, 1e-40, 1e300])
+@pytest.mark.parametrize("solver", bench.SOLVERS)
+@pytest.mark.parametrize("manifold", ["hyperbolic", "spherical"])
+def test_edge_epsilon_and_condition_exit_2_or_plan(tmp_path, manifold, solver, epsilon, condition):
+    # A subnormal epsilon, one far below the float floor, one far above any
+    # gap, and a declared L/mu whose initial gap bound 2 L R^2 overflows.
+    cfg = tmp_path / "edge.cfg"
+    model = "curvature = 1.0\nR = 0.5" if manifold == "spherical" else "curvature = -1.0\nR = 1.0"
+    text = f"manifold = {manifold}\n{model}\nsolver = {solver}\nepsilon = {epsilon!r}\n"
+    cfg.write_text(text + ("" if condition is None else f"condition = {condition!r}\n"))
+    _assert_exit_2_or_planned_once(cfg)
+
+
+def _assert_exit_2_or_planned_once(cfg):
+    # The run is planned, not solved: the solve reaches a stub of _trace_run.
     planned, out, err = [], io.StringIO(), io.StringIO()
 
     def plan_only(_cfg, _inst, solve):

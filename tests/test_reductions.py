@@ -10,6 +10,8 @@ from curvopt.manifolds import HYPERBOLIC, SPHERICAL, random_in_ball
 from curvopt.objectives import delta_constants, regularized
 from curvopt.reductions import (
     make_regularization_plan,
+    plan_gconvex_via_sc,
+    plan_strongly_gconvex,
     planned_lower_bound,
     restart_plan,
     solve_gconvex_via_sc,
@@ -175,6 +177,12 @@ class TestRegularizationPlan:
         for mu, gap in plan.stages[1:]:
             assert gap == pytest.approx(mu * 0.36, rel=1e-12)
 
+    @pytest.mark.parametrize("Delta,epsilon", [(math.inf, 1e-4), (math.nan, 1e-4), (2e300, 1e-10)])
+    def test_refuses_a_gap_ratio_that_is_not_finite(self, Delta, epsilon):
+        # Delta / epsilon sets the stage count; inf (or NaN) is no plan.
+        with pytest.raises(axgd.BudgetError, match="Delta = .* over epsilon = .* is not finite"):
+            make_regularization_plan(CurvatureClass.hyperbolic(), 1.0, Delta, epsilon)
+
 
 @pytest.mark.parametrize("recenter,R_max", [(True, 5.0), (False, 4.0)])
 def test_hyperbolic_restart_plan_grows_with_the_radius(recenter, R_max):
@@ -244,6 +252,25 @@ class TestSolveGconvexViaSc:
         out = solve_gconvex_via_sc(Fg, center, 1.0, eps, trace=stages.append)
         assert len(stages) == 2
         assert Fg.value(out) - f_star <= eps
+
+    @pytest.mark.parametrize("solver", ["restart_sc", "reduce_gc"])
+    def test_a_planned_run_is_its_solve(self, solver):
+        # The planner's run, called twice, gives the solve's point and trace.
+        space = CurvatureClass.hyperbolic()
+        center, F = frechet_instance(space, 2, 1.0, 4, seed=7, padding=0.75)
+        if solver == "reduce_gc":
+            F = with_constants(F, strong_convexity=0.0)
+        plan, solve = {
+            "restart_sc": (plan_strongly_gconvex, solve_strongly_gconvex),
+            "reduce_gc": (plan_gconvex_via_sc, solve_gconvex_via_sc),
+        }[solver]
+        run = plan(F, center, 1.0, 1e-3)
+        solved, planned, again = [], [], []
+        x = solve(F, center, 1.0, 1e-3, trace=solved.append)
+        assert np.array_equal(run(planned.append).coords, x.coords)
+        assert np.array_equal(run(again.append).coords, x.coords)
+        assert [e.grad_evals for e in solved] == [e.grad_evals for e in planned] == [e.grad_evals for e in again]
+        assert np.array_equal(run().coords, x.coords)
 
     def test_untraced_run_keeps_no_records(self, monkeypatch):
         # Without a trace, no round or stage passes a sink down to the solver.
