@@ -146,14 +146,16 @@ class SolverState(NamedTuple):
 
     @classmethod
     def initial(cls, x0_tilde):
-        x0 = np.asarray(x0_tilde, dtype=float)
-        # z_0 = grad psi(x_0) = x_0 for the quadratic mirror map; A_0 = 0.
-        return cls(i=0, x_t=x0.copy(), z_t=x0.copy(), A=0.0)
+        # z_0 = grad psi(x_0) = x_0 for the quadratic mirror map; A_0 = 0.  No
+        # step writes into an iterate, so one read-only copy serves as both.
+        x0 = np.array(x0_tilde, dtype=float)
+        x0.flags.writeable = False
+        return cls(i=0, x_t=x0, z_t=x0, A=0.0)
 
 
 def mirror_dual_grad(z, R_tilde):
-    """Dual gradient of the ball-restricted quadratic mirror map: projection of one 1-D z."""
-    z = np.asarray(z, dtype=float)
+    """Dual gradient of the ball-restricted quadratic mirror map: projection of one 1-D z, read C-contiguous."""
+    z = np.ascontiguousarray(z, dtype=float)
     n = math.sqrt(z.dot(z))
     if n <= R_tilde:
         return z
@@ -265,7 +267,11 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr):
 
 
 class IterationRecord(NamedTuple):
-    """Per-iteration trace entry pushed to the injected sink."""
+    """Per-iteration trace entry pushed to the injected sink.
+
+    ``x`` and ``x_prev`` are the solver's own read-only iterates, shared,
+    not copied: a record's ``x_prev`` is the previous record's ``x``.
+    """
 
     i: int
     x: np.ndarray
@@ -286,13 +292,14 @@ def run(f, params, x0_tilde, trace=None):
     The first iteration is forced to lambda = 1 (it does not depend on
     gamma_hat since A_0 = 0); later iterations use the binary line search
     with slack eps_hat_i.  The trace sink, if given, receives one
-    IterationRecord per iteration; the solver itself performs no I/O.
+    IterationRecord per iteration; the solver itself performs no I/O.  The
+    start is copied once; it and every accepted iterate are read-only, so
+    the records share them and the returned point is read-only too.
     """
-    x0 = np.asarray(x0_tilde, dtype=float)
-    if not np.linalg.norm(x0) <= params.R_tilde + 1e-9:  # NaN fails too
+    state = SolverState.initial(x0_tilde)
+    if not np.linalg.norm(state.x_t) <= params.R_tilde + 1e-9:  # NaN fails too
         raise ValueError("start point lies outside the feasible ball")
     a, eps_hat = params.a, params.eps_hat
-    state = SolverState.initial(x0)
     cand = _candidate(state, a(1), params.gamma_n, params.R_tilde, f, 1.0)
     res = LineSearchResult(1.0, math.nan, math.nan, 1, cand, math.nan)
     for i in range(params.t):
@@ -300,11 +307,10 @@ def run(f, params, x0_tilde, trace=None):
             res = binary_line_search(state, params, f, eps_hat(i), cand.f_next)
             cand = res.candidate
         x_prev = state.x_t
+        cand.x_next.flags.writeable = False
         state = SolverState(i + 1, cand.x_next, cand.z_next, state.A + a(i + 1), state.grad_evals + 2 * res.probes)
         if trace is not None:
             g = cand.grad_next
-            trace(IterationRecord(
-                i + 1, cand.x_next.copy(), x_prev.copy(), cand.f_next, math.sqrt(g.dot(g)), state.grad_evals,
-                res.lam, res.gamma_hat, res.eps_hat, res.residual, res.probes,
-            ))
+            trace(IterationRecord(i + 1, cand.x_next, x_prev, cand.f_next, math.sqrt(g.dot(g)), state.grad_evals,
+                                  res.lam, res.gamma_hat, res.eps_hat, res.residual, res.probes))
     return state.x_t

@@ -50,6 +50,7 @@ def rgd_run(F, x0, R, params, trace=None):
     record of the full budget from the repeating states, and returns
     without computing them.  A record's ``grad_evals`` is then k + 1, the
     evals the certified-budget method counts, not the oracle calls made.
+    A record's ``x`` is the run's own iterate, made read-only, not a copy.
     """
     sign = F.space.sign
     center = x0.coords
@@ -79,7 +80,8 @@ def rgd_run(F, x0, R, params, trace=None):
             raise GeometryError(f"iteration {k}: the gradient norm is {gn}, not finite")
         stop = gn <= tol or k == last
         if trace is not None and (stop or k % stride == 0):
-            trace(RgdRecord(k, x.copy(), float(value_c(x)), gn, k + 1))
+            x.flags.writeable = False
+            trace(RgdRecord(k, x, float(value_c(x)), gn, k + 1))
         if stop:
             break
         x_k = x
@@ -107,7 +109,8 @@ def rgd_run(F, x0, R, params, trace=None):
             f = [float(value_c(s)) for s, _ in cycle]
             for j in (*range((k // stride + 1) * stride, last, stride), last):
                 i = (j - k) % len(cycle)
-                trace(RgdRecord(j, cycle[i][0].copy(), f[i], cycle[i][1], j + 1))
+                cycle[i][0].flags.writeable = False
+                trace(RgdRecord(j, cycle[i][0], f[i], cycle[i][1], j + 1))
         x = cycle[(last - k) % len(cycle)][0]
         break
     return AmbientPoint(x, F.space)

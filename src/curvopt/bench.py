@@ -71,7 +71,8 @@ CSV_HEADER = "iter,grad_evals,f_gap,dist_to_opt,lambda,gamma_hat,wall_ns"
 # 5 anchor copies and 300 bytes per point under tracemalloc, and a verify
 # cell at about 12 arrays.  A run streams its CSV rows and holds none, but
 # a traced reduction holds the iteration records of one round (restart_sc)
-# or stage (reduce_gc), a d-vector each, which no size cap can bound.
+# or stage (reduce_gc), a d-vector each (a record's x_prev is the previous
+# record's x), which no size cap can bound.
 MEMORY_BUDGET = 2**30
 VECTOR_BYTES, ANCHOR_COORD_BYTES, POINT_BYTES, SAMPLE_BYTES = 64 * 8, 16 * 8, 1024, 32 * 8 * 11
 MAX_VERIFY_SAMPLES = MEMORY_BUDGET // SAMPLE_BYTES
@@ -371,7 +372,10 @@ def _trace_run(cfg, inst, solve):
         solve(row)
         return report(*last)
     tmp = f"{cfg.output}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", newline="\n")
+    try:
+        fh = open(tmp, "x", newline="\n")
+    except OSError as err:  # name the output the user gave, not its temporary file
+        raise OSError(err.errno, err.strerror, cfg.output) from None
     try:
         with fh:
             fh.write(CSV_HEADER + "\n")

@@ -126,7 +126,8 @@ def make_frame(x0, R):
 
 
 def _isometry(frame, v, inverse=False):
-    """M v = s * P_w v, or M^{-1} v = P_w (s * v), along the last axis of v."""
+    """M v = s * P_w v, or M^{-1} v = P_w (s * v), along the last axis of v, read C-contiguous."""
+    v = np.ascontiguousarray(v, dtype=float)
     if inverse:
         q = frame.s * v
         q -= np.multiply.outer(q @ frame.a, frame.w)

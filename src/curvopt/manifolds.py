@@ -244,14 +244,11 @@ def random_tangent(x, sign, rng, size=None):
     """Unit tangent vector(s) at x, uniform in direction."""
     x = np.asarray(x, dtype=float)
     shape = x.shape if size is None else (size,) + x.shape
-    g = rng.standard_normal(shape)
-    v = project_tangent(x, g, sign)
-    n = norm(v, sign)[..., None]
-    while np.any(n < 1e-12):  # pragma: no cover - astronomically unlikely
-        g = rng.standard_normal(shape)
-        v = project_tangent(x, g, sign)
+    while True:  # a second draw is astronomically unlikely
+        v = project_tangent(x, rng.standard_normal(shape), sign)
         n = norm(v, sign)[..., None]
-    return v / n
+        if not np.any(n < 1e-12):
+            return v / n
 
 
 def random_in_ball(center, sign, radius, rng, size, boundary_bias=False):

@@ -131,16 +131,6 @@ def _theta_k(c, sign, weights=None):
     return theta, (theta if weights is None else weights * theta) / un
 
 
-def _as_points(x):
-    """x as a float array, C-contiguous when it is one point.
-
-    numpy sums a 1-D product with a strided view in another order, so a
-    point is copied in: its bits must not depend on its layout.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.ascontiguousarray(x) if x.ndim == 1 else x
-
-
 def _sqdist_value(theta, weights):
     wt = weights * (theta * theta)  # one point, the solvers' hot path, skips the call to rowsum
     return 0.5 * (np.add.reduce(wt) if wt.ndim == 1 else rowsum(wt))
@@ -159,7 +149,6 @@ class FrechetObjective(ManifoldObjective):
     The solvers call ``grad_c`` on one 1-D point at a time, so a point takes
     its own branch: 1-D ``.dot`` with the stored transposed rows
     ``_rows_T`` in place of ``@``, the same bits at half numpy's call cost.
-    Batches keep ``@``, which sums in another order for some shapes.
     """
 
     def __init__(self, anchors, weights, center, radius, padding=0.0):
@@ -195,8 +184,8 @@ class FrechetObjective(ManifoldObjective):
         return self._anchor_rows, self.weights
 
     def _cosines(self, x):
-        """``_as_points(x)`` and c = x @ rows.T."""
-        x = _as_points(x)
+        """x as a C-contiguous float array, and c = x @ rows.T."""
+        x = np.ascontiguousarray(x, dtype=float)
         return x, (x.dot(self._rows_T) if x.ndim == 1 else x @ self._rows_T)
 
     def value_c(self, x):
@@ -237,12 +226,12 @@ class RegularizedObjective(ManifoldObjective):
         return np.vstack([rows, self._center_row]), np.append(weights, self.mu_i)
 
     def value_c(self, x):
-        x = _as_points(x)
+        x = np.ascontiguousarray(x, dtype=float)
         theta = _theta_k(x @ self._center_row, self.space.sign)[0]
         return self.inner_obj.value_c(x) + 0.5 * self.mu_i * theta**2
 
     def grad_c(self, x):
-        x = _as_points(x)
+        x = np.ascontiguousarray(x, dtype=float)
         c = x @ self._center_row
         k = _theta_k(c, self.space.sign)[1]
         reg_grad = -k[..., None] * (self.center.coords - c[..., None] * x)
@@ -362,14 +351,13 @@ class MappedObjective:
             self._r_max = frame.R_tilde + BALL_TOL
 
     def _terms(self, xt):
-        """s, c, theta and k at ball point(s) xt, a C-contiguous float array.
+        """xt read as a C-contiguous float array, and s, c, theta and k at its ball point(s).
 
-        numpy sums ``xt.dot`` of a strided view in another order, so the
-        callers copy one in: the bits must not depend on the layout.  One point, the
-        hot path, keeps ``geomap._ball_s2``'s rules, NaN failing them, in Python floats:
-        ``xt.dot(xt)`` rounds apart from ``(xt * xt).sum(-1)`` (~1 point in 6); solver
-        traces pin it.
+        One point, the hot path, keeps ``geomap._ball_s2``'s rules, NaN failing them, in
+        Python floats: ``xt.dot(xt)`` rounds apart from ``(xt * xt).sum(-1)`` (~1 point
+        in 6); solver traces pin it.
         """
+        xt = np.ascontiguousarray(xt, dtype=float)
         K = self._K
         if xt.ndim == 1:
             r2 = float(xt.dot(xt))
@@ -383,7 +371,7 @@ class MappedObjective:
             s = _ball_scale(self.frame, xt)
         c = s * (xt.dot(self._BT) + self._b)
         theta, k = _theta_k(c, K, self._weights)
-        return s, c, theta, k
+        return xt, s, c, theta, k
 
     def _grad(self, xt, s, c, k):
         kc = float(k.dot(c)) if xt.ndim == 1 else rowsum(k * c, keepdims=True)
@@ -395,14 +383,13 @@ class MappedObjective:
     def value_many(self, xt):
         if self._BT is None:
             return self.inner_obj.value_c(from_ball(self.frame, xt))
-        return _sqdist_value(self._terms(np.ascontiguousarray(xt, dtype=float))[2], self._weights)
+        return _sqdist_value(self._terms(xt)[3], self._weights)
 
     def grad(self, xt):
         if self._BT is None:
             x = from_ball(self.frame, xt)
             return pullback_gradient(self.frame, x, self.inner_obj.grad_c(x), xt=xt)
-        xt = np.ascontiguousarray(xt, dtype=float)
-        s, c, _, k = self._terms(xt)
+        xt, s, c, _, k = self._terms(xt)
         return self._grad(xt, s, c, k)
 
     def value_and_grad(self, xt):
@@ -411,8 +398,7 @@ class MappedObjective:
             x = from_ball(self.frame, xt)
             value = float(self.inner_obj.value_c(x))
             return value, pullback_gradient(self.frame, x, self.inner_obj.grad_c(x), xt=xt)
-        xt = np.ascontiguousarray(xt, dtype=float)
-        s, c, theta, k = self._terms(xt)
+        xt, s, c, theta, k = self._terms(xt)
         return float(_sqdist_value(theta, self._weights)), self._grad(xt, s, c, k)
 
 

@@ -55,14 +55,18 @@ def restart_plan(sign, L, mu, R, epsilon, recenter):
     frame starts at the previous output, within R_k of the minimizer, and
     points a distance d apart lie at most d / dist_lo apart in the ball, so
     D = min(2 R~, R_k / dist_lo).  R must pass ``geomap.ball_radius``, and neither
-    mu R^2 / epsilon nor any eps_k may round to 0.
+    mu R^2 / epsilon nor any eps_k may round to 0.  A mu R^2 / epsilon that is
+    not finite asks for infinitely many rounds, and raises ``axgd.BudgetError``.
     """
-    if mu <= 0:
+    # Each test is written so that NaN fails it.
+    if not mu > 0:
         raise GeometryError("restart reduction needs strictly positive strong convexity")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise GeometryError("epsilon must be positive")
     ball_radius(sign, R)  # the radius rule, before the log2 that needs R
     ratio = mu * R * R / epsilon
+    if not ratio < math.inf:
+        raise axgd.BudgetError(f"mu R^2 / epsilon = {ratio:g} is not finite, at mu = {mu:g}, epsilon = {epsilon:g}")
     if not ratio > 0.0:
         raise GeometryError(f"mu R^2 / epsilon underflows to 0 at R = {float(R)!r}")
     plan = []

@@ -36,6 +36,22 @@ class Quadratic:
         return self.value(x), self.grad(x)
 
 
+class Cosine:
+    """f(x) = cos(w (x - c)) / 2 on a 1-d ball: not convex, so a search may bisect or fail."""
+
+    def __init__(self, w, c):
+        self.w, self.c = w, c
+
+    def value(self, x):
+        return float(0.5 * np.cos(self.w * (x[0] - self.c)))
+
+    def grad(self, x):
+        return np.array([-0.5 * self.w * np.sin(self.w * (x[0] - self.c))])
+
+    def value_and_grad(self, x):
+        return self.value(x), self.grad(x)
+
+
 class ZeroGradient:
     R_tilde = 1.0
 
@@ -314,6 +330,44 @@ class TestLineSearch:
             binary_line_search(state, p, f, 1e-16, f.value(state.x_t))
         assert err.value.iteration == 1
         assert err.value.bracket is not None
+
+    @staticmethod
+    def probed_lambdas(monkeypatch):
+        lams, candidate = [], axgd._candidate
+        monkeypatch.setattr(axgd, "_candidate", lambda *args: lams.append(args[5]) or candidate(*args))
+        return lams
+
+    def test_bisection_moves_both_bracket_ends(self, monkeypatch):
+        # Both endpoints fail; the midpoints then move the left end, then the
+        # right one, and the third midpoint is accepted.
+        from test_kernel_references import _ref_line_search
+
+        f, p = Cosine(3.0, -0.5), SolverParams(0.5, 0.5, 0.5, 1e-6, 50, 1.0)
+        state = SolverState(i=2, x_t=np.array([0.0]), z_t=np.array([-0.5]), A=p.A(2))
+        lams = self.probed_lambdas(monkeypatch)
+        res = binary_line_search(state, p, f, 1e-3, f.value(state.x_t))
+        mids = lams[2:]
+        assert res.probes == len(lams) == 5 and mids[1] > mids[0] and mids[2] < mids[1]
+        *want, cand = _ref_line_search(2, state.x_t, state.z_t, p.A(2), p, f, 1e-3, f.value(state.x_t))
+        assert [res.lam, res.gamma_hat, res.residual, res.probes] == want
+        c = res.candidate
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(
+            (c.x_next, c.grad_next, c.z_next, c.f_next, c.descent_inner), cand
+        ))
+
+    def test_exhausted_probe_budget_is_diagnosable(self, monkeypatch):
+        # The endpoints bracket a sign change of <grad f, x_next - x_t>, but the
+        # step overshoots there: the residual stays near 0.9, the bracket shrinks
+        # to two adjacent floats, and the search stops at its probe budget.
+        f, p = Cosine(5.0, 0.0), SolverParams(0.5, 0.5, 0.5, 1e-6, 50, 1.0)
+        state = SolverState(i=1, x_t=np.array([-0.5]), z_t=np.array([1.0]), A=p.A(1))
+        lams = self.probed_lambdas(monkeypatch)
+        with pytest.raises(LineSearchError, match="iteration 1: line-search probe budget exhausted") as err:
+            binary_line_search(state, p, f, 1e-3, f.value(state.x_t))
+        assert len(lams) == math.ceil(4.0 * probe_bound(p, 1, 1e-3)) == 176
+        left, right = err.value.bracket
+        assert right == np.nextafter(left, 1.0) and left <= lams[-1] <= right
+        assert err.value.residual > 0.9 and err.value.iteration == 1
 
     @pytest.mark.parametrize("sign,R", [(-1, 1.0), (1, 1.1)])
     def test_accepted_step_inequality_recheck(self, sign, R):

@@ -170,6 +170,7 @@ class TestRunExperiment:
         assert main(["run", "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "No such file" in err, err
+        assert err.rstrip().endswith(repr(str(out))) and ".tmp" not in err, err
         assert not (tmp_path / "missing").exists()
 
     def test_failed_run_leaves_the_existing_output(self, tmp_path, capsys, monkeypatch):
@@ -189,6 +190,15 @@ class TestRunExperiment:
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert int(lines[-1].split(",")[1]) == report.total_evals
         assert peak < 0.5e6
+
+    def test_traced_reduction_records_share_their_iterates(self):
+        # A reduce_gc run holds one stage of axgd records. Each record shares
+        # its x with the next record's x_prev, one d-vector per record: the
+        # run peaks at 1.1 MB, and at 2.0 MB when each record held two copies.
+        cfg = ExperimentConfig(d=200, solver="reduce_gc", epsilon=1e-3, seed=1)
+        inst = build_instance(cfg)
+        _, peak = _traced_peak(run_experiment, cfg, inst)
+        assert peak < 1.4e6
 
     def test_rgd_budget_regimes(self):
         cfg = ExperimentConfig(seed=5)

@@ -51,6 +51,21 @@ class TestRestartPlan:
         with pytest.raises(GeometryError):
             restart_plan(HYPERBOLIC, 1.0, 0.0, 1.0, 1e-3, True)
 
+    @pytest.mark.parametrize("sign", [HYPERBOLIC, SPHERICAL])
+    @pytest.mark.parametrize("mu,epsilon", [(1e300, 1e-10), (math.inf, 1e-3), (math.inf, math.inf)])
+    def test_refuses_a_ratio_that_is_not_finite(self, sign, mu, epsilon):
+        # mu R^2 / epsilon sets the round count; inf (or NaN) is no plan.
+        with pytest.raises(axgd.BudgetError, match=r"mu R\^2 / epsilon = (inf|nan) is not finite"):
+            restart_plan(sign, 1e300, mu, 1.0, epsilon, True)
+
+    @pytest.mark.parametrize("mu,epsilon,message", [
+        (math.nan, 1e-3, "strictly positive strong convexity"),
+        (1.0, math.nan, "epsilon must be positive"),
+    ])
+    def test_refuses_nan_mu_and_epsilon_by_name(self, mu, epsilon, message):
+        with pytest.raises(GeometryError, match=message):
+            restart_plan(HYPERBOLIC, 1.0, mu, 1.0, epsilon, True)
+
     @pytest.mark.parametrize("recenter", [True, False])
     def test_rounds_halve_the_squared_radius(self, recenter):
         # Round k targets mu R_k^2 / 4, R_k = R / 2^(k/2); a fixed frame keeps R.
