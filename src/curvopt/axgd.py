@@ -12,7 +12,9 @@ over the coupling weight lambda so that the accepted step satisfies
 
     f(x_{i+1}) - f(x_i) <= gamma_hat <grad f(x_{i+1}), x_{i+1} - x_i> + eps_hat_i
 
-for some gamma_hat in [gamma_p, 1/gamma_n].  The objective ``f`` needs
+for some gamma_hat in [gamma_p, 1/gamma_n].  The slacks eps_hat_i take
+an eighth of the target epsilon, and the discretization term the rest
+(``iteration_budget``).  The objective ``f`` needs
 ``grad(xt) -> ndarray`` and ``value_and_grad(xt) -> (float, ndarray)``, each
 taking one 1-D point xt: each probe reads the gradient at the coupling
 point and both the value and the gradient at the candidate point.
@@ -26,6 +28,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+# The share of epsilon that the line-search slacks sum to; the
+# discretization term gets 1 - _SLACK_SHARE.  Accepted steps rarely use
+# more than an eighth of their slack, and a smaller share buys little.
+_SLACK_SHARE = 0.125
 
 
 class LineSearchError(RuntimeError):
@@ -73,14 +80,17 @@ class SolverParams:
         return i * (i + 1) * self.rate / 2.0
 
     def eps_hat(self, i):
-        """Per-iteration slack A_t eps / (2 (t-1) A_i); needs t >= 2, i >= 1."""
+        """Per-iteration slack A_t eps / (8 (t-1) A_i); needs t >= 2, i >= 1.
+
+        The weighted slacks sum to sum_{i<t} A_i eps_hat_i / A_t = eps / 8.
+        """
         if self.t < 2:
             raise ValueError("eps_hat is vacuous for single-step runs")
-        return self._A_t * self.epsilon / (2.0 * (self.t - 1) * self.A(i))
+        return _SLACK_SHARE * self._A_t * self.epsilon / ((self.t - 1) * self.A(i))
 
 
 # Larger certified budgets come from configs no run can finish (hyperbolic
-# R = 15 certifies 3.0e22 axgd iterations at epsilon = 1e-2); tests spend at
+# R = 15 certifies 2.25e22 axgd iterations at epsilon = 1e-2); tests spend at
 # most ~1.05e7.
 MAX_ITERATIONS = 10**8
 
@@ -97,23 +107,34 @@ def ceil_budget(t):
 
 
 def iteration_budget(L_tilde, gamma_n, gamma_p, epsilon, D):
-    """Least t with t (t + 1) >= 4 L_tilde D^2 / (gamma_n^2 gamma_p epsilon), for a start within D of x*~.
+    """Least t with t (t + 1) >= 16 L_tilde D^2 / (7 gamma_n^2 gamma_p epsilon), for a start within D of x*~.
 
-    After t iterations from x0~ the gap is at most 2 L_tilde |x0~ - x*~|^2 /
-    (gamma_n^2 gamma_p t (t + 1)) + epsilon / 2, so with D >= |x0~ - x*~|
-    this t certifies epsilon.  D is R_tilde from the ball centre, where
-    every CLI axgd run and every re-centered restart round starts, and at
-    most 2 R_tilde from any start in the ball.  The float root of t^2 + t =
-    q is settled in integers, so that its rounding never moves t; budgets
-    over MAX_ITERATIONS raise ``BudgetError``, also when the denominator of
-    q underflows to 0, which leaves q infinite.
+    After t iterations from x0~ the gap is at most the discretization term
+    2 L_tilde |x0~ - x*~|^2 / (gamma_n^2 gamma_p t (t + 1)) plus the
+    line-search slack sum_{i<t} A_i eps_hat_i / A_t = epsilon / 8
+    (``SolverParams.eps_hat``).  With D >= |x0~ - x*~| and t (t + 1) >= q,
+    the first term is at most 2 L_tilde D^2 / (gamma_n^2 gamma_p q) =
+    7 epsilon / 8, so the gap is at most 7 epsilon / 8 + epsilon / 8 =
+    epsilon: this t certifies epsilon.  D is R_tilde from the ball centre,
+    where every CLI axgd run and every re-centered restart round starts,
+    and at most 2 R_tilde from any start in the ball.  Budgets over
+    MAX_ITERATIONS raise ``BudgetError`` (``least_budget``), also when the
+    denominator of q underflows to 0, which leaves q infinite.
     """
     if not 0 < D < math.inf:
         raise ValueError(f"the start's distance bound D = {D!r} must be finite and positive")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon = {epsilon!r} must be finite and positive")
-    denominator = gamma_n**2 * gamma_p * epsilon
-    q = 4.0 * L_tilde * D * D / denominator if denominator > 0.0 else math.inf
+    denominator = (1.0 - _SLACK_SHARE) * gamma_n**2 * gamma_p * epsilon
+    return least_budget(2.0 * L_tilde * D * D / denominator if denominator > 0.0 else math.inf)
+
+
+def least_budget(q):
+    """Least t >= 1 with t (t + 1) >= q; ``BudgetError`` when that t exceeds MAX_ITERATIONS.
+
+    The float root of t^2 + t = q is settled in integers, so that its
+    rounding never moves t.
+    """
     t = ceil_budget(math.sqrt(q + 0.25) - 0.5)
     if t * (t + 1) < q:
         t += 1
@@ -199,9 +220,18 @@ class LineSearchResult(NamedTuple):
 
 
 def probe_bound(params, i, eps_hat):
-    """Probe-count bound 4 log2(L~ R~ i / (gamma_n eps_hat)) + 4, floored at 4."""
-    arg = params.L_tilde * params.R_tilde * i / (params.gamma_n * eps_hat)
-    return 4.0 * math.log2(max(arg, 1.0)) + 4.0
+    """Probe-count bound 4 log2(L~ R~ i / (gamma_n eps_hat)) + 4, floored at 4.
+
+    Finite for every positive float eps_hat: where the quotient under- or
+    overflows, its log2 is summed from the log2 of each factor.
+    """
+    denominator = params.gamma_n * eps_hat
+    arg = params.L_tilde * params.R_tilde * i / denominator if denominator > 0.0 else math.inf
+    if 0.0 < arg < math.inf:
+        return 4.0 * math.log2(max(arg, 1.0)) + 4.0
+    log2_arg = (math.log2(params.L_tilde) + math.log2(params.R_tilde) + math.log2(i)
+                - math.log2(params.gamma_n) - math.log2(eps_hat))
+    return 4.0 * max(log2_arg, 0.0) + 4.0
 
 
 def _residual(cand, lam, step, A, f_curr):

@@ -54,15 +54,16 @@ def restart_plan(sign, L, mu, R, epsilon, recenter):
     centre, so D = R~, the ball's image radius.  Round k >= 1 of a fixed
     frame starts at the previous output, within R_k of the minimizer, and
     points a distance d apart lie at most d / dist_lo apart in the ball, so
-    D = min(2 R~, R_k / dist_lo).  R must pass ``geomap.ball_radius``, and neither
-    mu R^2 / epsilon nor any eps_k may round to 0.  A mu R^2 / epsilon that is
-    not finite asks for infinitely many rounds, and raises ``axgd.BudgetError``.
+    D = min(2 R~, R_k / dist_lo).  epsilon must be positive and finite, R must
+    pass ``geomap.ball_radius``, and neither mu R^2 / epsilon nor any eps_k may
+    round to 0.  A mu R^2 / epsilon that is not finite asks for infinitely
+    many rounds, and raises ``axgd.BudgetError``.
     """
     # Each test is written so that NaN fails it.
     if not mu > 0:
         raise GeometryError("restart reduction needs strictly positive strong convexity")
-    if not epsilon > 0:
-        raise GeometryError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise GeometryError(f"epsilon must be positive and finite, not {epsilon!r}")
     ball_radius(sign, R)  # the radius rule, before the log2 that needs R
     ratio = mu * R * R / epsilon
     if not ratio < math.inf:
@@ -186,8 +187,8 @@ def make_regularization_plan(space, R, Delta, epsilon):
     That, not epsilon, is what the schedule certifies.  Runs meet epsilon
     only because the stage solves overshoot their targets.
     """
-    if epsilon <= 0:
-        raise GeometryError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise GeometryError(f"epsilon must be positive and finite, not {epsilon!r}")
     # An infinite Delta / epsilon asks for infinitely many stages, over any
     # cap; a NaN Delta fails this test too.
     if not Delta / epsilon < math.inf:
@@ -237,8 +238,8 @@ def planned_lower_bound(F, x0, R, plan, recenter):
 
     - the round count max(1, ceil(log2(sc_i R^2 / eps_i) - 1)) and every
       round radius R_k = R / 2^(k/2) grow with R;
-    - round k's budget is the least t with t (t + 1) >= q = 4 L~ D^2 /
-      (gamma_n^2 gamma_p eps_k), nondecreasing in q, with eps_k = sc_i R_k^2
+    - round k's budget is the least t with t (t + 1) >= q = 16 L~ D^2 /
+      (7 gamma_n^2 gamma_p eps_k), nondecreasing in q, with eps_k = sc_i R_k^2
       / 4 and the map constants at the frame radius r, which is R_k, or R
       on a fixed frame (there R_k / R is fixed).  From the ball centre D =
       r~, tanh r or tan r, so q is a constant times (1 + 4 r tanh r)

@@ -236,9 +236,9 @@ def test_criterion_04_solver_correctness(instance_h, axgd_sweep):
     eps = 1e-4
     params, records, f_final = axgd_sweep[eps]
     dc, frame = instance_h.dc, instance_h.frame
-    # The least t with t (t + 1) >= 4 L~ R~^2 / (gamma_n^2 gamma_p eps): the
+    # The least t with t (t + 1) >= 16 L~ R~^2 / (7 gamma_n^2 gamma_p eps): the
     # run starts at the ball centre, within R~ of the optimum.
-    q = 4 * dc.L_tilde * frame.R_tilde**2 / (dc.gamma_n**2 * dc.gamma_p * eps)
+    q = 16 * dc.L_tilde * frame.R_tilde**2 / (7 * dc.gamma_n**2 * dc.gamma_p * eps)
     budget = math.ceil(math.sqrt(q + 0.25) - 0.5)
     gap = f_final - instance_h.f_star
     recheck_ok = True
@@ -346,7 +346,7 @@ def test_fixed_frame_restart_rounds_meet_their_targets(instance_h):
     for k, rt in enumerate(rounds):
         R_k = 1.0 / 2 ** (k / 2)
         D = R_tilde if k == 0 else min(2 * R_tilde, R_k / dc.dist_lo)
-        q = 4 * dc.L_tilde * D**2 / (dc.gamma_n**2 * dc.gamma_p * rt.params.epsilon)
+        q = 16 * dc.L_tilde * D**2 / (7 * dc.gamma_n**2 * dc.gamma_p * rt.params.epsilon)
         t = rt.params.t
         assert rt.params.epsilon == pytest.approx(mu * R_k**2 / 4, rel=1e-15)
         assert t * (t + 1) >= q > (t - 1) * t

@@ -134,44 +134,63 @@ class TestSchedule:
         rhs = a_next + p.A(i) * gn * gp
         assert lhs <= rhs * (1 + 1e-12)
 
-    def test_eps_hat_sums_to_half_epsilon(self):
-        p = quad_params(t=40, eps=1e-3)
-        total = sum(p.A(i) * p.eps_hat(i) for i in range(1, p.t)) / p.A(p.t)
-        assert total == pytest.approx(p.epsilon / 2, rel=1e-12)
+    @staticmethod
+    def certificate(L, gn, gp, eps, D, t):
+        """The gap bound after t steps: 2 L~ D^2 / (gn^2 gp t (t + 1)) + sum_{i<t} A_i eps_hat_i / A_t."""
+        p = SolverParams(L_tilde=L, gamma_n=gn, gamma_p=gp, epsilon=eps, t=t, R_tilde=1.0)
+        i = np.arange(1, t, dtype=float)
+        slack = math.fsum(p.A(i) * p.eps_hat(i) / p.A(t)) if t > 1 else 0.0
+        return 2 * L * D**2 / (gn**2 * gp * t * (t + 1)) + slack
+
+    @given(
+        L=st.floats(0.5, 50.0),
+        gn=st.floats(0.1, 1.0),
+        gp=st.floats(0.1, 1.0),
+        eps=st.floats(1e-5, 1e-1),
+        D=st.floats(0.05, 2.0),
+    )
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_budget_and_slacks_certify_epsilon(self, L, gn, gp, eps, D):
+        # The discretization term and the line-search slacks together stay
+        # within epsilon at t = iteration_budget, and one step fewer does not
+        # certify with the same split of epsilon.
+        t = iteration_budget(L, gn, gp, eps, D)
+        assert self.certificate(L, gn, gp, eps, D, t) <= eps * (1 + 1e-12)
+        if t > 2:
+            assert self.certificate(L, gn, gp, eps, D, t - 1) > eps * (1 - 1e-12)
 
     def test_budget_formula(self):
         # R~ = 0.8: D = R~ bounds a start at the centre, 2 R~ any start in the
         # ball.  The least t with t (t + 1) >= q makes the rate term
-        # 2 L~ D^2 / (gamma_n^2 gamma_p t (t + 1)) at most epsilon / 2.
-        for D, expected in ((0.8, 1431), (1.6, 2862)):
-            q = 4 * 10.0 * D**2 / (0.25 * 0.5 * 1e-4)
+        # 2 L~ D^2 / (gamma_n^2 gamma_p t (t + 1)) at most 7 epsilon / 8.
+        for D, expected in ((0.8, 1082), (1.6, 2164)):
+            q = 16 * 10.0 * D**2 / (7 * 0.25 * 0.5 * 1e-4)
             t = iteration_budget(10.0, 0.5, 0.5, 1e-4, D)
             assert t * (t + 1) >= q > (t - 1) * t
-            assert 2 * 10.0 * D**2 / (0.25 * 0.5 * t * (t + 1)) <= 1e-4 / 2
+            assert 2 * 10.0 * D**2 / (0.25 * 0.5 * t * (t + 1)) <= 7 * 1e-4 / 8
             assert t == expected
 
     @given(k=st.integers(1, axgd.MAX_ITERATIONS - 1), step=st.sampled_from([-1, 0, 1]))
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     def test_budget_is_the_least_certifying_t(self, k, step):
-        # L~ = q / 4 with unit gammas, epsilon and D gives q exactly; around
-        # q = k (k + 1) the float root can round to a t one too small.
+        # Around q = k (k + 1) the float root can round to a t one too small.
         q = float(k * (k + 1))
         q = math.nextafter(q, math.inf) if step > 0 else math.nextafter(q, 0.0) if step < 0 else q
-        t = iteration_budget(q / 4, 1.0, 1.0, 1.0, 1.0)
+        t = axgd.least_budget(q)
         assert t * (t + 1) >= q > (t - 1) * t
 
     def test_budget_settles_a_root_that_rounds_down(self):
         k = 18034064
         q = math.nextafter(float(k * (k + 1)), math.inf)
         assert math.ceil(math.sqrt(q + 0.25) - 0.5) == k  # one too small
-        assert iteration_budget(q / 4, 1.0, 1.0, 1.0, 1.0) == k + 1
+        assert axgd.least_budget(q) == k + 1
 
     def test_budget_cap(self):
         cap = axgd.MAX_ITERATIONS
         q = float(cap * (cap + 1))
-        assert iteration_budget(q / 4, 1.0, 1.0, 1.0, 1.0) == cap
+        assert axgd.least_budget(q) == cap
         with pytest.raises(axgd.BudgetError, match="exceeds 1e[+]08"):
-            iteration_budget(math.nextafter(q, math.inf) / 4, 1.0, 1.0, 1.0, 1.0)
+            axgd.least_budget(math.nextafter(q, math.inf))
         with pytest.raises(axgd.BudgetError, match="exceeds 1e[+]08"):
             iteration_budget(1e300, 1.0, 1.0, 1e-300, 1.0)  # q overflows to inf
 
@@ -369,6 +388,25 @@ class TestLineSearch:
         assert right == np.nextafter(left, 1.0) and left <= lams[-1] <= right
         assert err.value.residual > 0.9 and err.value.iteration == 1
 
+    @pytest.mark.parametrize("eps_hat", [5e-324, 1e-320])
+    def test_subnormal_slack_exhausts_a_finite_probe_budget(self, monkeypatch, eps_hat):
+        # gamma_n eps_hat underflows to 0 at 5e-324, and the quotient under the
+        # log2 overflows at 1e-320: the bound sums the log2 of each factor there.
+        f, p = Cosine(5.0, 0.0), SolverParams(0.5, 0.5, 0.5, 1e-6, 50, 1.0)
+        bound = probe_bound(p, 1, eps_hat)
+        assert bound == pytest.approx(4.0 * (math.log2(0.5 * 1.0 * 1 / 0.5) - math.log2(eps_hat)) + 4.0, rel=1e-15)
+        state = SolverState(i=1, x_t=np.array([-0.5]), z_t=np.array([1.0]), A=p.A(1))
+        lams = self.probed_lambdas(monkeypatch)
+        with pytest.raises(LineSearchError, match="iteration 1: line-search probe budget exhausted") as err:
+            binary_line_search(state, p, f, eps_hat, f.value(state.x_t))
+        assert len(lams) == math.ceil(4.0 * bound) and err.value.iteration == 1
+
+    def test_probe_bound_keeps_its_finite_values(self):
+        p = SolverParams(0.5, 0.5, 0.5, 1e-6, 50, 1.0)
+        for i, eps_hat in ((1, 1e-3), (7, 1e-300), (3, 10.0)):
+            arg = p.L_tilde * p.R_tilde * i / (p.gamma_n * eps_hat)
+            assert probe_bound(p, i, eps_hat) == 4.0 * math.log2(max(arg, 1.0)) + 4.0
+
     @pytest.mark.parametrize("sign,R", [(-1, 1.0), (1, 1.1)])
     def test_accepted_step_inequality_recheck(self, sign, R):
         # On curved instances: every accepted iterate satisfies the
@@ -466,7 +504,7 @@ class TestRunInvariants:
     def test_convergence_bound_at_every_budget(self, sign, R):
         # The schedule guarantee must hold for any iteration count t, with
         # the start-to-optimum distance measured in the ball:
-        # f(x_t) - f* <= 2 L~ |x0~ - x*~|^2 / (gn^2 gp t (t+1)) + eps/2.
+        # f(x_t) - f* <= 2 L~ |x0~ - x*~|^2 / (gn^2 gp t (t+1)) + eps/8.
         from instances import frechet_instance
         from curvopt import CurvatureClass, MappedObjective, make_frame, to_ball
         from curvopt.baselines import reference_optimum
@@ -492,6 +530,6 @@ class TestRunInvariants:
             gap = fmap.value(out) - f_star
             bound = (
                 2 * dc.L_tilde * dist0_sq / (dc.gamma_n**2 * dc.gamma_p * t * (t + 1))
-                + eps / 2
+                + eps / 8
             )
             assert gap <= bound * (1 + 1e-9), (t, gap, bound)

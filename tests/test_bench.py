@@ -472,6 +472,10 @@ def _exhausted_line_search(*args, **kwargs):
     raise axgd.LineSearchError("line-search probe budget exhausted")
 
 
+def _solve_started(*args, **kwargs):
+    pytest.fail("the solve started before the input was refused")
+
+
 README_H2 = "weights = random\nseed = 20240\n"
 RUN = ["run", "--config", "{cfg}", "--output", "{out}"]
 SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
@@ -493,17 +497,17 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, "manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False, "R:"),
         (RUN, "curvature = 0\n", None, False, "curvature:"),
         (RUN, "epsilon = 1e-2\n", None, True, "line-search"),
-        # Certified budgets of 3.0e22 (axgd) and 3.3e8 (rgd) iterations.
-        (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 2.97e+22"),
+        # Certified budgets of 2.25e22 (axgd) and 3.3e8 (rgd) iterations.
+        (RUN, "R = 15\nepsilon = 1e-2\n", None, False, "certified budget t = 2.25e+22"),
         (RUN, "R = 15\nepsilon = 1e-3\nsolver = rgd\ntreat_gconvex = true\n", None, False, "t = 3.34e+08"),
         # A single axgd run or restart round over the cap names the config values.
         (RUN, "R = 12\nepsilon = 1e-4\n", None, False,
-         "error: epsilon = 0.0001, R = 12: certified budget t = 2.52e+19"),
+         "error: epsilon = 0.0001, R = 12: certified budget t = 1.91e+19"),
         (RUN, "R = 12\nepsilon = 1e-4\nsolver = restart_sc\n", None, False,
-         "error: epsilon = 0.0001, R = 12: certified budget t = 5.07e+16"),
+         "error: epsilon = 0.0001, R = 12: certified budget t = 3.83e+16"),
         (RUN, "R = 1000\n", None, False, "R:"),
         # The README H^2 instance below the float64 floor (2.98e-17 there),
-        # and at R = 4, epsilon = 1e-6, where reduce_gc needs at least 1.19e8
+        # and at R = 4.1, epsilon = 1e-6, where reduce_gc needs at least 1.22e8
         # iterations, though no round of that bound needs more than 3.5e7.
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-20\n", None, False, "epsilon = 1e-20 is below"),
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-30\n", None, False, "epsilon = 1e-30 is below"),
@@ -513,8 +517,8 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
          "error: epsilon = 1e-40 is below the float64 floor eps_machine |F(x0)| = 2.98e-17"),
         (RUN, README_H2 + "solver = rgd\nepsilon = 1e-40\n", None, False,
          "error: epsilon = 1e-40 is below the float64 floor eps_machine |F(x0)| = 2.98e-17"),
-        (RUN, README_H2 + "R = 4\nsolver = reduce_gc\nepsilon = 1e-6\n", None, False,
-         "error: epsilon = 1e-06, R = 4: the plan needs at least 1.19e+08 iterations"),
+        (RUN, README_H2 + "R = 4.1\nsolver = reduce_gc\nepsilon = 1e-6\n", None, False,
+         "error: epsilon = 1e-06, R = 4.1: the plan needs at least 1.22e+08 iterations"),
         # Unit-model radii (1.25e-300, 4.05e-300) whose squares underflow to 0.
         (RUN, "manifold = spherical\ncurvature = 1.5707963267948966\nR = 1e-300\nsolver = restart_sc\n", None,
          False, "error: mu R^2 / epsilon underflows to 0 at R = 1.2533141373155e-300"),
@@ -576,6 +580,9 @@ def test_bad_input_exits_2_with_one_error_line(
     cfg.write_text(config.format(anchors=anchors_path))
     if line_search_fails:
         monkeypatch.setattr(axgd, "binary_line_search", _exhausted_line_search)
+    else:  # a refusal comes before the solve; a solve that starts fails the case at once
+        monkeypatch.setattr(axgd, "run", _solve_started)
+        monkeypatch.setattr(bench, "rgd_run", _solve_started)
     start = time.perf_counter()
     out = tmp_path / "out"
     code = main([arg.format(cfg=cfg, out=out) for arg in argv])

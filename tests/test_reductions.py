@@ -52,7 +52,7 @@ class TestRestartPlan:
             restart_plan(HYPERBOLIC, 1.0, 0.0, 1.0, 1e-3, True)
 
     @pytest.mark.parametrize("sign", [HYPERBOLIC, SPHERICAL])
-    @pytest.mark.parametrize("mu,epsilon", [(1e300, 1e-10), (math.inf, 1e-3), (math.inf, math.inf)])
+    @pytest.mark.parametrize("mu,epsilon", [(1e300, 1e-10), (math.inf, 1e-3)])
     def test_refuses_a_ratio_that_is_not_finite(self, sign, mu, epsilon):
         # mu R^2 / epsilon sets the round count; inf (or NaN) is no plan.
         with pytest.raises(axgd.BudgetError, match=r"mu R\^2 / epsilon = (inf|nan) is not finite"):
@@ -65,6 +65,12 @@ class TestRestartPlan:
     def test_refuses_nan_mu_and_epsilon_by_name(self, mu, epsilon, message):
         with pytest.raises(GeometryError, match=message):
             restart_plan(HYPERBOLIC, 1.0, mu, 1.0, epsilon, True)
+
+    @pytest.mark.parametrize("mu", [1.0, math.inf])
+    def test_refuses_an_infinite_epsilon_by_name(self, mu):
+        # mu R^2 / inf is 0 (or NaN for an infinite mu): neither names epsilon.
+        with pytest.raises(GeometryError, match="epsilon must be positive and finite, not inf"):
+            restart_plan(HYPERBOLIC, 1.0, mu, 1.0, math.inf, True)
 
     @pytest.mark.parametrize("recenter", [True, False])
     def test_rounds_halve_the_squared_radius(self, recenter):
@@ -197,6 +203,12 @@ class TestRegularizationPlan:
         # Delta / epsilon sets the stage count; inf (or NaN) is no plan.
         with pytest.raises(axgd.BudgetError, match="Delta = .* over epsilon = .* is not finite"):
             make_regularization_plan(CurvatureClass.hyperbolic(), 1.0, Delta, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_refuses_an_epsilon_that_is_not_finite_by_name(self, epsilon):
+        # log2(Delta / inf) is a math domain error, and Delta / NaN no ratio at all.
+        with pytest.raises(GeometryError, match="epsilon must be positive and finite, not (inf|nan)"):
+            make_regularization_plan(CurvatureClass.hyperbolic(), 1.0, 2.0, epsilon)
 
 
 @pytest.mark.parametrize("recenter,R_max", [(True, 5.0), (False, 4.0)])

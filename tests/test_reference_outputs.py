@@ -37,48 +37,48 @@ COMMON = "weights = random\nepsilon = 1e-3\n"
 # (config, solver) -> (sha256 of the CSV, sha256 of the stdout)
 RUN_DIGESTS = {
     ("h2", "axgd"): (
-        "403812c2b2f423d8fef66ec502240d41ec86c2d65aca8213d75be858bf45b329",
-        "ba4adf2407fd85daf193141d84f654269e8880ffe1b383b0c6940533adfef5e0",
+        "a993779b9b6582be10fa6ad2fb7f95ea48085951c68695df10b9cb6ad5827a7f",
+        "30f8ec72b45377d8fb41b113643af52a5e24ac3d114e26936a891624062b7b94",
     ),
     ("h2", "restart_sc"): (
-        "9b908d61372425678786e34579e19303d351b14dfad89b3b818c40bf0409aaa2",
-        "8485e127ea71c8a794dc9abcaa99e04225c1f153dc5cd27e0305dd248985b5d5",
+        "077a3c2b37f63693a547a85feba7cf04e4a4bde05ac5a18d3c877783d066a18e",
+        "f5d8f944da83db67d4250f377f09d2c2634845a523559ede0228c92f30b3d19c",
     ),
     ("h2", "reduce_gc"): (
-        "499f9b0b7c7ad015d112ff7ce15898ecf713535384e3ba9ec26754433b0fb5e5",
-        "01ba915cb9c43f5b8debc8de633a2ef04e7c87e92e1cb15fa6d0d87081321eac",
+        "b1cc4c45dc2b7955d1c8b9c49b1f24ebfa5d9ab460b68cee0d0269cc88cfe6b5",
+        "5f86915a137feb960f58c846b81a1005eb565e60d3b041b3a51e26476713eea4",
     ),
     ("h2", "rgd"): (
         "6200472b0221cb0e711818dc65b163ea63c5ce26eda8208383b82fd4cd51d18e",
         "050f921715789c072227ab42df78729a5976338656e72c9f2f4ebba449bca52f",
     ),
     ("h2_cond300", "axgd"): (
-        "a835ee9cbf1d5b36612989a36c45ee0936ecc5a056d6fab2c9ab01606a3b41a2",
-        "d315e570462cd8b7e5d4e17836b6a04d27c2c0fbf7396a2ae4df9c895c7faa23",
+        "e1189d199599b1c4fc09602ae13150eae7cb8f3c947066a94657e394a46f445d",
+        "be86845074247847702d688b215a83bc95a7b99683065f0be496955f44864b19",
     ),
     ("h2_cond300", "restart_sc"): (
-        "124603b3f9265bd6274bf0d7fd4f67fb717a10267b4d7c448ab239f1342bbc9f",
-        "fd2bffaee6311bff78de67dd85155f6f8c7aff49ef9671abbf98e35f55a4e63b",
+        "53775e11da9d2b93422e7f9a9828eb310a52f09b2b75206c060ccd6bd1e7cd0a",
+        "24ab01225bef54b48b42ccc7e39710379b98de0f11130615e8f014c09766cce6",
     ),
     ("h2_cond300", "reduce_gc"): (
-        "5a9bbd05b15acfe1a17ae76a03d5dd0a31c48c985fd0c01af9f6036e939c8688",
-        "b1652ae3c7b0deb4037d23f58e5867c2157f9600640936bb4109d4dcdb8afd15",
+        "088ca48b6e033a796ec4a8d85fe1ffa916e4f048fdcce9937cce3311265b6313",
+        "623a92f899089b354ac5095f6c5b5b23372f74b0f3d83ee37ed601a9dfdcb912",
     ),
     ("h2_cond300", "rgd"): (
         "93a9a51613a8bafb8b3ab6435b2177e71dc24a4f42f8ac8ccfe961a70c8a0c44",
         "971d6f377101187e13a0a80317f7bc50566c5a821466c7566250d8d989e56eb7",
     ),
     ("s5", "axgd"): (
-        "ab6c177a51517217fb062b3de16be48783d7a16878ba8c494ffbfc6f801dc40a",
-        "1ef6df0561b6dc0602af4c5a8cee080192dbef1ce04dbc28e101dd6b16a61335",
+        "f98b4c90f2008c3f6a13b371c3b059521d57a7b9fcc6cd1b9eb700a1132f9e43",
+        "409b38c77a3532041cc53351b327e3a1b063ed770067b707fd8da48e697dc52b",
     ),
     ("s5", "restart_sc"): (
-        "bae7e9682fd8dd1556b31421cb066e0046cc6b8f4009a728c7eb84865634502d",
-        "bd82e9c386d3cb57d502ce7eefaf7b8aae1e5777c51e623c1a218baebfa41f94",
+        "3946527c189c9af05989bb2e050a31584af8798db5ec689a3eab74a1a058fdf8",
+        "90fec41aae082af149e136363c09bef95dc843961125560ecba646f99c927134",
     ),
     ("s5", "reduce_gc"): (
-        "cba7fd8dcbeaeb81306e29967ba9bbeac3a27d1b0ce95af1672c9fa033b13617",
-        "89fbbe9ff067b49d253d36bad973254edc7b9e69af48deba1d659ccb8c727480",
+        "1b67e3c77f6049e71f1355210c3eff50adf113489c75c716d85a23c43d39290a",
+        "4a7d1d4a87925e17a6e6facd20c77f11f777c99a7c4c22b249f69c7b76f2186d",
     ),
     ("s5", "rgd"): (
         "8781ef47e565a4f92b2491b48e57ea9ac091c774b2cdbfaba94c8146ba4634d3",
@@ -100,11 +100,11 @@ SWEEPS = {
 SWEEP_DIGESTS = {
     "cond_restart_sc": (
         {
-            "restart_sc_cond10.csv": "0a6246e3d0b49801527506d36772eb31bbaee884ea6dbdeef185eff864f11f9b",
-            "restart_sc_cond100.csv": "f82b9a6d62c661db6788395fc0124cdd20312c94a209986aaebbec82270f3e22",
-            "restart_sc_summary.csv": "9a3ae46c76818b4b9e769bc5f1d317ef8b0bfd88535f58155712057380cd7730",
+            "restart_sc_cond10.csv": "1a6ea7422cfb88def350013dd28dc9d8b815134f722bcf5848de3fcf8940d621",
+            "restart_sc_cond100.csv": "7fe18d0184ca6f1a3ad82045ffd3ddd1c06b33d41431ff64df6ccc2e13b0e431",
+            "restart_sc_summary.csv": "1a4ae6b138ea431bcdd899d870f26648ec8a76ab35153b65e480bfc158452196",
         },
-        "1e0587c8409086b6d1543a644f63502644708b664b9cb03f7b16fc211cab3076",
+        "d5b2e425343f8005612aa4e4369658a02d33f94079ebdc17c2bf5229292e8974",
     ),
     "rate_rgd": (
         {
