@@ -251,8 +251,8 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr):
     """
     if state.i < 1:
         raise ValueError("line search is only defined from iteration 1 on")
-    if eps_hat_i <= 0:
-        raise ValueError("eps_hat must be positive")
+    if not eps_hat_i > 0:  # NaN fails too
+        raise ValueError(f"iteration {state.i}: eps_hat must be positive, got {eps_hat_i!r}")
     A, gamma_n, R_tilde = state.A, params.gamma_n, params.R_tilde
     a_next = params.a(state.i + 1)
     step = a_next / gamma_n

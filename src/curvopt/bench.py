@@ -28,8 +28,6 @@ ratio L/mu over one config, plans every point before the first solve, and
 fits the exponent of the evaluation counts against 1/epsilon or L/mu.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
@@ -133,9 +131,8 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ConfigError("seed: must be a non-negative integer")
-        for key in ("epsilon", "R", "curvature", "condition"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value!r}")
         if self.epsilon <= 0:
             raise ConfigError("epsilon: must be positive")
@@ -153,7 +150,24 @@ class ExperimentConfig:
         return self
 
 
-_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+def _cast(kind, text):
+    if kind is not bool:
+        return kind(text)
+    value = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}.get(text.lower())
+    if value is None:
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return value
+
+
+def _set(cfg, key, text, where):
+    """Set ``cfg.key`` from ``text`` cast to its declared type, ``''``/``none`` unsetting an ``X | None`` key."""
+    declared = ExperimentConfig.__dataclass_fields__[key].type
+    kind, *unset = getattr(declared, "__args__", (declared,))  # X | None gives X and [NoneType]
+    try:
+        value = None if unset and text.lower() in ("", "none") else _cast(kind, text)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from None
+    setattr(cfg, key, value)
 
 
 def parse_config(path):
@@ -168,25 +182,8 @@ def parse_config(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in ExperimentConfig.__dataclass_fields__:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                setattr(cfg, key, _cast_field(key, value))
-            except ValueError as err:
-                raise ConfigError(f"{path}:{lineno}: {key}: {err}") from None
+            _set(cfg, key, value, f"{path}:{lineno}: {key}")
     return cfg
-
-
-def _cast_field(key, value):
-    if key in ("d", "anchor_count", "seed"):
-        return int(value)
-    if key in ("curvature", "R", "epsilon"):
-        return float(value)
-    if key == "condition":
-        return None if value.lower() in ("", "none") else float(value)
-    if key in ("treat_gconvex", "timing"):
-        if value.lower() not in _BOOL:
-            raise ValueError(f"expected a boolean, got {value!r}")
-        return _BOOL[value.lower()]
-    return value
 
 
 class RunReport(NamedTuple):
@@ -440,10 +437,10 @@ def run_sweep(cfg, key, values, output_dir):
 def _load_config(args):
     """The ``--config`` file, or the defaults without one, with the command's flags laid over it."""
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    for key in ("solver", "epsilon", "seed", "output"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+    for key in ExperimentConfig.__dataclass_fields__:
+        text = getattr(args, key, None)
+        if text is not None:
+            _set(cfg, key, text, f"--{key}")
     return cfg
 
 
@@ -502,19 +499,22 @@ def _cmd_verify(args):
     return 0 if all(res.ok for res in worst.values()) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is reported as one ``error:`` line too
+        raise ConfigError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="bench", description="benchmark harness for curvature-aware solvers"
-    )
+    parser = _Parser(prog="bench", description="benchmark harness for curvature-aware solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment and write its CSV trace")
     p_sweep = sub.add_parser("sweep", help="run an epsilon or condition-ratio sweep")
-    for p in (p_run, p_sweep):  # the flags _load_config lays over the config file
+    for p in (p_run, p_sweep):  # the flags _load_config casts and lays over the config file
         p.add_argument("--config")
-        p.add_argument("--solver", choices=SOLVERS)
-        p.add_argument("--seed", type=int)
-    p_run.add_argument("--epsilon", type=float)
+        p.add_argument("--solver", metavar="{" + ",".join(SOLVERS) + "}")
+        p.add_argument("--seed")
+    p_run.add_argument("--epsilon")
     p_run.add_argument("--output")
     p_run.set_defaults(func=_cmd_run)
     axis = p_sweep.add_mutually_exclusive_group(required=True)
@@ -528,14 +528,14 @@ def main(argv=None):
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
-    args = parser.parse_args(argv)
     # SIGTERM unwinds a run (exit 143), which removes its temporary trace;
     # only the main thread may set a signal handler.
     on_main = threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum)) if on_main else None
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, GeometryError, axgd.LineSearchError, OSError, ValueError) as err:
+    except (ValueError, OSError, axgd.LineSearchError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:

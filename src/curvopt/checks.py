@@ -253,7 +253,7 @@ def check_pullback_fd(sign, d, R, n, rng):
     for j in range(d):
         e = np.zeros(d)
         e[j] = step
-        fd[:, j] = (fmap.value_many(xt + e) - fmap.value_many(xt - e)) / (2 * step)
+        fd[:, j] = (fmap.value(xt + e) - fmap.value(xt - e)) / (2 * step)
     err = fd - grad
     worst = float(np.max(np.sqrt(rowsum(err * err)) / np.sqrt(rowsum(grad * grad))))
     return CheckResult("gradient pullback vs finite differences", worst, 1e-6, f"K={sign} d={d} R={R}")

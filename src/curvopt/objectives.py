@@ -378,12 +378,12 @@ class MappedObjective:
         return (s * s * kc) * xt - s * k.dot(self._KB)
 
     def value(self, xt):
-        return float(self.value_many(xt))
-
-    def value_many(self, xt):
+        """f at the ball point ``xt``, a float, or at each point of a batch (leading axes)."""
         if self._BT is None:
-            return self.inner_obj.value_c(from_ball(self.frame, xt))
-        return _sqdist_value(self._terms(xt)[3], self._weights)
+            value = self.inner_obj.value_c(from_ball(self.frame, xt))
+        else:
+            value = _sqdist_value(self._terms(xt)[3], self._weights)
+        return float(value) if np.ndim(xt) == 1 else value
 
     def grad(self, xt):
         if self._BT is None:

@@ -75,10 +75,10 @@ KERNELS = {
     "FrechetObjective.grad_c-4": lambda fr, o, p: o["F4"].grad_c(p["x"]),
     "RegularizedObjective.value_c": lambda fr, o, p: o["G"].value_c(p["x"]),
     "RegularizedObjective.grad_c": lambda fr, o, p: o["G"].grad_c(p["x"]),
-    "MappedObjective.value_many": lambda fr, o, p: o["f"].value_many(p["xt"]),
+    "MappedObjective.value": lambda fr, o, p: o["f"].value(p["xt"]),
     "MappedObjective.grad": lambda fr, o, p: o["f"].grad(p["xt"]),
     "MappedObjective.value_and_grad": lambda fr, o, p: _each_point(o["f"].value_and_grad, p["xt"]),
-    "MappedObjective.value_many-chain": lambda fr, o, p: o["f_chain"].value_many(p["xt"]),
+    "MappedObjective.value-chain": lambda fr, o, p: o["f_chain"].value(p["xt"]),
     "MappedObjective.grad-chain": lambda fr, o, p: o["f_chain"].grad(p["xt"]),
     "MappedObjective.value_and_grad-chain": lambda fr, o, p: _each_point(o["f_chain"].value_and_grad, p["xt"]),
     "to_ball": lambda fr, o, p: to_ball(fr, p["x"]),

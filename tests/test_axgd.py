@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -91,7 +92,7 @@ class TestMirrorDualGrad:
         coords=st.lists(st.floats(-5, 5), min_size=2, max_size=2),
         R=st.floats(0.1, 2.0),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_projection_properties(self, coords, R):
         z = np.array(coords)
         p = mirror_dual_grad(z, R)
@@ -125,7 +126,7 @@ class TestSchedule:
         gp=st.floats(0.01, 1.0),
         i=st.integers(0, 10_000),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_rate_hypothesis_inequality(self, L, gn, gp, i):
         # L~ a_{i+1}^2 / gamma_n <= a_{i+1} + A_i gamma_n gamma_p
         p = SolverParams(L_tilde=L, gamma_n=gn, gamma_p=gp, epsilon=1.0, t=2, R_tilde=1.0)
@@ -149,7 +150,7 @@ class TestSchedule:
         eps=st.floats(1e-5, 1e-1),
         D=st.floats(0.05, 2.0),
     )
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_budget_and_slacks_certify_epsilon(self, L, gn, gp, eps, D):
         # The discretization term and the line-search slacks together stay
         # within epsilon at t = iteration_budget, and one step fewer does not
@@ -171,7 +172,7 @@ class TestSchedule:
             assert t == expected
 
     @given(k=st.integers(1, axgd.MAX_ITERATIONS - 1), step=st.sampled_from([-1, 0, 1]))
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_budget_is_the_least_certifying_t(self, k, step):
         # Around q = k (k + 1) the float root can round to a t one too small.
         q = float(k * (k + 1))
@@ -400,6 +401,15 @@ class TestLineSearch:
         with pytest.raises(LineSearchError, match="iteration 1: line-search probe budget exhausted") as err:
             binary_line_search(state, p, f, eps_hat, f.value(state.x_t))
         assert len(lams) == math.ceil(4.0 * bound) and err.value.iteration == 1
+
+    @pytest.mark.parametrize("eps_hat", [math.nan, 0.0, -1e-3])
+    def test_refuses_a_slack_that_is_not_positive(self, eps_hat):
+        # A NaN slack used to fail every residual test and end in
+        # ValueError('cannot convert float NaN to integer') from the probe cap.
+        f, p = Cosine(5.0, 0.0), SolverParams(0.5, 0.5, 0.5, 1e-6, 50, 1.0)
+        state = SolverState(i=1, x_t=np.array([-0.5]), z_t=np.array([1.0]), A=p.A(1))
+        with pytest.raises(ValueError, match=re.escape(f"iteration 1: eps_hat must be positive, got {eps_hat!r}")):
+            binary_line_search(state, p, f, eps_hat, f.value(state.x_t))
 
     def test_probe_bound_keeps_its_finite_values(self):
         p = SolverParams(0.5, 0.5, 0.5, 1e-6, 50, 1.0)

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import re
 import signal
 import subprocess
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from curvopt import (
     axgd,
     bench,
+    checks,
     deformation_constants,
     make_frame,
     reductions,
@@ -134,6 +136,25 @@ class TestConfig:
         cfg.anchor_count = 7
         with pytest.raises(ConfigError, match="^anchor_count: 7 does not match the 3 anchors"):
             build_instance(cfg)
+
+
+@pytest.mark.parametrize("text", ["none", "None", ""])
+@pytest.mark.parametrize("key", ["anchors_file", "anchor_count", "condition", "output"])
+def test_none_unsets_an_optional_key(tmp_path, capsys, key, text):
+    # The run is the run without the key: same config, same report, and no file named "none".
+    base, unset = tmp_path / "base.cfg", tmp_path / "unset.cfg"
+    base.write_text("epsilon = 1e-2\nseed = 7\n")
+    unset.write_text(f"epsilon = 1e-2\n{key} = {text}\nseed = 7\n")
+    assert parse_config(unset) == parse_config(base)
+    runs = [["--config", str(base)], ["--config", str(unset)]]
+    if key == "output":
+        runs.append(["--config", str(base), "--output", text])
+    reports = []
+    for argv in runs:
+        assert main(["run", *argv]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[1:] == reports[:-1] and reports[0].err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base.cfg", "unset.cfg"]
 
 
 def _csv_rows(cfg, tmp_path, instance=None):
@@ -297,7 +318,7 @@ class TestFitRateExponent:
             fit_rate_exponent([(1e-2, 1.0), (1e-3, 2.0), (1e-4, 3.0)])
 
     @given(p=st.floats(0.1, 1.5), c=st.floats(0.1, 1e4))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_recovers_arbitrary_exponent(self, p, c):
         series = [(eps, c * eps**-p) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
         assert fit_rate_exponent(series, deflate_log=False) == pytest.approx(p, abs=1e-9)
@@ -553,6 +574,14 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, "anchors_file = {anchors}\n", "0 0 1\n", False, "{anchors}: anchor file is missing its header line"),
         (RUN, "anchors_file = {anchors}\n", "# class=spherical d=2\n0 0 1\n", False,
          "{anchors}:1: anchor file header: class 'spherical' does not match the requested space"),
+        # A flag that does not parse, and a command line argparse refuses, each give one line.
+        (["run", "--epsilon", "abc"], "", None, False, "error: --epsilon: could not convert string to float: 'abc'"),
+        (["run", "--seed", "1.5"], "", None, False, "error: --seed: invalid literal for int() with base 10: '1.5'"),
+        (["run", "--solver", "bogus"], "", None, False, "error: solver: unknown value 'bogus'"),
+        (["run", "--bogus"], "", None, False, "error: unrecognized arguments: --bogus"),
+        (["sweep", "--epsilons", "1e-2"], "", None, False, "error: the following arguments are required: --output-dir"),
+        (["verify", "--samples", "abc"], "", None, False, "error: argument --samples: invalid int value: 'abc'"),
+        ([], "", None, False, "error: the following arguments are required: command"),
     ],
     ids=[
         "empty-anchor-file", "missing-anchor-file", "off-model-anchor", "non-numeric-anchor",
@@ -568,6 +597,8 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         "sweep-epsilon-below-floor", "sweep-condition-over-budget",
         "anchor-header-d-not-integer", "anchor-header-d-two-equals", "anchor-header-unknown-class",
         "anchor-header-missing", "anchor-header-class-mismatch",
+        "run-epsilon-not-a-number", "run-seed-not-an-integer", "run-unknown-solver", "run-unknown-flag",
+        "sweep-without-output-dir", "verify-samples-not-an-integer", "no-command",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(
@@ -601,11 +632,11 @@ def test_bad_input_exits_2_with_one_error_line(
     R=st.sampled_from([1.0, *RADIUS_EDGES]),
     solver=st.sampled_from(bench.SOLVERS),
 )
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_edge_radius_and_curvature_exit_2_or_plan(tmp_path_factory, manifold, curvature, R, solver):
     cfg = tmp_path_factory.getbasetemp() / "edge.cfg"
     cfg.write_text(f"manifold = {manifold}\ncurvature = {curvature!r}\nR = {R!r}\nsolver = {solver}\n")
-    _assert_exit_2_or_planned_once(cfg)
+    _assert_exit_2_or_planned_once(["run", "--config", str(cfg)])
 
 
 @pytest.mark.parametrize("condition", [None, 1e308], ids=["condition-unset", "condition-1e308"])
@@ -619,19 +650,61 @@ def test_edge_epsilon_and_condition_exit_2_or_plan(tmp_path, manifold, solver, e
     model = "curvature = 1.0\nR = 0.5" if manifold == "spherical" else "curvature = -1.0\nR = 1.0"
     text = f"manifold = {manifold}\n{model}\nsolver = {solver}\nepsilon = {epsilon!r}\n"
     cfg.write_text(text + ("" if condition is None else f"condition = {condition!r}\n"))
-    _assert_exit_2_or_planned_once(cfg)
+    _assert_exit_2_or_planned_once(["run", "--config", str(cfg)])
 
 
-def _assert_exit_2_or_planned_once(cfg):
-    # The run is planned, not solved: the solve reaches a stub of _trace_run.
+# Edge values of every config key and of every flag of run, sweep and verify.
+EDGE_TEXTS = ["0", "-0.0", "5e-324", "1e300", "1e-300", "nan", "inf", str(10**39), "", "none", "abc"]
+FLAGS = {
+    "run": ["--config", "--solver", "--seed", "--epsilon", "--output"],
+    "sweep": ["--config", "--solver", "--seed", "--epsilons", "--conditions", "--output-dir"],
+    "verify": ["--samples", "--seed"],
+}
+EDGE_INPUTS = [("key", key) for key in ExperimentConfig.__dataclass_fields__] + [
+    (command, flag) for command, flags in FLAGS.items() for flag in flags
+]
+
+
+@given(where=st.sampled_from(EDGE_INPUTS), text=st.sampled_from(EDGE_TEXTS))
+@settings(max_examples=400)
+def test_edge_value_of_each_key_and_flag_exits_2_or_plans(tmp_path_factory, where, text):
+    # A key is set in a config file; a flag is given as --flag=text, with a
+    # sweep's other required flags.  Relative paths resolve in a fresh directory.
+    kind, name = where
+    base = tmp_path_factory.mktemp("edge")
+    if kind == "key":
+        (base / "edge.cfg").write_text(f"{name} = {text}\n")
+        argv = ["run", "--config", "edge.cfg"]
+    else:
+        flags = {"--epsilons": "1e-2", "--output-dir": "out"} if kind == "sweep" else {}
+        if name == "--conditions":
+            del flags["--epsilons"]
+        flags[name] = text
+        argv = [kind, *(f"{flag}={value}" for flag, value in flags.items())]
+    cwd = os.getcwd()
+    os.chdir(base)
+    try:
+        _assert_exit_2_or_planned_once(argv)
+    finally:
+        os.chdir(cwd)
+
+
+def _assert_exit_2_or_planned_once(argv):
+    # The run is planned, not solved: the solve reaches a stub of _trace_run,
+    # and verify's grid a stub of checks.run_grid.
     planned, out, err = [], io.StringIO(), io.StringIO()
 
     def plan_only(_cfg, _inst, solve):
         planned.append(solve)
         return bench.RunReport(0, 0.0)
 
-    with mock.patch.object(bench, "_trace_run", plan_only), redirect_stdout(out), redirect_stderr(err):
-        code = main(["run", "--config", str(cfg)])
+    with (
+        mock.patch.object(bench, "_trace_run", plan_only),
+        mock.patch.object(checks, "run_grid", lambda n, seed: planned.append((n, seed)) or []),
+        redirect_stdout(out),
+        redirect_stderr(err),
+    ):
+        code = main(argv)
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), err.getvalue()
     else:
@@ -711,8 +784,6 @@ def test_instance_holds_less_than_its_budgeted_bytes(d, count):
 
 
 def test_verify_cell_holds_less_than_its_budgeted_bytes():
-    from curvopt import checks
-
     n = 1000
     _, peak = _traced_peak(checks.run_grid, None, n)
     assert peak <= n * bench.SAMPLE_BYTES

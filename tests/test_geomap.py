@@ -392,7 +392,7 @@ class TestAngleDeformation:
         alpha=st.floats(0.0, math.pi),
         sign=st.sampled_from([-1, 1]),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_pythagorean_identity(self, r, alpha, sign):
         sin_a, cos_a = angle_deformation(r, alpha, sign)
         assert abs(sin_a**2 + cos_a**2 - 1.0) < 1e-12
@@ -621,7 +621,7 @@ class TestRadiusRule:
         R=st.sampled_from(RADIUS_EDGES),
         d=st.sampled_from([1, 2, 10]),
     )
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_edge_radius_raises_or_gives_finite_constants(self, sign, R, d):
         accepted = 0.0 < R < math.pi / 2 if sign == SPHERICAL else 0.0 < R <= MAX_HYPERBOLIC_R
         try:

@@ -260,7 +260,7 @@ class TestRowsum:
     LEADS = [(), (1,), (5,), (2, 3)]
 
     @given(n=st.integers(0, 140), lead=st.sampled_from(LEADS), data=st.data())
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_equals_numpy_to_the_bit(self, n, lead, data):
         values = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(SUM_EDGES), st.floats())
         p = data.draw(arrays(np.float64, lead + (n,), elements=values))

@@ -114,7 +114,7 @@ class TestMappedObjective:
         from curvopt.geomap import to_ball
 
         xt = to_ball(frame, x)
-        assert np.max(np.abs(fmap.value_many(xt) - F.value_c(x))) < 1e-14
+        assert np.max(np.abs(fmap.value(xt) - F.value_c(x))) < 1e-14
 
     def test_value_at_origin(self, space):
         center, F = frechet_instance(space, 3, 1.0, 3, seed=9)
@@ -311,7 +311,7 @@ class TestClosedFormMapping:
                 fmap = MappedObjective(obj, frame)
                 value, grad = self.chain(obj, frame, xt)
                 scale = np.linalg.norm(grad, axis=-1)
-                assert np.all(np.abs(fmap.value_many(xt) - value) <= 1e-13 * value), name
+                assert np.all(np.abs(fmap.value(xt) - value) <= 1e-13 * value), name
                 assert np.all(np.linalg.norm(fmap.grad(xt) - grad, axis=-1) <= 1e-13 * scale), name
                 for j, one in enumerate(xt):
                     v1, g1 = fmap.value_and_grad(one)
@@ -341,7 +341,7 @@ class TestClosedFormMapping:
             for obj in (custom, regularized(custom, 0.37, center, delta)):
                 fmap = MappedObjective(obj, frame)
                 value, grad = self.chain(obj, frame, xt)
-                assert np.array_equal(fmap.value_many(xt), value)
+                assert np.array_equal(fmap.value(xt), value)
                 assert np.array_equal(fmap.grad(xt), grad)
                 for one in xt:
                     x = from_ball(frame, one)
@@ -381,13 +381,13 @@ class TestClosedFormMapping:
             fmap = MappedObjective(obj, frame)
             fmap.value_and_grad((frame.R_tilde + 0.5 * BALL_TOL) * e)
             for beyond in ((frame.R_tilde + 2 * BALL_TOL) * e, np.array([np.nan, 0.0, 0.0])):
-                for call in (fmap.value, fmap.value_many, fmap.grad, fmap.value_and_grad):
+                for call in (fmap.value, fmap.grad, fmap.value_and_grad):
                     with pytest.raises(GeometryError):
                         call(beyond)
                 with pytest.raises(GeometryError):
                     fmap.grad(np.stack([np.zeros(3), beyond]))
 
-    @pytest.mark.parametrize("method", ["value", "grad", "value_and_grad", "value_many"])
+    @pytest.mark.parametrize("method", ["value", "grad", "value_and_grad"])
     def test_lightlike_lift_raises(self, method):
         # H^2 at R = 12: |x~| = 1 passes the radius test, as tanh R is within
         # BALL_TOL of 1, and 1 - |x~|^2 = 0 was clamped to 1e-300, so
