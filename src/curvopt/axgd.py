@@ -36,7 +36,7 @@ _SLACK_SHARE = 0.125
 
 
 class LineSearchError(RuntimeError):
-    """Line search exhausted its probe budget; carries diagnostic context."""
+    """Line search found no accepted step; carries diagnostic context."""
 
     def __init__(self, message, bracket=None, residual=None, iteration=None):
         super().__init__(message)
@@ -175,16 +175,23 @@ class SolverState(NamedTuple):
 
 
 def mirror_dual_grad(z, R_tilde):
-    """Dual gradient of the ball-restricted quadratic mirror map: projection of one 1-D z, read C-contiguous."""
+    """Dual gradient of the ball-restricted quadratic mirror map: projection of one 1-D z, read C-contiguous.
+
+    A z with an inf or NaN entry projects to NaN; a finite z whose z.z overflows is scaled first.
+    """
     z = np.ascontiguousarray(z, dtype=float)
     n = math.sqrt(z.dot(z))
     if n <= R_tilde:
         return z
+    if n == math.inf:
+        m = float(np.abs(z).max())
+        if m == math.inf:
+            return np.full_like(z, math.nan)
+        n = m * float(np.linalg.norm(z / m))
     return (R_tilde / n) * z
 
 
 class StepCandidate(NamedTuple):
-    lam: float
     x_next: np.ndarray
     grad_next: np.ndarray
     z_next: np.ndarray
@@ -192,22 +199,20 @@ class StepCandidate(NamedTuple):
     descent_inner: float  # <grad f(x_next), x_next - x_i>
 
 
-def _candidate(state, a_next, gamma_n, R_tilde, f, lam, z_ball=None):
+def _candidate(state, a_next, gamma_n, R_tilde, f, lam, z_ball):
     """One inner step of the discretization for a given coupling lambda.
 
     ``z_ball`` is ``mirror_dual_grad(state.z_t, R_tilde)``, which a line
     search projects once for all of its probes.
     """
     x_t, z_t = state.x_t, state.z_t
-    if z_ball is None:
-        z_ball = mirror_dual_grad(z_t, R_tilde)
     step = a_next / gamma_n
     x_kept = (1.0 - lam) * x_t
     grad_chi = f.grad(x_kept + lam * z_ball)
     x_next = x_kept + lam * mirror_dual_grad(z_t - step * grad_chi, R_tilde)
     f_next, grad_next = f.value_and_grad(x_next)
     inner = float(grad_next.dot(x_next - x_t))
-    return StepCandidate(lam, x_next, grad_next, z_t - step * grad_next, f_next, inner)
+    return StepCandidate(x_next, grad_next, z_t - step * grad_next, f_next, inner)
 
 
 class LineSearchResult(NamedTuple):
@@ -216,22 +221,6 @@ class LineSearchResult(NamedTuple):
     residual: float
     probes: int
     candidate: StepCandidate
-    eps_hat: float
-
-
-def probe_bound(params, i, eps_hat):
-    """Probe-count bound 4 log2(L~ R~ i / (gamma_n eps_hat)) + 4, floored at 4.
-
-    Finite for every positive float eps_hat: where the quotient under- or
-    overflows, its log2 is summed from the log2 of each factor.
-    """
-    denominator = params.gamma_n * eps_hat
-    arg = params.L_tilde * params.R_tilde * i / denominator if denominator > 0.0 else math.inf
-    if 0.0 < arg < math.inf:
-        return 4.0 * math.log2(max(arg, 1.0)) + 4.0
-    log2_arg = (math.log2(params.L_tilde) + math.log2(params.R_tilde) + math.log2(i)
-                - math.log2(params.gamma_n) - math.log2(eps_hat))
-    return 4.0 * max(log2_arg, 0.0) + 4.0
 
 
 def _residual(cand, lam, step, A, f_curr):
@@ -247,7 +236,9 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr):
     neither passes, the endpoint inner products bracket a sign change and
     bisection on lambda keeps the bracket endpoints' signs opposite until
     the residual drops below eps_hat_i.  ``f_curr`` is f at ``state.x_t``.
-    A failed search raises ``LineSearchError`` naming iteration ``state.i``.
+    A failed search raises ``LineSearchError`` naming iteration ``state.i``
+    when the endpoints bracket no sign change, or when the bracket is two
+    adjacent floats: within about 1075 halvings of a bracket in (0, 1].
     """
     if state.i < 1:
         raise ValueError("line search is only defined from iteration 1 on")
@@ -263,7 +254,7 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr):
         cand = _candidate(state, a_next, gamma_n, R_tilde, f, lam, z_ball)
         residual = _residual(cand, lam, step, A, f_curr)[1]
         if residual <= eps_hat_i:
-            return LineSearchResult(lam, end_gamma, residual, probes, cand, eps_hat_i)
+            return LineSearchResult(lam, end_gamma, residual, probes, cand)
         ends.append((lam, cand.descent_inner))
     (left, s_lo), (right, s_hi) = ends
     if not (s_lo < 0 < s_hi):
@@ -275,25 +266,25 @@ def binary_line_search(state, params, f, eps_hat_i, f_curr):
             iteration=state.i,
         )
 
-    cap = max(8, int(math.ceil(4.0 * probe_bound(params, state.i, eps_hat_i))))
-    while probes < cap:
+    while True:
         lam = 0.5 * (left + right)
+        if not left < lam < right:
+            raise LineSearchError(
+                f"iteration {state.i}: the line-search bracket collapsed to adjacent floats; smoothness or "
+                "deformation constants are likely misconfigured",
+                bracket=(left, right),
+                residual=residual,
+                iteration=state.i,
+            )
         probes += 1
         cand = _candidate(state, a_next, gamma_n, R_tilde, f, lam, z_ball)
         gamma_hat, residual = _residual(cand, lam, step, A, f_curr)
         if residual <= eps_hat_i:
-            return LineSearchResult(lam, gamma_hat, residual, probes, cand, eps_hat_i)
+            return LineSearchResult(lam, gamma_hat, residual, probes, cand)
         if cand.descent_inner < 0:
             left = lam
         else:
             right = lam
-    raise LineSearchError(
-        f"iteration {state.i}: line-search probe budget exhausted; smoothness or deformation "
-        "constants are likely misconfigured",
-        bracket=(left, right),
-        residual=residual,
-        iteration=state.i,
-    )
 
 
 class IterationRecord(NamedTuple):
@@ -329,12 +320,13 @@ def run(f, params, x0_tilde, trace=None):
     state = SolverState.initial(x0_tilde)
     if not np.linalg.norm(state.x_t) <= params.R_tilde + 1e-9:  # NaN fails too
         raise ValueError("start point lies outside the feasible ball")
-    a, eps_hat = params.a, params.eps_hat
-    cand = _candidate(state, a(1), params.gamma_n, params.R_tilde, f, 1.0)
-    res = LineSearchResult(1.0, math.nan, math.nan, 1, cand, math.nan)
+    a, R_tilde = params.a, params.R_tilde
+    cand = _candidate(state, a(1), params.gamma_n, R_tilde, f, 1.0, mirror_dual_grad(state.z_t, R_tilde))
+    res, eps_hat = LineSearchResult(1.0, math.nan, math.nan, 1, cand), math.nan
     for i in range(params.t):
         if i:  # cand is still the previous step, so cand.f_next is f at state.x_t
-            res = binary_line_search(state, params, f, eps_hat(i), cand.f_next)
+            eps_hat = params.eps_hat(i)
+            res = binary_line_search(state, params, f, eps_hat, cand.f_next)
             cand = res.candidate
         x_prev = state.x_t
         cand.x_next.flags.writeable = False
@@ -342,5 +334,5 @@ def run(f, params, x0_tilde, trace=None):
         if trace is not None:
             g = cand.grad_next
             trace(IterationRecord(i + 1, cand.x_next, x_prev, cand.f_next, math.sqrt(g.dot(g)), state.grad_evals,
-                                  res.lam, res.gamma_hat, res.eps_hat, res.residual, res.probes))
+                                  res.lam, res.gamma_hat, eps_hat, res.residual, res.probes))
     return state.x_t

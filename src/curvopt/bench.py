@@ -214,7 +214,10 @@ def build_instance(cfg):
     needs_recent = cfg.solver in ("restart_sc", "reduce_gc")
     padding = 0.75 * R if needs_recent else 0.0
     if cfg.anchors_file:
-        _, anchors = load_anchors(cfg.anchors_file, space)
+        try:
+            _, anchors = load_anchors(cfg.anchors_file, space)
+        except OSError as err:
+            raise ConfigError(f"anchors_file: {err}") from None
         if anchors[0].d != cfg.d:
             raise ConfigError("anchors_file: dimension does not match config d")
         if cfg.anchor_count not in (None, len(anchors)):
@@ -436,7 +439,10 @@ def run_sweep(cfg, key, values, output_dir):
 
 def _load_config(args):
     """The ``--config`` file, or the defaults without one, with the command's flags laid over it."""
-    cfg = parse_config(args.config) if args.config else ExperimentConfig()
+    try:
+        cfg = parse_config(args.config) if args.config else ExperimentConfig()
+    except OSError as err:
+        raise ConfigError(f"--config: {err}") from None
     for key in ExperimentConfig.__dataclass_fields__:
         text = getattr(args, key, None)
         if text is not None:

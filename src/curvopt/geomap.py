@@ -36,7 +36,6 @@ from .manifolds import (
     HYPERBOLIC,
     SPHERICAL,
     AmbientPoint,
-    CurvatureClass,
     GeometryError,
     distance,
     inner,

@@ -506,7 +506,13 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
     "argv,config,anchors,line_search_fails,where",
     [
         (RUN, "anchors_file = {anchors}\n", "# class=hyperbolic d=2\n", False, "{anchors}:"),
-        (RUN, "anchors_file = {anchors}.missing\n", None, False, "{anchors}.missing"),
+        (RUN, "anchors_file = {anchors}.missing\n", None, False,
+         "error: anchors_file: [Errno 2] No such file or directory: '{anchors}.missing'"),
+        (RUN, "anchors_file = {tmp}\n", None, False, "error: anchors_file: [Errno 21] Is a directory: '{tmp}'"),
+        (["run", "--config", "{cfg}.missing"], "", None, False,
+         "error: --config: [Errno 2] No such file or directory: '{cfg}.missing'"),
+        (["sweep", "--config", "{cfg}.missing", "--output-dir", "{out}", "--epsilons", "1e-2"], "", None, False,
+         "error: --config: [Errno 2] No such file or directory: '{cfg}.missing'"),
         (
             RUN,
             "manifold = spherical\ncurvature = 1.0\nR = 0.5\nanchors_file = {anchors}\n",
@@ -584,7 +590,8 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         ([], "", None, False, "error: the following arguments are required: command"),
     ],
     ids=[
-        "empty-anchor-file", "missing-anchor-file", "off-model-anchor", "non-numeric-anchor",
+        "empty-anchor-file", "missing-anchor-file", "anchor-file-is-a-directory", "run-missing-config",
+        "sweep-missing-config", "off-model-anchor", "non-numeric-anchor",
         "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget",
         "axgd-round-over-cap", "restart-round-over-cap", "radius",
         "reduce-below-floor", "reduce-far-below-floor", "restart-below-floor", "axgd-below-floor",
@@ -608,7 +615,7 @@ def test_bad_input_exits_2_with_one_error_line(
     if anchors is not None:
         anchors_path.write_text(anchors)
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(config.format(anchors=anchors_path))
+    cfg.write_text(config.format(anchors=anchors_path, tmp=tmp_path))
     if line_search_fails:
         monkeypatch.setattr(axgd, "binary_line_search", _exhausted_line_search)
     else:  # a refusal comes before the solve; a solve that starts fails the case at once
@@ -621,7 +628,7 @@ def test_bad_input_exits_2_with_one_error_line(
     assert time.perf_counter() - start < 10.0
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-    assert where.format(anchors=anchors_path) in err, err
+    assert where.format(anchors=anchors_path, tmp=tmp_path, cfg=cfg) in err, err
     # Neither the output nor its temporary file is left, also after a failed solve.
     assert {p.name for p in tmp_path.iterdir()} <= {"bad.cfg", "anchors.txt"}
 

@@ -277,7 +277,6 @@ def _ref_line_search(i, x, z, A, p, f, eps_hat, f_curr):
     """(lam, gamma_hat, residual, probes, candidate) of the binary line search."""
     a_next = p.a(i + 1)
     step = a_next / p.gamma_n
-    cap = max(8, int(math.ceil(4.0 * axgd.probe_bound(p, i, eps_hat))))
     probes = 0
 
     def probe(lam):
@@ -295,7 +294,7 @@ def _ref_line_search(i, x, z, A, p, f, eps_hat, f_curr):
     if residual <= eps_hat:
         return hi, p.gamma_p, residual, probes, cand
     left, right = lo, hi
-    while probes < cap:
+    while left < 0.5 * (left + right) < right:
         lam = 0.5 * (left + right)
         cand, residual = probe(lam)
         if residual <= eps_hat:
@@ -304,7 +303,7 @@ def _ref_line_search(i, x, z, A, p, f, eps_hat, f_curr):
             left = lam
         else:
             right = lam
-    raise AssertionError("reference line search exhausted its probes")
+    raise AssertionError("reference line search found no accepted step")
 
 
 def _ref_axgd_run(f, p, x0):
