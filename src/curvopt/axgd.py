@@ -159,11 +159,12 @@ def params_from_constants(dc, R_tilde, epsilon, D=None):
 
 
 class SolverState(NamedTuple):
+    """Where a line search starts: iteration i, the iterate x_t, the dual point z_t and A_i."""
+
     i: int
     x_t: np.ndarray
     z_t: np.ndarray
     A: float
-    grad_evals: int = 0
 
     @classmethod
     def initial(cls, x0_tilde):
@@ -191,100 +192,96 @@ def mirror_dual_grad(z, R_tilde):
     return (R_tilde / n) * z
 
 
-class StepCandidate(NamedTuple):
-    x_next: np.ndarray
-    grad_next: np.ndarray
-    z_next: np.ndarray
-    f_next: float
-    descent_inner: float  # <grad f(x_next), x_next - x_i>
-
-
-def _candidate(state, a_next, gamma_n, R_tilde, f, lam, z_ball):
+def _probe(grad, value_and_grad, x_t, z_t, z_ball, step, lam, R_tilde):
     """One inner step of the discretization for a given coupling lambda.
 
-    ``z_ball`` is ``mirror_dual_grad(state.z_t, R_tilde)``, which a line
-    search projects once for all of its probes.
+    ``z_ball`` is ``mirror_dual_grad(z_t, R_tilde)``, which a line search
+    projects once for all of its probes, and ``step`` is a_{i+1} / gamma_n.
+    Returns x_{i+1}, f and grad f there, and <grad f(x_{i+1}), x_{i+1} - x_t>.
     """
-    x_t, z_t = state.x_t, state.z_t
-    step = a_next / gamma_n
     x_kept = (1.0 - lam) * x_t
-    grad_chi = f.grad(x_kept + lam * z_ball)
+    grad_chi = grad(x_kept + lam * z_ball)
     x_next = x_kept + lam * mirror_dual_grad(z_t - step * grad_chi, R_tilde)
-    f_next, grad_next = f.value_and_grad(x_next)
-    inner = float(grad_next.dot(x_next - x_t))
-    return StepCandidate(x_next, grad_next, z_t - step * grad_next, f_next, inner)
+    f_next, grad_next = value_and_grad(x_next)
+    return x_next, f_next, grad_next, float(grad_next.dot(x_next - x_t))
 
 
 class LineSearchResult(NamedTuple):
+    """The accepted step: its lambda, gamma_hat, residual and probe count, and x_{i+1} with f and grad f there."""
+
     lam: float
     gamma_hat: float
     residual: float
     probes: int
-    candidate: StepCandidate
-
-
-def _residual(cand, lam, step, A, f_curr):
-    """gamma_hat(lam), the inverse of lam = step / (A gamma_hat + step), and the residual."""
-    gamma_hat = step * (1.0 - lam) / (A * lam)
-    return gamma_hat, -gamma_hat * cand.descent_inner + (cand.f_next - f_curr)
+    x_next: np.ndarray
+    f_next: float
+    grad_next: np.ndarray
 
 
 def binary_line_search(state, params, f, eps_hat_i, f_curr):
     """Find lambda whose step satisfies the accepted-step inequality.
 
-    Tries the endpoints gamma_hat = 1/gamma_n then gamma_hat = gamma_p; if
-    neither passes, the endpoint inner products bracket a sign change and
-    bisection on lambda keeps the bracket endpoints' signs opposite until
-    the residual drops below eps_hat_i.  ``f_curr`` is f at ``state.x_t``.
-    A failed search raises ``LineSearchError`` naming iteration ``state.i``
-    when the endpoints bracket no sign change, or when the bracket is two
-    adjacent floats: within about 1075 halvings of a bracket in (0, 1].
+    ``state`` is (i, x_t, z_t, A_i): a ``SolverState``, or the plain tuple
+    that ``run`` passes.  Tries the endpoints gamma_hat = 1/gamma_n then
+    gamma_hat = gamma_p; if neither passes, the endpoint inner products
+    bracket a sign change and bisection on lambda keeps the bracket
+    endpoints' signs opposite until the residual drops below eps_hat_i.  A
+    probe passes only with a finite residual: an oracle value or gradient
+    that is not finite never passes.  ``f_curr`` is f at x_t.  A failed
+    search raises ``LineSearchError`` naming iteration i when the endpoints
+    bracket no sign change, or when the bracket is two adjacent floats:
+    within about 1075 halvings of a bracket in (0, 1].
     """
-    if state.i < 1:
+    i, x_t, z_t, A = state
+    if i < 1:
         raise ValueError("line search is only defined from iteration 1 on")
     if not eps_hat_i > 0:  # NaN fails too
-        raise ValueError(f"iteration {state.i}: eps_hat must be positive, got {eps_hat_i!r}")
-    A, gamma_n, R_tilde = state.A, params.gamma_n, params.R_tilde
-    a_next = params.a(state.i + 1)
-    step = a_next / gamma_n
-    z_ball = mirror_dual_grad(state.z_t, R_tilde)
-    ends = []
-    for probes, end_gamma in enumerate((1.0 / gamma_n, params.gamma_p), 1):
-        lam = step / (A * end_gamma + step)
-        cand = _candidate(state, a_next, gamma_n, R_tilde, f, lam, z_ball)
-        residual = _residual(cand, lam, step, A, f_curr)[1]
-        if residual <= eps_hat_i:
-            return LineSearchResult(lam, end_gamma, residual, probes, cand)
-        ends.append((lam, cand.descent_inner))
-    (left, s_lo), (right, s_hi) = ends
-    if not (s_lo < 0 < s_hi):
-        raise LineSearchError(
-            f"iteration {state.i}: endpoint inner products do not bracket a sign change; the relaxed "
-            "convexity condition or the declared constants are violated",
-            bracket=(left, right),
-            residual=residual,
-            iteration=state.i,
-        )
-
+        raise ValueError(f"iteration {i}: eps_hat must be positive, got {eps_hat_i!r}")
+    gamma_n, R_tilde = params.gamma_n, params.R_tilde
+    step = params.a(i + 1) / gamma_n
+    z_ball = mirror_dual_grad(z_t, R_tilde)
+    grad, value_and_grad = f.grad, f.value_and_grad
+    end_gamma = 1.0 / gamma_n
+    lam = step / (A * end_gamma + step)
+    probes = 0
     while True:
-        lam = 0.5 * (left + right)
-        if not left < lam < right:
-            raise LineSearchError(
-                f"iteration {state.i}: the line-search bracket collapsed to adjacent floats; smoothness or "
-                "deformation constants are likely misconfigured",
-                bracket=(left, right),
-                residual=residual,
-                iteration=state.i,
-            )
         probes += 1
-        cand = _candidate(state, a_next, gamma_n, R_tilde, f, lam, z_ball)
-        gamma_hat, residual = _residual(cand, lam, step, A, f_curr)
-        if residual <= eps_hat_i:
-            return LineSearchResult(lam, gamma_hat, residual, probes, cand)
-        if cand.descent_inner < 0:
+        x_next, f_next, grad_next, inner = _probe(grad, value_and_grad, x_t, z_t, z_ball, step, lam, R_tilde)
+        # gamma_hat(lam), the inverse of lam = step / (A gamma_hat + step).
+        gamma_hat = step * (1.0 - lam) / (A * lam)
+        residual = -gamma_hat * inner + (f_next - f_curr)
+        if residual <= eps_hat_i and math.isfinite(residual):
+            return LineSearchResult(
+                lam, end_gamma if probes <= 2 else gamma_hat, residual, probes, x_next, f_next, grad_next
+            )
+        if probes == 1:  # then the other endpoint
+            left, s_lo = lam, inner
+            end_gamma = params.gamma_p
+            lam = step / (A * end_gamma + step)
+            continue
+        if probes == 2:
+            if not (s_lo < 0 < inner):
+                raise LineSearchError(
+                    f"iteration {i}: endpoint inner products do not bracket a sign change; the relaxed "
+                    "convexity condition or the declared constants are violated",
+                    bracket=(left, lam),
+                    residual=residual,
+                    iteration=i,
+                )
+            right = lam
+        elif inner < 0:
             left = lam
         else:
             right = lam
+        lam = 0.5 * (left + right)
+        if not left < lam < right:
+            raise LineSearchError(
+                f"iteration {i}: the line-search bracket collapsed to adjacent floats; smoothness or "
+                "deformation constants are likely misconfigured",
+                bracket=(left, right),
+                residual=residual,
+                iteration=i,
+            )
 
 
 class IterationRecord(NamedTuple):
@@ -317,22 +314,28 @@ def run(f, params, x0_tilde, trace=None):
     start is copied once; it and every accepted iterate are read-only, so
     the records share them and the returned point is read-only too.
     """
-    state = SolverState.initial(x0_tilde)
-    if not np.linalg.norm(state.x_t) <= params.R_tilde + 1e-9:  # NaN fails too
+    _, x_t, z_t, A = SolverState.initial(x0_tilde)
+    R_tilde = params.R_tilde
+    if not np.linalg.norm(x_t) <= R_tilde + 1e-9:  # NaN fails too
         raise ValueError("start point lies outside the feasible ball")
-    a, R_tilde = params.a, params.R_tilde
-    cand = _candidate(state, a(1), params.gamma_n, R_tilde, f, 1.0, mirror_dual_grad(state.z_t, R_tilde))
-    res, eps_hat = LineSearchResult(1.0, math.nan, math.nan, 1, cand), math.nan
+    a, eps_hat_of, gamma_n = params.a, params.eps_hat, params.gamma_n
+    a_next, evals = a(1), 0
+    x_next, f_next, grad_next, _ = _probe(
+        f.grad, f.value_and_grad, x_t, z_t, mirror_dual_grad(z_t, R_tilde), a_next / gamma_n, 1.0, R_tilde
+    )
+    lam, gamma_hat, residual, probes, eps_hat = 1.0, math.nan, math.nan, 1, math.nan
     for i in range(params.t):
-        if i:  # cand is still the previous step, so cand.f_next is f at state.x_t
-            eps_hat = params.eps_hat(i)
-            res = binary_line_search(state, params, f, eps_hat, cand.f_next)
-            cand = res.candidate
-        x_prev = state.x_t
-        cand.x_next.flags.writeable = False
-        state = SolverState(i + 1, cand.x_next, cand.z_next, state.A + a(i + 1), state.grad_evals + 2 * res.probes)
+        if i:  # f_next is still f at x_t
+            eps_hat = eps_hat_of(i)
+            res = binary_line_search((i, x_t, z_t, A), params, f, eps_hat, f_next)
+            lam, gamma_hat, residual, probes, x_next, f_next, grad_next = res
+            a_next = a(i + 1)
+        x_prev, x_t = x_t, x_next
+        x_t.flags.writeable = False
+        z_t = z_t - (a_next / gamma_n) * grad_next
+        A += a_next
+        evals += 2 * probes
         if trace is not None:
-            g = cand.grad_next
-            trace(IterationRecord(i + 1, cand.x_next, x_prev, cand.f_next, math.sqrt(g.dot(g)), state.grad_evals,
-                                  res.lam, res.gamma_hat, eps_hat, res.residual, res.probes))
-    return state.x_t
+            trace(IterationRecord(i + 1, x_t, x_prev, f_next, math.sqrt(grad_next.dot(grad_next)), evals,
+                                  lam, gamma_hat, eps_hat, residual, probes))
+    return x_t

@@ -23,7 +23,8 @@ budget for strongly convex ones), and reported gradient-evaluation counts
 are the evaluations actually spent (for rgd past an exact fixed point, the
 evaluations of the certified-budget method; see ``baselines.rgd_run``);
 the rows of a reduction run over all its rounds, their gaps taken on the
-instance objective.  A sweep varies epsilon or the declared condition
+instance objective (a ``reduce_gc`` stage that runs no round gives one
+row at its point).  A sweep varies epsilon or the declared condition
 ratio L/mu over one config, plans every point before the first solve, and
 fits the exponent of the evaluation counts against 1/epsilon or L/mu.
 """
@@ -315,15 +316,25 @@ def _plan(cfg, inst):
 def _round_rows(row, rounds_of):
     """A reduction's trace sink, handing ``row`` each record of the rounds ``rounds_of(event)``.
 
-    Evals add up over the rounds.  Each record goes with its round's frame
-    and ``f_value=None``: its gap is taken on the instance objective, since
-    the records of a regularization stage hold regularized values.
+    Evals add up over the events.  An event's evals outside its rounds, the
+    call that certifies a regularization stage's radius, come before its
+    rounds.  Each record goes with its round's frame and ``f_value=None``:
+    its gap is taken on the instance objective, since the records of a
+    regularization stage hold regularized values.  A stage that runs no
+    round (its warm start already meets its target) gives one row at its
+    point, with lambda and gamma_hat NaN, so that the last row holds the
+    run's evals and its final point.
     """
     count = spent = 0
 
     def sink(event):
         nonlocal count, spent
-        for rt in rounds_of(event):
+        rounds = rounds_of(event)
+        spent += event.grad_evals - sum(rt.grad_evals for rt in rounds)
+        if not rounds:
+            count += 1
+            row(count, spent, None, event.x_end.coords, None, math.nan, math.nan)
+        for rt in rounds:
             for rec in rt.records:
                 count += 1
                 row(count, spent + rec.grad_evals, rt.frame, rec.x, None, rec.lam, rec.gamma_hat)

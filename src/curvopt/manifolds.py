@@ -112,16 +112,19 @@ def distance(x, y, sign):
     the hyperboloid, which resolve distances down to rounding of the
     coordinates; arccos/arccosh of <x, y> lose every distance below about
     sqrt(2 eps) ~ 2e-8.  <x, y> still guards the domain: an arccos/arccosh
-    argument outside [-1, 1] / [1, inf) by more than ``DOMAIN_TOL`` raises.
+    argument outside [-1, 1] / [1, inf) by more than ``DOMAIN_TOL`` raises,
+    and so does a NaN one, which a point with a NaN or infinite entry gives
+    (the chord of [inf, -inf] to any point is pi/2 on the circle).
     """
     c = inner(x, y, sign)
+    # Each test is written so that NaN fails it.
     if sign == SPHERICAL:
-        if np.any(np.abs(c) > 1.0 + DOMAIN_TOL):
-            raise GeometryError("arccos argument outside [-1, 1] beyond tolerance")
+        if not np.all(np.abs(c) <= 1.0 + DOMAIN_TOL):
+            raise GeometryError("arccos argument outside [-1, 1] beyond tolerance, or NaN")
         dm, dp = x - y, x + y
         return 2.0 * np.arctan2(np.sqrt(rowsum(dm * dm)), np.sqrt(rowsum(dp * dp)))
-    if np.any(-c < 1.0 - DOMAIN_TOL):
-        raise GeometryError("arccosh argument below 1 beyond tolerance")
+    if not np.all(-c >= 1.0 - DOMAIN_TOL):
+        raise GeometryError("arccosh argument below 1 beyond tolerance, or NaN")
     return 2.0 * np.arcsinh(0.5 * norm(x - y, sign))
 
 
@@ -141,12 +144,13 @@ def exp_map(x, v, sign):
 
 
 def log_map(x, y, sign):
-    """Inverse exponential map; returns the zero vector when x == y."""
+    """Inverse exponential map; the zero vector when x == y, NaN where y's tangential part has a NaN norm."""
     d = distance(x, y, sign)[..., None]
     u = project_tangent(x, y, sign)
     n = norm(u, sign)[..., None]
     safe = np.maximum(n, 1e-300)
-    return np.where(n > 0, d * u / safe, np.zeros_like(u))
+    # 0 n is +0 at n = 0 and NaN at a NaN n, which n > 0 would read as x == y.
+    return np.where(n > 0, d * u / safe, 0.0 * n)
 
 
 class _Frozen:

@@ -14,7 +14,8 @@ first solve, and one planner lists each schedule:
   which minimizes the regularized objectives F + (mu_i / 2) d(., x0)^2 for
   a halving mu_i, warm-starting each stage at the previous output.  Each
   entry holds mu_i and a bound on the stage's initial gap, a quarter of
-  which is the stage's target.
+  which is the stage's target.  A stage's radius is certified when it
+  starts, from the gradient at its warm start (``certified_radius``).
 
 ``plan_strongly_gconvex`` and ``plan_gconvex_via_sc`` plan a run once and
 return it as ``run(trace=None)``; each ``solve_*`` is its planner's run,
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import axgd
 from .geomap import ball_radius, deformation_constants_for, from_ball, make_frame, to_ball
-from .manifolds import AmbientPoint, GeometryError
+from .manifolds import AmbientPoint, GeometryError, norm
 from .objectives import DeltaConstants, MappedObjective, delta_constants, regularized
 
 
@@ -102,7 +103,7 @@ def refuse_below_floor(F, x0, epsilon):
 
 def _refuse_above_cap(n):
     if n > axgd.MAX_ITERATIONS:
-        raise axgd.BudgetError(f"the plan needs at least {n:.3g} iterations, over {axgd.MAX_ITERATIONS:.0e}")
+        raise axgd.BudgetError(f"the plan sums to {n:.3g} iterations, over {axgd.MAX_ITERATIONS:.0e}")
 
 
 def plan_strongly_gconvex(F, x0, R, epsilon, recenter=True):
@@ -212,7 +213,8 @@ class StageTrace(NamedTuple):
 
     @property
     def grad_evals(self):
-        return sum(r.grad_evals for r in self.rounds)
+        """The stage's rounds' evals, and the one gradient call that certified its radius."""
+        return 1 + sum(r.grad_evals for r in self.rounds)
 
 
 def _stage_problems(F, x0, plan):
@@ -226,15 +228,59 @@ def _stage_problems(F, x0, plan):
         yield F_i, gap / 4.0, math.sqrt(2.0 * gap / F_i.strong_convexity)
 
 
-def planned_lower_bound(F, x0, R, plan, recenter):
-    """Iterations a completed ``solve_gconvex_via_sc`` run of ``plan`` spends at least.
+def certified_radius(F_i, x, stage):
+    """|grad F_i(x)| / sc_i, which bounds d(x, x*_i): one gradient call.
+
+    Let F_i be sc_i-strongly g-convex on a g-convex ball B that holds x and
+    the stage minimizer x*_i, where grad F_i(x*_i) = 0.  With
+    d = d(x, x*_i), strong convexity from x to x*_i and from x*_i to x,
+
+        F_i(x*_i) >= F_i(x) + <grad F_i(x), Log_x x*_i> + sc_i d^2 / 2,
+        F_i(x)    >= F_i(x*_i)                          + sc_i d^2 / 2,
+
+    add up to sc_i d^2 <= <grad F_i(x), -Log_x x*_i> <= |grad F_i(x)| d, as
+    |Log_x x*_i| = d.  So d <= |grad F_i(x)| / sc_i.  B is the ball on which
+    sc_i is declared, the one that the bound sqrt(2 g_i / sc_i) of
+    ``_stage_problems`` relies on too.  The norm is the model's metric.  A
+    gradient that is not finite raises ``GeometryError`` naming ``stage``.
+    """
+    r = float(norm(F_i.grad_c(x.coords), F_i.space.sign)) / F_i.strong_convexity
+    if not r < math.inf:  # NaN fails too
+        raise GeometryError(f"stage {stage}: the gradient at the warm start is not finite")
+    return r
+
+
+def _at_stage_minimizer(F_i, r, eps_i):
+    """Whether a point x whose ``certified_radius`` is r meets the stage target eps_i past rounding.
+
+    With q = sc_i r^2, minimizing the first inequality of
+    ``certified_radius`` over d gives F_i(x) - F_i(x*_i) <= |grad F_i(x)|^2
+    / (2 sc_i) = q / 2.  When q / eps_i <= 2^-52, that is at most half an
+    ulp of eps_i: x meets the target by more than a solve of it could show.
+    When q / 4 rounds to 0, q / 2 is at most about 2^-1074 <= eps_i.  Both
+    include the zero gradient at x*_i itself.  ``restart_plan`` refuses a
+    radius whose q / 4 or q / eps_i rounds to 0, and a q near the subnormal
+    range plans rounds whose line-search slacks underflow to 0.
+    """
+    q = F_i.strong_convexity * r * r
+    return not q / 4.0 > 0.0 or q / eps_i <= 2.0**-52
+
+
+def planned_iterations(F, x0, R, plan, recenter):
+    """The iterations ``plan`` certifies, each stage planned at the radius known before the run.
 
     Stage i runs ``restart_plan`` on F_i = F + (mu_i / 2) d(., x0)^2 at the
-    realized radius R_stage = min(d(x, x0) + R, sqrt(2 g_i / sc_i)), which
-    needs the warm start x.  This sums each stage's plan at R_lo = min(R,
-    sqrt(2 g_i / sc_i)) <= R_stage instead.  The stage's mu_i, L_i, sc_i
-    and target do not depend on x, so its plan changes with the radius
-    only, and its iteration count is nondecreasing in the radius:
+    realized radius R_stage = min(d(x, x0) + R, sqrt(2 g_i / sc_i),
+    |grad F_i(x)| / sc_i) from its warm start x (``plan_gconvex_via_sc``).
+    Stage 0 starts at x0, where d(x0, x0) = 0 and grad F_0(x0) = grad F(x0),
+    so its radius and its plan are exact.  A later stage is planned at
+    min(R, sqrt(2 g_i / sc_i)), which its certificate can undercut: the
+    total is then neither a lower nor an upper bound on the run, and a
+    refusal by it may reject a run that would finish within the cap.  What
+    holds: a stage's mu_i, L_i, sc_i and target do not depend on x, so its
+    plan changes with the radius only, and its iteration count is
+    nondecreasing in the radius.  A realized stage thus plans at most its
+    plan at the uncertified radius min(d(x, x0) + R, sqrt(2 g_i / sc_i)):
 
     - the round count max(1, ceil(log2(sc_i R^2 / eps_i) - 1)) and every
       round radius R_k = R / 2^(k/2) grow with R;
@@ -256,16 +302,20 @@ def planned_lower_bound(F, x0, R, plan, recenter):
       of ``geomap.deformation_constants_for``, so both are nonincreasing in
       r.
 
-    The upper bound sqrt(2 g_i / sc_i) is not planned with: on the sphere it
-    can exceed pi/2, where the map constants are undefined.
+    The upper bound sqrt(2 g_i / sc_i) is not planned with on its own: on
+    the sphere it can exceed pi/2, where the map constants are undefined.
     """
-    return sum(
-        params.t
-        for F_i, eps_i, R_up in _stage_problems(F, x0, plan)
-        for _, params in restart_plan(
-            F.space.sign, F_i.smoothness, F_i.strong_convexity, min(R, R_up), eps_i, recenter
-        )
-    )
+    total = 0
+    for i, (F_i, eps_i, R_up) in enumerate(_stage_problems(F, x0, plan)):
+        R_i = min(R, R_up)
+        if i == 0:
+            r = certified_radius(F_i, x0, 0)
+            if _at_stage_minimizer(F_i, r, eps_i):
+                continue
+            R_i = min(R_i, r)
+        plan_i = restart_plan(F.space.sign, F_i.smoothness, F_i.strong_convexity, R_i, eps_i, recenter)
+        total += sum(params.t for _, params in plan_i)
+    return total
 
 
 def plan_gconvex_via_sc(F, x0, R, epsilon, recenter=True):
@@ -273,20 +323,30 @@ def plan_gconvex_via_sc(F, x0, R, epsilon, recenter=True):
 
     Returns ``run(trace=None)``, which follows the checked regularization
     plan and returns the final point, handing ``trace`` a ``StageTrace`` per
-    stage.  Each stage calls ``solve_strongly_gconvex`` by its module name,
-    so that a wrapper bound to that name sees every stage.
+    stage.  Each stage first certifies its radius from the gradient at its
+    warm start x: R_stage = min(d(x, x0) + R, sqrt(2 g_i / sc_i), r), r
+    the ``certified_radius``.  A stage whose x already meets its target by
+    r (``_at_stage_minimizer``: a zero gradient, or one so small that
+    ``restart_plan`` would refuse r as underflowing) ends at x with no
+    round; every other stage runs, also one whose certificate
+    already meets its target, since the stage solves' overshoot is what
+    brings the final gap below epsilon (``make_regularization_plan``).
+    Each stage calls ``solve_strongly_gconvex`` by its module name, so that
+    a wrapper bound to that name sees every stage solve.
     """
     refuse_below_floor(F, x0, epsilon)
     plan = make_regularization_plan(F.space, R, 2.0 * F.smoothness * R * R, epsilon)
-    _refuse_above_cap(planned_lower_bound(F, x0, R, plan, recenter))
+    _refuse_above_cap(planned_iterations(F, x0, R, plan, recenter))
 
     def run(trace=None):
         x = x0
-        for F_i, eps_i, R_up in _stage_problems(F, x0, plan):
-            R_stage = min(x.distance_to(x0) + R, R_up)
+        for i, (F_i, eps_i, R_up) in enumerate(_stage_problems(F, x0, plan)):
+            r = certified_radius(F_i, x, i)
             rounds = []
-            traced = None if trace is None else rounds.append
-            x = solve_strongly_gconvex(F_i, x, R_stage, eps_i, recenter=recenter, trace=traced)
+            if not _at_stage_minimizer(F_i, r, eps_i):
+                traced = None if trace is None else rounds.append
+                R_stage = min(x.distance_to(x0) + R, R_up, r)
+                x = solve_strongly_gconvex(F_i, x, R_stage, eps_i, recenter=recenter, trace=traced)
             if trace is not None:
                 trace(StageTrace(F_i.mu_i, rounds, x))
         return x
@@ -301,12 +361,14 @@ def solve_gconvex_via_sc(F, x0, R, epsilon, recenter=True, trace=None):
     initial gap F(x0) - F(x*).  Stage i minimizes F_i = F + (mu_i / 2)
     d(., x0)^2 with ``solve_strongly_gconvex`` from the previous output x
     to a quarter of its gap bound g_i.  It runs on a ball of radius
-    min(d(x, x0) + R, sqrt(2 g_i / sc_i)), sc_i the strong convexity of
-    F_i: x*_i lies within R of x0, and within sqrt(2 g_i / sc_i) of any
-    point of F_i gap at most g_i.  The run is refused before the first
-    stage when ``planned_lower_bound`` exceeds ``axgd.MAX_ITERATIONS``, and
-    a stage whose radius ``geomap.ball_radius`` refuses (on the sphere, one
-    reaching pi/2) by its ``restart_plan``, before its first round.
+    min(d(x, x0) + R, sqrt(2 g_i / sc_i), |grad F_i(x)| / sc_i), sc_i the
+    strong convexity of F_i: x*_i lies within R of x0, within
+    sqrt(2 g_i / sc_i) of any point of F_i gap at most g_i, and within
+    |grad F_i(x)| / sc_i of x (``certified_radius``).  The run is refused
+    before the first stage when ``planned_iterations`` exceeds
+    ``axgd.MAX_ITERATIONS``, and a stage whose radius
+    ``geomap.ball_radius`` refuses (on the sphere, one reaching pi/2) by
+    its ``restart_plan``, before its first round.
     A stage's rounds are kept only to pass to ``trace``.
     """
     return plan_gconvex_via_sc(F, x0, R, epsilon, recenter)(trace)

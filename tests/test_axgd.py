@@ -75,8 +75,10 @@ def quad_params(t=20, eps=1e-6):
 def first_step(f, p, x0):
     """The state after the forced lambda = 1 step that opens ``axgd.run``."""
     state = SolverState.initial(x0)
-    cand = axgd._candidate(state, p.a(1), p.gamma_n, p.R_tilde, f, 1.0, mirror_dual_grad(state.z_t, p.R_tilde))
-    return SolverState(i=1, x_t=cand.x_next, z_t=cand.z_next, A=p.a(1), grad_evals=2)
+    step = p.a(1) / p.gamma_n
+    z_ball = mirror_dual_grad(state.z_t, p.R_tilde)
+    x_next, _, grad_next, _ = axgd._probe(f.grad, f.value_and_grad, state.x_t, state.z_t, z_ball, step, 1.0, p.R_tilde)
+    return SolverState(i=1, x_t=x_next, z_t=state.z_t - step * grad_next, A=p.a(1))
 
 
 class TestMirrorDualGrad:
@@ -363,8 +365,8 @@ class TestLineSearch:
 
     @staticmethod
     def probed_lambdas(monkeypatch):
-        lams, candidate = [], axgd._candidate
-        monkeypatch.setattr(axgd, "_candidate", lambda *args: lams.append(args[5]) or candidate(*args))
+        lams, probe = [], axgd._probe
+        monkeypatch.setattr(axgd, "_probe", lambda *args: lams.append(args[6]) or probe(*args))
         return lams
 
     def test_bisection_moves_both_bracket_ends(self, monkeypatch):
@@ -378,11 +380,12 @@ class TestLineSearch:
         res = binary_line_search(state, p, f, 1e-3, f.value(state.x_t))
         mids = lams[2:]
         assert res.probes == len(lams) == 5 and mids[1] > mids[0] and mids[2] < mids[1]
-        *want, cand = _ref_line_search(2, state.x_t, state.z_t, p.A(2), p, f, 1e-3, f.value(state.x_t))
+        *want, (x_next, grad_next, _, f_next, _) = _ref_line_search(
+            2, state.x_t, state.z_t, p.A(2), p, f, 1e-3, f.value(state.x_t)
+        )
         assert [res.lam, res.gamma_hat, res.residual, res.probes] == want
-        c = res.candidate
         assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(
-            (c.x_next, c.grad_next, c.z_next, c.f_next, c.descent_inner), cand
+            (res.x_next, res.grad_next, res.f_next), (x_next, grad_next, f_next)
         ))
 
     @pytest.mark.parametrize("eps_hat", [1e-3, 1e-12, 1e-300, 1e-320, 5e-324])
@@ -495,20 +498,28 @@ class TestNonFiniteInputs:
 
     @staticmethod
     def counted_searches(mp):
-        """Probes of each search, counted by a spy on ``_candidate``; entry 0 counts the probes outside any."""
-        counts, candidate, search = [0], axgd._candidate, axgd.binary_line_search
+        """Probes of each search, counted by a spy on ``_probe``; entry 0 counts the probes outside any."""
+        counts, probe, search = [0], axgd._probe, axgd.binary_line_search
 
         def counted(*args):
             counts[-1] += 1
-            return candidate(*args)
+            return probe(*args)
 
         def searched(*args):
             counts.append(0)
             return search(*args)
 
-        mp.setattr(axgd, "_candidate", counted)
+        mp.setattr(axgd, "_probe", counted)
         mp.setattr(axgd, "binary_line_search", searched)
         return counts
+
+    def test_an_infinite_residual_never_passes(self):
+        # f = -inf at the first candidate gives the residual -inf <= eps_hat; the
+        # search took that step after 1 probe, and now takes the other endpoint.
+        p, f = self.PARAMS, Faulty(Quadratic(2.0, [0.3], 1.0), {2: ("value", -math.inf)})
+        state = SolverState(i=1, x_t=np.array([0.0]), z_t=np.array([0.0]), A=p.A(1))
+        res = axgd.binary_line_search(state, p, f, p.eps_hat(1), f.base.value(state.x_t))
+        assert (res.probes, res.gamma_hat) == (2, p.gamma_p) and -math.inf < res.residual <= p.eps_hat(1)
 
     # Some draws start from the Cosine(5, 0) searches that collapse their bracket at i = 1, 2 and 4.
     @given(base=st.sampled_from(BASES), faults=faults, i=st.integers(1, 5),
@@ -527,7 +538,7 @@ class TestNonFiniteInputs:
                 res = None
         assert counts[0] == 0 and counts[1] <= 1100
         if res is not None:
-            assert res.probes == counts[1] and res.residual <= eps_hat
+            assert res.probes == counts[1] and -math.inf < res.residual <= eps_hat
 
     @given(base=st.sampled_from(BASES), faults=faults, x0=coordinates, t=st.integers(1, 6))
     @settings(max_examples=100)
@@ -542,7 +553,7 @@ class TestNonFiniteInputs:
                 pass
         assert counts[0] <= 1 and max(counts[1:], default=0) <= 1100
         assert [rec.probes for rec in recs[1:]] == counts[1:len(recs)]
-        assert all(rec.residual <= rec.eps_hat for rec in recs[1:])
+        assert all(-math.inf < rec.residual <= rec.eps_hat for rec in recs[1:])
 
 
 class TestRunInvariants:

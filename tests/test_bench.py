@@ -278,14 +278,34 @@ class TestRows:
         assert [r["iter"] for r in rows] == list(range(1, len(rows) + 1))
         evals = [r["grad_evals"] for r in rows]
         assert evals == sorted(evals)
-        rounds = []
+        events = []
         if solver == "restart_sc":
-            solve_strongly_gconvex(inst.objective, inst.x0, inst.R, cfg.epsilon, trace=rounds.append)
+            solve_strongly_gconvex(inst.objective, inst.x0, inst.R, cfg.epsilon, trace=events.append)
+            rounds = events
         else:
             F = with_constants(inst.objective, strong_convexity=0.0)
-            solve_gconvex_via_sc(F, inst.x0, inst.R, cfg.epsilon, trace=lambda st: rounds.extend(st.rounds))
+            solve_gconvex_via_sc(F, inst.x0, inst.R, cfg.epsilon, trace=events.append)
+            rounds = [rt for st in events for rt in st.rounds]
         assert len(rounds) > 1
-        assert evals[-1] == sum(rt.grad_evals for rt in rounds)
+        # A reduce_gc stage also spends the one gradient call that certifies its radius.
+        certificates = 0 if solver == "restart_sc" else len(events)
+        assert evals[-1] == sum(e.grad_evals for e in events) == sum(rt.grad_evals for rt in rounds) + certificates
+
+    @pytest.mark.parametrize("output", [True, False])
+    def test_a_start_at_the_minimizer_writes_one_row_per_stage(self, output, tmp_path):
+        # One anchor at the start: every stage's gradient is 0, so no stage runs a
+        # round, and each writes a row at its point.  Without those rows the run
+        # ended in a TypeError, having no last row to report.
+        path = tmp_path / "anchors.txt"
+        path.write_text("# class=hyperbolic d=2\n0 0 1\n")
+        cfg = ExperimentConfig(anchors_file=str(path), solver="reduce_gc", epsilon=1e-4)
+        if not output:
+            assert run_experiment(cfg) == (9, 0.0)
+            return
+        report, rows = _csv_rows(cfg, tmp_path)
+        assert [(r["iter"], r["grad_evals"], r["f_gap"]) for r in rows] == [(i, i, 0.0) for i in range(1, 10)]
+        assert all(math.isnan(r["lambda"]) and math.isnan(r["gamma_hat"]) for r in rows)
+        assert report == (9, 0.0)
 
     @pytest.mark.parametrize("solver", ["axgd", "rgd", "restart_sc", "reduce_gc"])
     def test_timing_rows_have_positive_nondecreasing_wall(self, solver, tmp_path):
@@ -473,7 +493,7 @@ def _counting_reductions(monkeypatch, names):
 def test_each_reduction_run_is_planned_once(tmp_path, monkeypatch, solver):
     # A reduce_gc run plans its stages once, bounds them once, and makes
     # one restart plan per stage for that bound and one per stage solve.
-    names = ("restart_plan", "make_regularization_plan", "planned_lower_bound", "refuse_below_floor")
+    names = ("restart_plan", "make_regularization_plan", "planned_iterations", "refuse_below_floor")
     made = _counting_reductions(monkeypatch, names)
     cfg = ExperimentConfig(solver=solver, epsilon=1e-4, seed=1)
     run_experiment(cfg)
@@ -534,8 +554,8 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
          "error: epsilon = 0.0001, R = 12: certified budget t = 3.83e+16"),
         (RUN, "R = 1000\n", None, False, "R:"),
         # The README H^2 instance below the float64 floor (2.98e-17 there),
-        # and at R = 4.1, epsilon = 1e-6, where reduce_gc needs at least 1.22e8
-        # iterations, though no round of that bound needs more than 3.5e7.
+        # and at R = 4.1, epsilon = 1e-6, where reduce_gc's plan sums to 1.22e8
+        # iterations, though no round of it needs more than 3.5e7.
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-20\n", None, False, "epsilon = 1e-20 is below"),
         (RUN, README_H2 + "solver = reduce_gc\nepsilon = 1e-30\n", None, False, "epsilon = 1e-30 is below"),
         (RUN, README_H2 + "solver = restart_sc\nepsilon = 1e-40\n", None, False, "epsilon = 1e-40 is below"),
@@ -545,7 +565,7 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         (RUN, README_H2 + "solver = rgd\nepsilon = 1e-40\n", None, False,
          "error: epsilon = 1e-40 is below the float64 floor eps_machine |F(x0)| = 2.98e-17"),
         (RUN, README_H2 + "R = 4.1\nsolver = reduce_gc\nepsilon = 1e-6\n", None, False,
-         "error: epsilon = 1e-06, R = 4.1: the plan needs at least 1.22e+08 iterations"),
+         "error: epsilon = 1e-06, R = 4.1: the plan sums to 1.22e+08 iterations"),
         # Unit-model radii (1.25e-300, 4.05e-300) whose squares underflow to 0.
         (RUN, "manifold = spherical\ncurvature = 1.5707963267948966\nR = 1e-300\nsolver = restart_sc\n", None,
          False, "error: mu R^2 / epsilon underflows to 0 at R = 1.2533141373155e-300"),

@@ -178,6 +178,9 @@ class TestExpLog:
         assert np.max(np.abs(distance(x, y, space.sign) - r[:, 0])) < 1e-10
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_tangent_raises(self, space, bad):
@@ -230,6 +233,67 @@ class TestNonFinite:
         else:
             ref = out / np.sqrt(-inner(out, out, sign))[..., None]
         assert exp_map(x, v, sign).tobytes() == ref.tobytes()
+
+
+    @pytest.mark.parametrize("sign", [SPHERICAL, HYPERBOLIC])
+    @pytest.mark.parametrize("y", [[math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0]])
+    def test_log_toward_a_non_finite_point_raises(self, sign, y):
+        # Its NaN norm read as x == y: both returned the zero vector.
+        with np.errstate(invalid="ignore"), pytest.raises(GeometryError, match="or NaN"):
+            log_map(np.array([0.0, 0.0, 1.0]), np.array(y), sign)
+
+    def test_log_with_a_nan_tangent_norm_is_nan(self):
+        # Off the model, x = (1e200, 0, 1e200) keeps -<x, e> >= 1, so distance passes,
+        # but the tangential part of e overflows and its norm is NaN: this gave 0.
+        with np.errstate(invalid="ignore", over="ignore"):
+            v = log_map(np.array([1e200, 0.0, 1e200]), np.array([0.0, 0.0, 1.0]), HYPERBOLIC)
+        assert np.isnan(v).all()
+
+    def test_finite_log_keeps_its_bits(self, space, rng):
+        # Against the zero vector that the NaN fix replaced, with x == y in the batch.
+        sign = space.sign
+        x = random_in_ball(pole(3, space).coords, sign, 0.8, rng, 64)
+        y = random_in_ball(pole(3, space).coords, sign, 0.8, rng, 64)
+        y[::7] = x[::7]
+        u = project_tangent(x, y, sign)
+        n = norm(u, sign)[..., None]
+        ref = np.where(n > 0, distance(x, y, sign)[..., None] * u / np.maximum(n, 1e-300), np.zeros_like(u))
+        assert log_map(x, y, sign).tobytes() == ref.tobytes()
+
+    # Each kernel of a point x and a point y; project_point reads x only, and exp_map
+    # the tangent at x toward y.
+    KERNELS = {
+        "distance": lambda x, y, sign: distance(x, y, sign),
+        "exp_map": lambda x, y, sign: exp_map(x, project_tangent(x, y, sign), sign),
+        "log_map": lambda x, y, sign: log_map(x, y, sign),
+        "project_point": lambda x, y, sign: project_point(x, sign),
+    }
+
+    # ROADMAP item 8, Property 2 for the manifold kernels.  It found distance
+    # giving pi/2 from the circle point [inf, -inf], and log_map reading a NaN
+    # norm as x == y: log_map(e, [nan, 0, 1]) returned the zero vector.
+    @given(kernel=st.sampled_from(sorted(KERNELS)), sign=st.sampled_from([SPHERICAL, HYPERBOLIC]),
+           d=st.integers(1, 4), seed=st.integers(0, 2**16), batch=st.booleans(),
+           bad=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 4), st.sampled_from(NON_FINITE)),
+                        min_size=1, max_size=3))
+    @settings(max_examples=200)
+    def test_non_finite_input_never_gives_a_finite_result(self, kernel, sign, d, seed, batch, bad):
+        # Each call raises GeometryError or returns some non-finite entry.  numpy
+        # warns on the arithmetic of non-finite entries; the calls run on with the
+        # warnings ignored, as they do outside the suite's error filter.
+        e = pole(d, CurvatureClass(sign)).coords
+        x, y = random_in_ball(e, sign, 0.9, np.random.default_rng(seed), 2)
+        for which, j, value in bad:
+            (x if kernel == "project_point" else (x, y)[which])[j % (d + 1)] = value
+        if batch:  # one finite row beside the drawn one
+            x, y = np.stack([e, x]), np.stack([e, y])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                out = self.KERNELS[kernel](x, y, sign)
+            except GeometryError:
+                return
+        assert not np.all(np.isfinite(out))
 
 
 def _summed(p, keepdims):

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from curvopt import AmbientPoint, CurvatureClass, GeometryError, axgd, pole, with_constants
+from curvopt import AmbientPoint, CurvatureClass, GeometryError, axgd, checks, pole, with_constants
 from curvopt.baselines import reference_optimum
 from curvopt.bench import ExperimentConfig, build_instance
-from curvopt.manifolds import HYPERBOLIC, SPHERICAL, random_in_ball
-from curvopt.objectives import delta_constants, regularized
+from curvopt.manifolds import HYPERBOLIC, SPHERICAL, distance, exp_map, log_map, norm, random_in_ball
+from curvopt.objectives import ManifoldObjective, delta_constants, regularized
 from curvopt.reductions import (
+    _stage_problems,
+    certified_radius,
     make_regularization_plan,
     plan_gconvex_via_sc,
     plan_strongly_gconvex,
-    planned_lower_bound,
+    planned_iterations,
     restart_plan,
     solve_gconvex_via_sc,
     solve_strongly_gconvex,
@@ -213,7 +215,7 @@ class TestRegularizationPlan:
 
 @pytest.mark.parametrize("recenter,R_max", [(True, 5.0), (False, 4.0)])
 def test_hyperbolic_restart_plan_grows_with_the_radius(recenter, R_max):
-    # planned_lower_bound rests on this: a smaller radius never plans more.
+    # planned_iterations rests on this: a smaller radius never plans more.
     totals = [
         sum(params.t for _, params in restart_plan(HYPERBOLIC, 2.0, 1.0, R, 1e-3, recenter))
         for R in np.linspace(R_max / 200, R_max, 200)
@@ -232,6 +234,23 @@ def test_spherical_restart_plan_grows_with_the_radius(recenter):
 
 
 @pytest.mark.parametrize(
+    "sign,R,d", [(sign, R, d) for sign, radii in checks.DEFAULT_GRID for R in radii for d in checks.DEFAULT_DIMS]
+)
+def test_gradient_certifies_the_distance_to_the_minimizer(sign, R, d):
+    # d(x, x*) <= |grad F(x)| / sc on each checks cell, for a Frechet instance
+    # and for its regularized stage objective.  d(., x0)^2 / 2 is delta_p-strongly
+    # g-convex within delta_constants' D = R of x0, which holds x and x*.
+    space = CurvatureClass(sign)
+    center, F = frechet_instance(space, d, R, 4, seed=11)
+    F_i = regularized(F, F.smoothness, center, delta_constants(float(sign), float(sign), R))
+    x = random_in_ball(center.coords, sign, R, np.random.default_rng(12), 200)
+    for G in (F, F_i):
+        x_star = reference_optimum(G, center, R)[0]
+        bound = norm(G.grad_c(x), sign) / G.strong_convexity
+        assert np.all(distance(x, x_star.coords, sign) <= bound + 1e-9)
+
+
+REDUCE_GC_RUNS = pytest.mark.parametrize(
     "overrides",
     [
         {},
@@ -240,19 +259,108 @@ def test_spherical_restart_plan_grows_with_the_radius(recenter):
     ],
     ids=["H2", "S5", "S10"],
 )
-def test_planned_lower_bound_holds(overrides):
-    # On S^10 the strong-convexity radius bound sqrt(2 g_i / sc_i) is about
-    # 2 > pi/2 at every stage, so the plan must use R there.
+
+
+def _reduce_gc_run(overrides, eps=1e-3):
+    """A traced reduce_gc run on a bench instance: (instance, F, plan, stages)."""
     inst = build_instance(
         ExperimentConfig(**{"weights": "random", "seed": 20240, "solver": "reduce_gc", **overrides})
     )
     F = with_constants(inst.objective, strong_convexity=0.0)
-    plan = make_regularization_plan(F.space, inst.R, 2.0 * F.smoothness * inst.R**2, 1e-3)
-    lower = planned_lower_bound(F, inst.x0, inst.R, plan, True)
+    plan = make_regularization_plan(F.space, inst.R, 2.0 * F.smoothness * inst.R**2, eps)
     stages = []
-    solve_gconvex_via_sc(F, inst.x0, inst.R, 1e-3, trace=stages.append)
-    realized = sum(rt.params.t for st in stages for rt in st.rounds)
-    assert 0 < lower <= realized
+    solve_gconvex_via_sc(F, inst.x0, inst.R, eps, trace=stages.append)
+    return inst, F, plan, stages
+
+
+@REDUCE_GC_RUNS
+def test_stage_zero_plan_is_exact(overrides):
+    # Stage 0 starts at x0, so the planner knows its certified radius; on S^10
+    # sqrt(2 g_0 / sc_0) is about 2 > pi/2, so the plan must not use it alone.
+    inst, F, plan, stages = _reduce_gc_run(overrides)
+    F_0, eps_0, R_up = next(_stage_problems(F, inst.x0, plan))
+    R_0 = min(inst.R, R_up, certified_radius(F_0, inst.x0, 0))
+    planned = restart_plan(F.space.sign, F_0.smoothness, F_0.strong_convexity, R_0, eps_0, True)
+    assert [params for _, params in planned] == [rt.params for rt in stages[0].rounds]
+    assert planned_iterations(F, inst.x0, inst.R, plan, True) >= sum(params.t for _, params in planned) > 0
+
+
+@REDUCE_GC_RUNS
+def test_each_stage_runs_inside_its_certified_radius(overrides):
+    # Each stage's frame radius is min(uncertified radius, certified radius), it
+    # plans at most its plan at the uncertified radius, and it meets g_i / 4 on F_i.
+    inst, F, plan, stages = _reduce_gc_run(overrides)
+    x, sign = inst.x0, F.space.sign
+    assert len(stages) == plan.T
+    for i, ((F_i, eps_i, R_up), st) in enumerate(zip(_stage_problems(F, inst.x0, plan), stages)):
+        R_prior = min(x.distance_to(inst.x0) + inst.R, R_up)
+        r = certified_radius(F_i, x, i)
+        assert st.rounds[0].frame.R == min(R_prior, r) <= r
+        prior = restart_plan(sign, F_i.smoothness, F_i.strong_convexity, R_prior, eps_i, True)
+        assert sum(rt.params.t for rt in st.rounds) <= sum(params.t for _, params in prior)
+        assert F_i.value(st.x_end) - reference_optimum(F_i, inst.x0, inst.R)[1] <= eps_i
+        x = st.x_end
+
+
+def test_certified_stage_radii_cut_the_s10_evals():
+    # The reduce-s10 benchmark config: the regularization plan spent 7284 evals
+    # here with the uncertified stage radii min(d(x, x0) + R, sqrt(2 g_i / sc_i)).
+    inst = build_instance(ExperimentConfig(
+        manifold="spherical", curvature=1.0, d=10, R=0.7, anchor_count=20, epsilon=1e-5, seed=1, solver="reduce_gc"
+    ))
+    F = with_constants(inst.objective, strong_convexity=0.0)
+    stages = []
+    x = solve_gconvex_via_sc(F, inst.x0, inst.R, 1e-5, trace=stages.append)
+    assert sum(st.grad_evals for st in stages) <= 7284 / 3
+    assert F.value(x) - inst.f_star <= 1e-5
+
+
+class HalfSquaredDistance(ManifoldObjective):
+    """d(x, a)^2 / 2 through the chord-accurate log map, declared g-convex; its gradient resolves tiny distances."""
+
+    smoothness, strong_convexity = 2.0, 0.0
+
+    def __init__(self, a):
+        self.a, self.space = a, a.space
+
+    def value_c(self, x):
+        return 0.5 * distance(x, self.a.coords, self.space.sign) ** 2
+
+    def grad_c(self, x):
+        return -log_map(x, self.a.coords, self.space.sign)
+
+
+@pytest.mark.parametrize("offset", [0.0, 3e-162, 1e-160, 1e-20])
+@pytest.mark.parametrize("space", [CurvatureClass.hyperbolic(), CurvatureClass.spherical()])
+def test_a_start_at_every_stage_minimizer_runs_no_round(space, offset):
+    # From x0 within `offset` of the minimizer, each stage's certificate shows a
+    # gap below half an ulp of its target.  At 3e-162 restart_plan refuses
+    # stage 0's certified radius as underflowing, and at 1e-160 later stages
+    # would plan rounds whose line-search slacks underflow to 0.
+    x0 = pole(2, space)
+    F = HalfSquaredDistance(AmbientPoint(exp_map(x0.coords, np.array([offset, 0.0, 0.0]), space.sign), space))
+    plan = make_regularization_plan(space, 0.5, 2.0 * F.smoothness * 0.25, 1e-6)
+    F_0, eps_0, _ = next(_stage_problems(F, x0, plan))
+    r = certified_radius(F_0, x0, 0)
+    if offset == 3e-162:
+        with pytest.raises(GeometryError, match="underflows to 0"):
+            restart_plan(space.sign, F_0.smoothness, F_0.strong_convexity, r, eps_0, True)
+    stages = []
+    out = solve_gconvex_via_sc(F, x0, 0.5, 1e-6, trace=stages.append)
+    assert out == x0 and len(stages) == plan.T
+    assert all(st.rounds == [] and st.grad_evals == 1 for st in stages)
+
+
+def test_a_gradient_that_is_not_finite_names_its_stage():
+    space = CurvatureClass.hyperbolic()
+    center, F = frechet_instance(space, 2, 1.0, 4, seed=7)
+    broken = with_constants(F, strong_convexity=0.0)
+    broken.grad_c = lambda x: np.full_like(x, math.nan)
+    with pytest.raises(GeometryError, match="stage 0: the gradient at the warm start is not finite"):
+        plan_gconvex_via_sc(broken, center, 1.0, 1e-3)
+    F_3 = regularized(broken, 0.5, center, delta_constants(-1.0, -1.0, 2.0))
+    with pytest.raises(GeometryError, match="stage 3: the gradient at the warm start is not finite"):
+        certified_radius(F_3, center, 3)
 
 
 class TestSolveGconvexViaSc:

@@ -45,8 +45,8 @@ RUN_DIGESTS = {
         "f5d8f944da83db67d4250f377f09d2c2634845a523559ede0228c92f30b3d19c",
     ),
     ("h2", "reduce_gc"): (
-        "b1cc4c45dc2b7955d1c8b9c49b1f24ebfa5d9ab460b68cee0d0269cc88cfe6b5",
-        "5f86915a137feb960f58c846b81a1005eb565e60d3b041b3a51e26476713eea4",
+        "bcd2d8f8142b06ec0c70ce1d4fe2ffcce6c45f27ea619e3cb1bb81c0efb066d0",
+        "d1fa0777ca4cd9a351dd997aa0d8574a44cf3c582673d3f65b8c555bcc144b82",
     ),
     ("h2", "rgd"): (
         "6200472b0221cb0e711818dc65b163ea63c5ce26eda8208383b82fd4cd51d18e",
@@ -61,8 +61,8 @@ RUN_DIGESTS = {
         "24ab01225bef54b48b42ccc7e39710379b98de0f11130615e8f014c09766cce6",
     ),
     ("h2_cond300", "reduce_gc"): (
-        "088ca48b6e033a796ec4a8d85fe1ffa916e4f048fdcce9937cce3311265b6313",
-        "623a92f899089b354ac5095f6c5b5b23372f74b0f3d83ee37ed601a9dfdcb912",
+        "a5755ad62697969606f31bfdef078ac39a47b444947c2f2fd71137ecfd883c4a",
+        "3428ec344bc048c72ee5d8f00bf37058e5ffeb8182ad6fa4157bc91be714906e",
     ),
     ("h2_cond300", "rgd"): (
         "93a9a51613a8bafb8b3ab6435b2177e71dc24a4f42f8ac8ccfe961a70c8a0c44",
@@ -77,8 +77,8 @@ RUN_DIGESTS = {
         "90fec41aae082af149e136363c09bef95dc843961125560ecba646f99c927134",
     ),
     ("s5", "reduce_gc"): (
-        "1b67e3c77f6049e71f1355210c3eff50adf113489c75c716d85a23c43d39290a",
-        "4a7d1d4a87925e17a6e6facd20c77f11f777c99a7c4c22b249f69c7b76f2186d",
+        "0688b7f0762add0cf9370c6ba585a16318123797970be94c8cbaa18260d3ef7a",
+        "1fbca628336efb5426490ee704dae7ba84474df85a6de72c8b2a8ea627bf0687",
     ),
     ("s5", "rgd"): (
         "8781ef47e565a4f92b2491b48e57ea9ac091c774b2cdbfaba94c8146ba4634d3",
