@@ -21,7 +21,6 @@ from .objectives import (
     MappedObjective,
     delta_constants,
     load_anchors,
-    regularized,
     save_anchors,
     validate_constants,
     with_constants,

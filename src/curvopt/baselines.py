@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geomap import ball_radius
 from .manifolds import AmbientPoint, GeometryError, _Frozen, exp_map, log_map, norm
 
 
@@ -39,8 +40,8 @@ def rgd_run(F, x0, R, params, trace=None):
     (pass a negative tolerance to disable the gradient stop and always run
     the full budget) or after ``max_iters`` updates; the gradient at the
     stopping point has already been evaluated, so a start at the minimizer
-    costs one call.  A gradient whose norm is not finite raises
-    ``GeometryError`` naming its iteration.
+    costs one call.  R must pass ``geomap.ball_radius``.  A gradient whose
+    norm is not finite raises ``GeometryError`` naming its iteration.
 
     The step is a pure function of x, so once an update returns x bit for
     bit (or the gradient is exactly zero) every later iteration repeats
@@ -53,6 +54,7 @@ def rgd_run(F, x0, R, params, trace=None):
     A record's ``x`` is the run's own iterate, made read-only, not a copy.
     """
     sign = F.space.sign
+    ball_radius(sign, R)  # a NaN R would clip no iterate, a negative one the wrong way
     center = x0.coords
     # Monotone threshold for the ball test avoids an arccos/arccosh per step:
     # x . cm is cos d(x, x0) on the sphere and -cosh d(x, x0) on the

@@ -59,6 +59,7 @@ from .reductions import plan_gconvex_via_sc, plan_strongly_gconvex, refuse_below
 
 SOLVERS = ("axgd", "rgd", "restart_sc", "reduce_gc")
 CSV_HEADER = "iter,grad_evals,f_gap,dist_to_opt,lambda,gamma_hat,wall_ns"
+DEFAULT_ANCHOR_COUNT = 5  # drawn when neither anchor_count nor anchors_file is set
 # d, anchor_count and ``verify --samples`` size float64 arrays linearly, so
 # a typo such as anchor_count = 1000000000 would ask numpy for 24 GB.  They
 # are capped so that what the program holds at once stays within one
@@ -118,8 +119,8 @@ class ExperimentConfig:
             raise ConfigError("d: must be a positive integer")
         if self.anchor_count is not None and self.anchor_count < 1:
             raise ConfigError("anchor_count: must be a positive integer")
-        # d is refused with the default 5 anchors, or with one when the count is set or a file's.
-        count = 5 if self.anchor_count is None and not self.anchors_file else 1
+        # d is refused with the default anchor count, or with one when the count is set or a file's.
+        count = DEFAULT_ANCHOR_COUNT if self.anchor_count is None and not self.anchors_file else 1
         if self.d > max_d(count):
             raise ConfigError(
                 f"d: {self.d} exceeds {max_d(count)}, the largest with {count} anchor(s) "
@@ -179,7 +180,7 @@ def parse_config(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+                raise ConfigError(f"{path}:{lineno}: no '=' in {line!r}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in ExperimentConfig.__dataclass_fields__:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -220,7 +221,7 @@ def build_instance(cfg):
         except OSError as err:
             raise ConfigError(f"anchors_file: {err}") from None
         if anchors[0].d != cfg.d:
-            raise ConfigError("anchors_file: dimension does not match config d")
+            raise ConfigError(f"anchors_file: its anchors have d = {anchors[0].d}, the config d = {cfg.d}")
         if cfg.anchor_count not in (None, len(anchors)):
             raise ConfigError(
                 f"anchor_count: {cfg.anchor_count} does not match the {len(anchors)} anchors of anchors_file"
@@ -232,7 +233,7 @@ def build_instance(cfg):
             if cap <= 0:
                 raise ConfigError("R too large for a g-convex spherical instance")
             r_a = min(r_a, cap)
-        count = 5 if cfg.anchor_count is None else cfg.anchor_count
+        count = DEFAULT_ANCHOR_COUNT if cfg.anchor_count is None else cfg.anchor_count
         coords = random_in_ball(x0.coords, space.sign, r_a, rng, count)
         anchors = [AmbientPoint(c, space) for c in coords]
     if cfg.weights == "equal":

@@ -139,8 +139,14 @@ def _isometry(frame, v, inverse=False):
 def to_ball(frame, x):
     """Map manifold point(s) into the ball: x~ = (p_1..p_d)/p_{d+1}, p = M x."""
     xc = x.coords if isinstance(x, AmbientPoint) else np.asarray(x, dtype=float)
+    # The map would read a point off the model as the model point on its ray.  Both
+    # tests are written so that NaN fails them.  sq = |x|^2 is the rounding scale of <x, x>.
+    sq = rowsum(xc * xc)
+    xx = sq if frame.sign == SPHERICAL else sq - 2.0 * xc[..., -1] ** 2  # <x, x>, one rowsum for both
+    if not np.all(np.abs(xx - frame.sign) <= BALL_TOL * sq):
+        raise GeometryError("point lies off the model")
     dist = distance(frame.x0.coords, xc, frame.sign)
-    if not np.all(dist <= frame.R + BALL_TOL):  # written so that NaN fails it
+    if not np.all(dist <= frame.R + BALL_TOL):
         raise GeometryError("point lies outside the R-ball of the frame")
     p = _isometry(frame, xc)
     return p[..., :-1] / p[..., -1:]

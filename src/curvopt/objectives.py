@@ -189,8 +189,9 @@ class FrechetObjective(ManifoldObjective):
         return x, (x.dot(self._rows_T) if x.ndim == 1 else x @ self._rows_T)
 
     def value_c(self, x):
-        theta = _theta_k(self._cosines(x)[1], self.space.sign, self.weights)[0]
-        return _sqdist_value(theta, self.weights)
+        c = self._cosines(x)[1]
+        # + 0 c is NaN at an infinite c_j, which the clip of _theta_k reads as distance 0 or pi, and +-0 elsewhere.
+        return _sqdist_value(_theta_k(c, self.space.sign)[0] + 0.0 * c, self.weights)
 
     def grad_c(self, x):
         x, c = self._cosines(x)
@@ -236,13 +237,6 @@ class RegularizedObjective(ManifoldObjective):
         k = _theta_k(c, self.space.sign)[1]
         reg_grad = -k[..., None] * (self.center.coords - c[..., None] * x)
         return self.inner_obj.grad_c(x) + self.mu_i * reg_grad
-
-
-def regularized(obj, mu_i, center, delta):
-    """Add the proximal-style term (mu_i / 2) d(x, center)^2 to an objective."""
-    if mu_i == 0:
-        return obj
-    return RegularizedObjective(obj, mu_i, center, delta)
 
 
 def with_constants(obj, smoothness=None, strong_convexity=None):

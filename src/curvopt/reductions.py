@@ -14,8 +14,8 @@ first solve, and one planner lists each schedule:
   which minimizes the regularized objectives F + (mu_i / 2) d(., x0)^2 for
   a halving mu_i, warm-starting each stage at the previous output.  Each
   entry holds mu_i and a bound on the stage's initial gap, a quarter of
-  which is the stage's target.  A stage's radius is certified when it
-  starts, from the gradient at its warm start (``certified_radius``).
+  which is the stage's target.  A stage's radius is certified once, from
+  the gradient at its warm start (``certified_radius``).
 
 ``plan_strongly_gconvex`` and ``plan_gconvex_via_sc`` plan a run once and
 return it as ``run(trace=None)``; each ``solve_*`` is its planner's run,
@@ -36,7 +36,7 @@ import numpy as np
 from . import axgd
 from .geomap import ball_radius, deformation_constants_for, from_ball, make_frame, to_ball
 from .manifolds import AmbientPoint, GeometryError, norm
-from .objectives import DeltaConstants, MappedObjective, delta_constants, regularized
+from .objectives import DeltaConstants, MappedObjective, RegularizedObjective, delta_constants
 
 
 def restart_plan(sign, L, mu, R, epsilon, recenter):
@@ -142,7 +142,7 @@ class RoundTrace(NamedTuple):
 
     @property
     def grad_evals(self):
-        return self.records[-1].grad_evals if self.records else 0
+        return self.records[-1].grad_evals
 
 
 def solve_strongly_gconvex(F, x0, R, epsilon, recenter=True, trace=None):
@@ -224,7 +224,7 @@ def _stage_problems(F, x0, plan):
     any point of F_i gap at most g_i to the stage minimizer.
     """
     for mu, gap in plan.stages:
-        F_i = regularized(F, mu, x0, plan.delta)
+        F_i = RegularizedObjective(F, mu, x0, plan.delta)
         yield F_i, gap / 4.0, math.sqrt(2.0 * gap / F_i.strong_convexity)
 
 
@@ -250,8 +250,8 @@ def certified_radius(F_i, x, stage):
     return r
 
 
-def _at_stage_minimizer(F_i, r, eps_i):
-    """Whether a point x whose ``certified_radius`` is r meets the stage target eps_i past rounding.
+def _stage_radius(F_i, x, eps_i, prior, stage):
+    """min(prior, r), r the ``certified_radius`` at the warm start x, or None if x meets eps_i past rounding.
 
     With q = sc_i r^2, minimizing the first inequality of
     ``certified_radius`` over d gives F_i(x) - F_i(x*_i) <= |grad F_i(x)|^2
@@ -262,25 +262,26 @@ def _at_stage_minimizer(F_i, r, eps_i):
     radius whose q / 4 or q / eps_i rounds to 0, and a q near the subnormal
     range plans rounds whose line-search slacks underflow to 0.
     """
+    r = certified_radius(F_i, x, stage)
     q = F_i.strong_convexity * r * r
-    return not q / 4.0 > 0.0 or q / eps_i <= 2.0**-52
+    if not q / 4.0 > 0.0 or q / eps_i <= 2.0**-52:
+        return None
+    return min(prior, r)
 
 
-def planned_iterations(F, x0, R, plan, recenter):
-    """The iterations ``plan`` certifies, each stage planned at the radius known before the run.
+def planned_iterations(stages, R, R_0, recenter):
+    """The iterations the regularization ``stages`` certify, each planned at the radius known before the run.
 
-    Stage i runs ``restart_plan`` on F_i = F + (mu_i / 2) d(., x0)^2 at the
-    realized radius R_stage = min(d(x, x0) + R, sqrt(2 g_i / sc_i),
-    |grad F_i(x)| / sc_i) from its warm start x (``plan_gconvex_via_sc``).
-    Stage 0 starts at x0, where d(x0, x0) = 0 and grad F_0(x0) = grad F(x0),
-    so its radius and its plan are exact.  A later stage is planned at
-    min(R, sqrt(2 g_i / sc_i)), which its certificate can undercut: the
-    total is then neither a lower nor an upper bound on the run, and a
-    refusal by it may reject a run that would finish within the cap.  What
-    holds: a stage's mu_i, L_i, sc_i and target do not depend on x, so its
-    plan changes with the radius only, and its iteration count is
-    nondecreasing in the radius.  A realized stage thus plans at most its
-    plan at the uncertified radius min(d(x, x0) + R, sqrt(2 g_i / sc_i)):
+    ``stages`` are ``_stage_problems``' triples.  R_0 is stage 0's
+    ``_stage_radius`` at x0 (None: no round), so stage 0's plan is exact.
+    A later stage is planned at min(R, sqrt(2 g_i / sc_i)), which its
+    certificate can undercut: the total is then neither a lower nor an
+    upper bound on the run, and a refusal by it may reject a run that would
+    finish within the cap.  What holds: a stage's mu_i, L_i, sc_i and
+    target do not depend on x, so its plan changes with the radius only,
+    and its iteration count is nondecreasing in the radius.  A realized
+    stage thus plans at most its plan at the uncertified radius
+    min(d(x, x0) + R, sqrt(2 g_i / sc_i)):
 
     - the round count max(1, ceil(log2(sc_i R^2 / eps_i) - 1)) and every
       round radius R_k = R / 2^(k/2) grow with R;
@@ -306,15 +307,11 @@ def planned_iterations(F, x0, R, plan, recenter):
     the sphere it can exceed pi/2, where the map constants are undefined.
     """
     total = 0
-    for i, (F_i, eps_i, R_up) in enumerate(_stage_problems(F, x0, plan)):
-        R_i = min(R, R_up)
-        if i == 0:
-            r = certified_radius(F_i, x0, 0)
-            if _at_stage_minimizer(F_i, r, eps_i):
-                continue
-            R_i = min(R_i, r)
-        plan_i = restart_plan(F.space.sign, F_i.smoothness, F_i.strong_convexity, R_i, eps_i, recenter)
-        total += sum(params.t for _, params in plan_i)
+    for i, (F_i, eps_i, R_up) in enumerate(stages):
+        R_i = R_0 if i == 0 else min(R, R_up)
+        if R_i is not None:
+            plan_i = restart_plan(F_i.space.sign, F_i.smoothness, F_i.strong_convexity, R_i, eps_i, recenter)
+            total += sum(params.t for _, params in plan_i)
     return total
 
 
@@ -323,29 +320,29 @@ def plan_gconvex_via_sc(F, x0, R, epsilon, recenter=True):
 
     Returns ``run(trace=None)``, which follows the checked regularization
     plan and returns the final point, handing ``trace`` a ``StageTrace`` per
-    stage.  Each stage first certifies its radius from the gradient at its
-    warm start x: R_stage = min(d(x, x0) + R, sqrt(2 g_i / sc_i), r), r
-    the ``certified_radius``.  A stage whose x already meets its target by
-    r (``_at_stage_minimizer``: a zero gradient, or one so small that
-    ``restart_plan`` would refuse r as underflowing) ends at x with no
-    round; every other stage runs, also one whose certificate
-    already meets its target, since the stage solves' overshoot is what
-    brings the final gap below epsilon (``make_regularization_plan``).
-    Each stage calls ``solve_strongly_gconvex`` by its module name, so that
-    a wrapper bound to that name sees every stage solve.
+    stage.  Each stage's radius is decided once, by ``_stage_radius`` at its
+    warm start; stage 0's here, for the refusal and the run.  A stage that
+    ``_stage_radius`` ends at its warm start runs no round; every other
+    stage runs, also one whose certificate already meets its target, since
+    the stage solves' overshoot is what brings the final gap below epsilon
+    (``make_regularization_plan``).  Each stage calls
+    ``solve_strongly_gconvex`` by its module name, so that a wrapper bound
+    to that name sees every stage solve.
     """
     refuse_below_floor(F, x0, epsilon)
     plan = make_regularization_plan(F.space, R, 2.0 * F.smoothness * R * R, epsilon)
-    _refuse_above_cap(planned_iterations(F, x0, R, plan, recenter))
+    stages = list(_stage_problems(F, x0, plan))
+    F_0, eps_0, R_up = stages[0]
+    R_0 = _stage_radius(F_0, x0, eps_0, min(R, R_up), 0)
+    _refuse_above_cap(planned_iterations(stages, R, R_0, recenter))
 
     def run(trace=None):
         x = x0
-        for i, (F_i, eps_i, R_up) in enumerate(_stage_problems(F, x0, plan)):
-            r = certified_radius(F_i, x, i)
+        for i, (F_i, eps_i, R_up) in enumerate(stages):
+            R_stage = R_0 if i == 0 else _stage_radius(F_i, x, eps_i, min(x.distance_to(x0) + R, R_up), i)
             rounds = []
-            if not _at_stage_minimizer(F_i, r, eps_i):
+            if R_stage is not None:
                 traced = None if trace is None else rounds.append
-                R_stage = min(x.distance_to(x0) + R, R_up, r)
                 x = solve_strongly_gconvex(F_i, x, R_stage, eps_i, recenter=recenter, trace=traced)
             if trace is not None:
                 trace(StageTrace(F_i.mu_i, rounds, x))

@@ -27,7 +27,7 @@ from curvopt.geomap import (
     to_ball,
 )
 from curvopt.manifolds import AmbientPoint, CurvatureClass, exp_map, pole, random_in_ball, random_tangent
-from curvopt.objectives import FrechetObjective, MappedObjective, delta_constants, regularized
+from curvopt.objectives import FrechetObjective, MappedObjective, RegularizedObjective, delta_constants
 
 from instances import frechet_instance
 
@@ -52,7 +52,7 @@ def _case(sign, d):
     F4 = FrechetObjective(anchors, w / w.sum(), center, R)
     F1 = FrechetObjective(anchors[:1], [1.0], center, R)
     reg_center = AmbientPoint(random_in_ball(center.coords, sign, 0.5 * R, rng, 1)[0], space)
-    G = regularized(F4, 0.37, reg_center, delta_constants(sign, sign, 2.0 * R))
+    G = RegularizedObjective(F4, 0.37, reg_center, delta_constants(sign, sign, 2.0 * R))
     chained = copy.copy(F4)  # an objective without cosine rows takes the mapped chain
     chained._cosine_rows = lambda: None
     x = random_in_ball(center.coords, sign, R, rng, 64)

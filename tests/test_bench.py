@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvopt import (
+    FrechetObjective,
+    MappedObjective,
     axgd,
     bench,
     checks,
@@ -28,6 +30,7 @@ from curvopt import (
     solve_strongly_gconvex,
     with_constants,
 )
+from curvopt.objectives import RegularizedObjective
 from curvopt.bench import (
     ConfigError,
     ExperimentConfig,
@@ -509,6 +512,58 @@ def test_each_reduction_run_is_planned_once(tmp_path, monkeypatch, solver):
         assert [len(made[name]) for name in names] == [2 * stages, 2, 2, 2 + stages]
 
 
+# The oracle methods that compute a gradient.  A grad_c called from inside
+# another of them, a stage objective's inner one, is part of that call.
+GRADIENT_ORACLES = [
+    (MappedObjective, "grad"), (MappedObjective, "value_and_grad"),
+    (FrechetObjective, "grad_c"), (RegularizedObjective, "grad_c"),
+]
+
+
+@pytest.mark.parametrize("solver", bench.SOLVERS)
+@pytest.mark.parametrize("model", [{}, dict(manifold="spherical", curvature=1.0, d=5, R=0.6)], ids=["H2", "S5"])
+def test_reported_evals_are_the_gradient_calls_made(monkeypatch, model, solver):
+    # Every gradient call from _plan to the end of _trace_run, as
+    # run_experiment makes them, is reported.  rgd reports the k + 1 evals of
+    # its certified count, and so more than it made once it exits at a fixed
+    # point or 2-cycle of its step (README): on S^5, 12 for 11.
+    cfg = ExperimentConfig(weights="random", seed=1, epsilon=1e-3, solver=solver, **model)
+    inst = build_instance(cfg)
+    made = depth = 0
+
+    def counted(method):
+        def call(self, *args):
+            nonlocal made, depth
+            made += depth == 0
+            depth += 1
+            try:
+                return method(self, *args)
+            finally:
+                depth -= 1
+
+        return call
+
+    for cls, name in GRADIENT_ORACLES:
+        monkeypatch.setattr(cls, name, counted(getattr(cls, name)))
+    states = []
+    solve = bench._plan(cfg, inst)
+
+    def traced(row):
+        def kept(i, evals, frame, x, *rest):
+            states.append(x.tobytes())
+            row(i, evals, frame, x, *rest)
+
+        solve(kept)
+
+    reported = bench._trace_run(cfg, inst, traced).total_evals
+    if solver == "rgd" and made < reported:
+        # Each iteration is a row here (stride 1), and the last repeats one of the two before it.
+        assert rgd_budget(inst.objective, inst.R, cfg.epsilon) < 1000
+        assert states[-1] in states[-3:-1]
+    else:
+        assert reported == made
+
+
 def _exhausted_line_search(*args, **kwargs):
     raise axgd.LineSearchError("line-search probe budget exhausted")
 
@@ -578,6 +633,10 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
          "# class=hyperbolic d=2\n0 0 1\n0.5210953054937474 0 1.1276259652063807\n", False,
          "error: anchor_count: 7 does not match the 2 anchors of anchors_file"),
         (RUN, "seed = -1\n", None, False, "seed:"),
+        (RUN, "seed = 1\nbogus line  # comment\n", None, False,
+         "bad.cfg:2: no '=' in 'bogus line': expected key = value"),
+        (RUN, "anchors_file = {anchors}\n", "# class=hyperbolic d=3\n0 0 0 1\n", False,
+         "error: anchors_file: its anchors have d = 3, the config d = 2"),
         # A value that does not parse names its key once.
         (RUN, "R = abc\n", None, False, "bad.cfg:1: R: could not convert string to float: 'abc'"),
         (RUN, "d = 2.5\n", None, False, "bad.cfg:1: d: invalid literal for int() with base 10: '2.5'"),
@@ -618,6 +677,7 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         "rgd-below-floor", "reduce-over-cap",
         "restart-radius-underflow", "reduce-radius-underflow",
         "restart-gconvex", "no-anchors", "negative-anchor-count", "anchor-count-not-the-files", "negative-seed",
+        "line-without-equals", "anchor-file-d-not-the-configs",
         "radius-not-a-number", "d-not-an-integer", "seed-not-an-integer", "timing-not-a-boolean",
         "verify-negative-seed",
         "sweep-epsilon-not-a-number", "sweep-condition-not-a-number",

@@ -17,7 +17,7 @@ from curvopt.axgd import SolverParams, mirror_dual_grad, params_from_constants
 from curvopt.baselines import RgdParams, RgdRecord, rgd_run
 from curvopt.geomap import deformation_constants, from_ball, make_frame
 from curvopt.manifolds import AmbientPoint, CurvatureClass, distance, exp_map, log_map, norm, random_in_ball
-from curvopt.objectives import MappedObjective, delta_constants, regularized
+from curvopt.objectives import MappedObjective, RegularizedObjective, delta_constants
 
 from instances import frechet_instance
 
@@ -160,7 +160,7 @@ class TestOracleKernels:
         center, F, pts, rng = _instance(space, d)
         R = 1.0 if space.sign < 0 else 0.6
         reg_center = AmbientPoint(random_in_ball(center.coords, space.sign, 0.5 * R, rng, 1)[0], space)
-        G = regularized(F, 0.37, reg_center, delta_constants(space.sign, space.sign, 2.0 * R))
+        G = RegularizedObjective(F, 0.37, reg_center, delta_constants(space.sign, space.sign, 2.0 * R))
         self._check(G, _ref_regularized, _points(pts, shape))
         self._check(G, _ref_regularized, _points(pts[::-1], shape))
 
@@ -187,7 +187,7 @@ def test_oracle_kernel_shapes(space, d, anchors, shape):
     center, F, pts, rng = _instance(space, d, anchors)
     R = 1.0 if space.sign < 0 else 0.6
     reg_center = AmbientPoint(random_in_ball(center.coords, space.sign, 0.5 * R, rng, 1)[0], space)
-    G = regularized(F, 0.37, reg_center, delta_constants(space.sign, space.sign, 2.0 * R))
+    G = RegularizedObjective(F, 0.37, reg_center, delta_constants(space.sign, space.sign, 2.0 * R))
     for obj, ref in ((F, _ref_frechet), (G, _ref_regularized)):
         for x in (_points(pts, shape), _points(pts[::-1], shape)):
             TestOracleKernels()._check(obj, ref, x)

@@ -1,7 +1,11 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvopt import (
     AmbientPoint,
@@ -12,14 +16,13 @@ from curvopt import (
     delta_constants,
     make_frame,
     pole,
-    regularized,
     with_constants,
 )
 from curvopt import geomap, objectives
-from curvopt.geomap import BALL_TOL, from_ball, pullback_gradient
+from curvopt.geomap import BALL_TOL, from_ball, pullback_gradient, to_ball
 from curvopt.manifolds import distance, exp_map, inner, log_map, random_in_ball, random_tangent
-from curvopt.objectives import ManifoldObjective, load_anchors, save_anchors
-from curvopt.baselines import reference_optimum
+from curvopt.objectives import ManifoldObjective, RegularizedObjective, load_anchors, save_anchors
+from curvopt.baselines import RgdParams, reference_optimum, rgd_run
 
 from instances import dense_frame, frechet_instance
 
@@ -145,16 +148,11 @@ class TestMappedObjective:
 
 
 class TestRegularized:
-    def test_mu_zero_is_identity(self, space):
-        center, F = frechet_instance(space, 2, 1.0, 3, seed=10)
-        delta = F.delta
-        assert regularized(F, 0.0, center, delta) is F
-
     def test_value_and_gradient_additivity(self, space, rng):
         center, F = frechet_instance(space, 2, 1.0, 3, seed=11)
         delta = delta_constants(float(space.sign), float(space.sign), 1.2)
         mu_i = 0.37
-        Freg = regularized(F, mu_i, center, delta)
+        Freg = RegularizedObjective(F, mu_i, center, delta)
         x = random_in_ball(center.coords, space.sign, 0.6, rng, 1)[0]
         d = float(distance(x, center.coords, space.sign))
         assert Freg.value_c(x) == pytest.approx(F.value_c(x) + 0.5 * mu_i * d * d, rel=1e-12)
@@ -165,7 +163,7 @@ class TestRegularized:
     def test_declared_constants(self, space):
         center, F = frechet_instance(space, 2, 1.0, 3, seed=12)
         delta = delta_constants(float(space.sign), float(space.sign), 1.2)
-        Freg = regularized(F, 0.5, center, delta)
+        Freg = RegularizedObjective(F, 0.5, center, delta)
         assert Freg.smoothness == pytest.approx(F.smoothness + 0.5 * delta.delta_n)
         assert Freg.strong_convexity == pytest.approx(
             F.strong_convexity + 0.5 * delta.delta_p
@@ -174,7 +172,7 @@ class TestRegularized:
     def test_regularized_gradient_fd(self, space, rng):
         center, F = frechet_instance(space, 2, 1.0, 3, seed=13)
         delta = delta_constants(float(space.sign), float(space.sign), 1.2)
-        Freg = regularized(F, 0.8, center, delta)
+        Freg = RegularizedObjective(F, 0.8, center, delta)
         h = 1e-5
         x = random_in_ball(center.coords, space.sign, 0.6, rng, 1)[0]
         u = random_tangent(x, space.sign, rng)
@@ -192,7 +190,7 @@ class TestRegularized:
         x_star, _ = reference_optimum(F, center, 1.0)
         delta = delta_constants(-1.0, -1.0, 2.0)
         for mu_i in (0.05, 0.4, 2.0):
-            Freg = regularized(F, mu_i, center, delta)
+            Freg = RegularizedObjective(F, mu_i, center, delta)
             x_reg, _ = reference_optimum(Freg, center, 1.0)
             assert center.distance_to(x_reg) <= center.distance_to(x_star) + 1e-6
 
@@ -234,9 +232,9 @@ class TestValueAndGrad:
         declared = with_constants(F, strong_convexity=0.0)
         return center, {
             "frechet": F,
-            "regularized": regularized(F, 0.37, center, delta),
+            "regularized": RegularizedObjective(F, 0.37, center, delta),
             "declared": declared,
-            "regularized_declared": regularized(declared, 0.37, center, delta),
+            "regularized_declared": RegularizedObjective(declared, 0.37, center, delta),
         }
 
     def test_mapped_matches_separate_calls(self, space, rng):
@@ -259,7 +257,7 @@ class TestManifoldOracleInputs:
     def test_one_point_inputs_give_the_same_bits(self, space, rng):
         center, F = frechet_instance(space, 5, 1.0, 20, seed=18)
         delta = delta_constants(float(space.sign), float(space.sign), 1.2)
-        objs = {"frechet": F, "regularized": regularized(F, 0.37, center, delta)}
+        objs = {"frechet": F, "regularized": RegularizedObjective(F, 0.37, center, delta)}
         for one in random_in_ball(center.coords, space.sign, 1.0, rng, 12):
             read_only = one.copy()
             read_only.flags.writeable = False
@@ -281,9 +279,9 @@ class TestClosedFormMapping:
         declared = with_constants(F, smoothness=2 * F.smoothness, strong_convexity=0.0)
         return center, {
             "frechet": F,
-            "regularized": regularized(F, 0.37, center, delta),
+            "regularized": RegularizedObjective(F, 0.37, center, delta),
             "declared": declared,
-            "regularized_declared": regularized(declared, 0.37, center, delta),
+            "regularized_declared": RegularizedObjective(declared, 0.37, center, delta),
         }
 
     def frames(self, space, center, rng):
@@ -338,7 +336,7 @@ class TestClosedFormMapping:
         delta = delta_constants(float(space.sign), float(space.sign), 1.2)
         for frame in self.frames(space, center, rng):
             xt = self.ball_points(frame, rng, n=12)
-            for obj in (custom, regularized(custom, 0.37, center, delta)):
+            for obj in (custom, RegularizedObjective(custom, 0.37, center, delta)):
                 fmap = MappedObjective(obj, frame)
                 value, grad = self.chain(obj, frame, xt)
                 assert np.array_equal(fmap.value(xt), value)
@@ -469,3 +467,141 @@ class TestAnchorFiles:
         path.write_text(f"# class={name} d=2\n0 0 1\n0 0 {scale!r}\n")
         with pytest.raises(GeometryError, match=":3: anchor is off the unit"):
             load_anchors(path)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class ChainFrechet(FrechetObjective):
+    """The Frechet oracle without cosine rows, so that MappedObjective maps it through ``from_ball``."""
+
+    def _cosine_rows(self):
+        return None
+
+
+class TestNonFiniteOrOffModel:
+    """ROADMAP item 8, Property 2 for the map, the oracles and ``rgd_run``.
+
+    Each call raises ``GeometryError`` or returns some non-finite entry.
+    numpy warns on the arithmetic of non-finite entries; the calls run on
+    with the warnings ignored, as they do outside the suite's error filter.
+    The oracles ``value_c``/``grad_c`` take points on the model, as every
+    caller's are (an ``AmbientPoint`` is re-projected), so they get
+    non-finite entries only.
+    """
+
+    R = 0.5
+    # Kernels of an ambient point x, and of a ball point of the frame.
+    AMBIENT = {
+        "to_ball": lambda case, x: to_ball(case["frame"], x),
+        "frechet.value_c": lambda case, x: case["F"].value_c(x),
+        "frechet.grad_c": lambda case, x: case["F"].grad_c(x),
+        "regularized.value_c": lambda case, x: case["G"].value_c(x),
+        "regularized.grad_c": lambda case, x: case["G"].grad_c(x),
+    }
+    BALL = {
+        "from_ball": lambda case, xt: from_ball(case["frame"], xt),
+        "mapped.value": lambda case, xt: case["mapped"].value(xt),
+        "mapped.grad": lambda case, xt: case["mapped"].grad(xt),
+        "mapped.value_and_grad": lambda case, xt: case["mapped"].value_and_grad(xt),
+        "chain.value": lambda case, xt: case["chain"].value(xt),
+        "chain.grad": lambda case, xt: case["chain"].grad(xt),
+        "chain.value_and_grad": lambda case, xt: case["chain"].value_and_grad(xt),
+    }
+
+    def _case(self, sign, d, seed):
+        space = CurvatureClass(sign)
+        center, F = frechet_instance(space, d, self.R, 3, seed=seed)
+        frame = make_frame(center, self.R)
+        chain = ChainFrechet(F.anchors, F.weights, center, self.R)
+        G = RegularizedObjective(F, 0.37, center, delta_constants(float(sign), float(sign), 2.0 * self.R))
+        return {"F": F, "G": G, "frame": frame, "mapped": MappedObjective(G, frame),
+                "chain": MappedObjective(chain, frame)}
+
+    @staticmethod
+    def _non_finite(out):
+        return not all(np.all(np.isfinite(part)) for part in (out if isinstance(out, tuple) else (out,)))
+
+    @given(kernel=st.sampled_from(sorted(AMBIENT) + sorted(BALL)), sign=st.sampled_from([-1, 1]),
+           d=st.integers(1, 4), seed=st.integers(0, 2**16), batch=st.booleans(),
+           bad=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(NON_FINITE)), min_size=1, max_size=3)
+           | st.sampled_from([0.5, 2.0, -1.0, 1e3]))
+    @settings(max_examples=400)
+    def test_bad_input_never_gives_a_finite_result(self, kernel, sign, d, seed, batch, bad):
+        # `bad` lists non-finite entries to set, or is a factor that moves the
+        # point off the model: an ambient point for to_ball is scaled by it (on
+        # the sphere -1 gives the antipode, outside the ball), a ball point is
+        # moved to 1.01 R~ times max(1, |factor|), beyond the ball.
+        off_model = not isinstance(bad, list)
+        assume(not (off_model and kernel in self.AMBIENT and kernel != "to_ball"))
+        case = self._case(sign, d, seed)
+        frame = case["frame"]
+        x = random_in_ball(frame.x0.coords, sign, 0.9 * self.R, np.random.default_rng(seed), 1)[0]
+        if kernel in self.BALL:
+            x = to_ball(frame, x)
+            if off_model:
+                x = x * (1.01 * max(1.0, abs(bad)) * frame.R_tilde / np.linalg.norm(x))
+        elif off_model:
+            x = bad * x
+        for j, value in [] if off_model else bad:
+            x[j % x.size] = value
+        if batch:  # one finite row beside the drawn one
+            x = np.stack([np.zeros(d) if kernel in self.BALL else frame.x0.coords, x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                out = (self.BALL if kernel in self.BALL else self.AMBIENT)[kernel](case, x)
+            except GeometryError:
+                return
+        assert self._non_finite(out), out
+
+    def test_a_value_at_an_infinite_coordinate_is_not_finite(self):
+        # The clip of an infinite cosine read these points as distance 0 or pi
+        # from the anchors: value_c gave 0.0 and 2.4674, while grad_c was not finite.
+        space = CurvatureClass.spherical()
+        anchors = [AmbientPoint([0.3, 0.0, 1.0], space), AmbientPoint([-0.3, 0.1, 1.0], space)]
+        F = FrechetObjective(anchors, [0.5, 0.5], pole(2, space), 0.5)
+        G = RegularizedObjective(F, 0.37, pole(2, space), delta_constants(1.0, 1.0, 1.0))
+        points = np.array([[0.0, 0.0, math.inf], [math.inf, 0.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            for obj in (F, G):
+                assert np.isnan(obj.value_c(points)).all()
+                assert all(math.isnan(obj.value_c(x)) for x in points)
+
+    def test_to_ball_refuses_a_point_off_the_model(self, space):
+        # On the hyperboloid the chord from the pole to 2 e has Minkowski square
+        # -1, which distance clamps to 0, and on the sphere the chord to 0.9 e
+        # reads as 0.105: to_ball gave (0, 0) for both.
+        e = pole(2, space)
+        frame = make_frame(e, 0.5)
+        for x in (2.0 * e.coords, 0.9 * e.coords, np.stack([e.coords, 2.0 * e.coords])):
+            with pytest.raises(GeometryError, match="off the model"):
+                to_ball(frame, x)
+
+    @given(sign=st.sampled_from([-1, 1]), seed=st.integers(0, 2**16),
+           R=st.sampled_from([0.5, *NON_FINITE, -0.5, 0.0, 20.0, 1e300]),
+           bad=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(NON_FINITE)), max_size=2))
+    @settings(max_examples=100)
+    def test_rgd_run_never_gives_a_finite_result(self, sign, seed, R, bad):
+        # A radius outside geomap.ball_radius's domain (20 is past pi/2 and
+        # MAX_HYPERBOLIC_R), or an oracle whose gradient is not finite at drawn calls.
+        assume(bad or R != 0.5)
+        center, F = frechet_instance(CurvatureClass(sign), 2, 0.5, 3, seed=seed)
+        calls = itertools.count()
+        spoiled = dict(bad)
+
+        class Spoiled(FrechetObjective):
+            def grad_c(self, x):
+                g = super().grad_c(x)
+                return g + spoiled.get(next(calls), 0.0)
+
+        G = Spoiled(F.anchors, F.weights, center, 0.5)
+        params = RgdParams(step=1.0 / F.smoothness, max_iters=30, tol_grad=-1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                out = rgd_run(G, center, R, params).coords
+            except GeometryError:
+                return
+        # Only a spoiled call that the run never made (it exits at a fixed point) lets it finish.
+        assert R == 0.5 and min(spoiled) >= next(calls), out

@@ -7,7 +7,7 @@ from curvopt import AmbientPoint, CurvatureClass, GeometryError, axgd, checks, p
 from curvopt.baselines import reference_optimum
 from curvopt.bench import ExperimentConfig, build_instance
 from curvopt.manifolds import HYPERBOLIC, SPHERICAL, distance, exp_map, log_map, norm, random_in_ball
-from curvopt.objectives import ManifoldObjective, delta_constants, regularized
+from curvopt.objectives import ManifoldObjective, RegularizedObjective, delta_constants
 from curvopt.reductions import (
     _stage_problems,
     certified_radius,
@@ -242,7 +242,7 @@ def test_gradient_certifies_the_distance_to_the_minimizer(sign, R, d):
     # g-convex within delta_constants' D = R of x0, which holds x and x*.
     space = CurvatureClass(sign)
     center, F = frechet_instance(space, d, R, 4, seed=11)
-    F_i = regularized(F, F.smoothness, center, delta_constants(float(sign), float(sign), R))
+    F_i = RegularizedObjective(F, F.smoothness, center, delta_constants(float(sign), float(sign), R))
     x = random_in_ball(center.coords, sign, R, np.random.default_rng(12), 200)
     for G in (F, F_i):
         x_star = reference_optimum(G, center, R)[0]
@@ -278,11 +278,12 @@ def test_stage_zero_plan_is_exact(overrides):
     # Stage 0 starts at x0, so the planner knows its certified radius; on S^10
     # sqrt(2 g_0 / sc_0) is about 2 > pi/2, so the plan must not use it alone.
     inst, F, plan, stages = _reduce_gc_run(overrides)
-    F_0, eps_0, R_up = next(_stage_problems(F, inst.x0, plan))
+    problems = list(_stage_problems(F, inst.x0, plan))
+    F_0, eps_0, R_up = problems[0]
     R_0 = min(inst.R, R_up, certified_radius(F_0, inst.x0, 0))
     planned = restart_plan(F.space.sign, F_0.smoothness, F_0.strong_convexity, R_0, eps_0, True)
     assert [params for _, params in planned] == [rt.params for rt in stages[0].rounds]
-    assert planned_iterations(F, inst.x0, inst.R, plan, True) >= sum(params.t for _, params in planned) > 0
+    assert planned_iterations(problems, inst.R, R_0, True) >= sum(params.t for _, params in planned) > 0
 
 
 @REDUCE_GC_RUNS
@@ -358,7 +359,7 @@ def test_a_gradient_that_is_not_finite_names_its_stage():
     broken.grad_c = lambda x: np.full_like(x, math.nan)
     with pytest.raises(GeometryError, match="stage 0: the gradient at the warm start is not finite"):
         plan_gconvex_via_sc(broken, center, 1.0, 1e-3)
-    F_3 = regularized(broken, 0.5, center, delta_constants(-1.0, -1.0, 2.0))
+    F_3 = RegularizedObjective(broken, 0.5, center, delta_constants(-1.0, -1.0, 2.0))
     with pytest.raises(GeometryError, match="stage 3: the gradient at the warm start is not finite"):
         certified_radius(F_3, center, 3)
 
@@ -438,7 +439,7 @@ class TestSolveGconvexViaSc:
         from curvopt.manifolds import distance, inner, log_map
 
         for mu_i in (2.0, 0.5, 0.125):
-            Fs = regularized(Fg, mu_i, center, delta)
+            Fs = RegularizedObjective(Fg, mu_i, center, delta)
             x = random_in_ball(center.coords, space.sign, 1.0, rng, 2000)
             y = random_in_ball(center.coords, space.sign, 1.0, rng, 2000)
             fx, fy = Fs.value_c(x), Fs.value_c(y)
