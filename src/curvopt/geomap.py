@@ -276,17 +276,22 @@ class DeformationConstants(NamedTuple):
     dist_hi: float
 
 
-# Relative amount by which the hyperbolic ratio extremes are widened: it
-# covers the rounding of their evaluation, under 8 ulps (1.8e-15) with a
-# libm accurate to 2 ulps, with room for a less accurate one.
+# Relative amount by which the ratio extremes are widened: it covers the
+# rounding of their evaluation, under 8 ulps (1.8e-15) with a libm accurate
+# to 2 ulps, with room for a less accurate one.
 RATIO_MARGIN = 1e-13
 
 
-def _ratio_extreme(R, side):
-    """delta / sinh(delta) * (cosh(delta - R) / cosh R)^side at its extreme over [0, 2R].
+def _ratio_extreme(sign, R, side):
+    """(delta / S(delta)) (C(delta - R) / C(R))^side at its extreme over [0, 2R].
 
-    With q = ln(delta / sinh delta), q' = 1/delta - coth(delta) falls
-    strictly from 0 to -1, and the log-derivative is q' + side tanh(delta - R).
+    S, C and T are sinh, cosh and tanh on the hyperboloid (sign = -1), and
+    sin, cos and tan on the sphere (sign = +1, where 2R < pi).  With
+    q = ln(delta / S(delta)), q' = 1/delta - 1/T(delta), and the
+    log-derivative is q' - sign side T(delta - R).  The extreme is a maximum
+    where sign side = 1 and a minimum where sign side = -1.
+
+    On the hyperboloid q' falls strictly from 0 to -1:
 
     - side = -1 (a maximum): the log-derivative falls strictly, from tanh R
       at 0 to q'(R) < 0 at R, so its one root lies in (0, R).
@@ -296,36 +301,52 @@ def _ratio_extreme(R, side):
       q'' + sech^2(delta - R) = (2/delta)(coth(delta) - 1/delta) > 0, so
       every root is a strict local minimum and there is one, in (R, 2R).
 
-    Bisection on the sign of the log-derivative inside that bracket ends at
-    adjacent floats and never tests delta = 0, where 1/delta - coth(delta)
-    vanishes only as a limit.  The value returned is the ratio at the delta
-    found, which an actual configuration attains, so the only errors of the
-    extreme are the rounding of that value and the second-order cost of
-    missing the root, which is far smaller.  Below R = 1.2e-308 the
-    bisection may end at delta = 0: 1/delta overflows to inf there, the
-    NaN test moves hi down, and at R = 5e-324 the bracket (0, R) holds no
-    float.  There every ratio rounds to 1, and delta / sinh(delta) takes
-    its limit 1.
+    On the sphere q' rises strictly from 0, as q'' = 1/sin^2(delta) -
+    1/delta^2 > 0:
+
+    - side = -1 (a minimum): the log-derivative q' + tan(delta - R) rises
+      strictly, from -tan R at 0 to q'(R) > 0 at R, so its one root lies in
+      (0, R).
+    - side = +1 (a maximum): the log-derivative q' - tan(delta - R) is
+      positive on (0, R], where both terms are, and
+      (sin(2R) - 2R) / (2R sin(2R)) < 0 at 2R.  At any root,
+      tan(delta - R) = q' gives the second derivative
+      q'' - sec^2(delta - R) = (2/delta)(cot(delta) - 1/delta) < 0, so
+      every root is a strict local maximum and there is one, in (R, 2R).
+
+    Left of the root the log-derivative has the sign of sign side, so one
+    bisection serves all four cases.  It ends at adjacent floats and never
+    tests delta = 0, where q' vanishes only as a limit.  The value returned
+    is the ratio at the delta found, which an actual configuration attains,
+    so the only errors of the extreme are the rounding of that value and
+    the second-order cost of missing the root, which is far smaller.  Below
+    R = 1.2e-308 the bisection may end at delta = 0: 1/delta overflows to
+    inf there, the NaN test moves hi down, and at R = 5e-324 the bracket
+    (0, R) holds no float.  There every ratio rounds to 1, and
+    delta / S(delta) takes its limit 1.
     """
+    S, C, T = (math.sin, math.cos, math.tan) if sign == SPHERICAL else (math.sinh, math.cosh, math.tanh)
+    turn = sign * side
     lo, hi = (R, 2.0 * R) if side > 0 else (0.0, R)
     while True:
         delta = 0.5 * (lo + hi)
         if delta <= lo or delta >= hi:
             break
-        if side * (1.0 / delta - 1.0 / math.tanh(delta) + side * math.tanh(delta - R)) < 0.0:
+        if turn * (1.0 / delta - 1.0 / T(delta)) > T(delta - R):  # turn times the log-derivative > 0
             lo = delta
         else:
             hi = delta
-    return (delta / math.sinh(delta) if delta else 1.0) * (math.cosh(delta - R) / math.cosh(R)) ** side
+    return (delta / S(delta) if delta else 1.0) * (C(delta - R) / C(R)) ** side
 
 
 def deformation_constants_for(sign, R, L):
     """Worst-case distortion constants of the radius-R ball for an L-smooth objective.
 
-    L_tilde assumes that the objective's minimizer lies in the ball.
+    L_tilde assumes that the objective's minimizer lies in the ball.  K is
+    the curvature sign: -1 on the hyperboloid, +1 on the sphere.
 
-    On the hyperboloid gamma_p and 1/gamma_n are the exact extremes over
-    x, y in the ball of the directional ratio
+    gamma_p and 1/gamma_n are the exact extremes over x, y in the ball of
+    the directional ratio
 
         rho = <grad F(x), Log_x y> / <grad f(x~), y~ - x~>,
 
@@ -339,76 +360,98 @@ def deformation_constants_for(sign, R, L):
       at x~.
     - On a line at distance b from the centre, at position l along it, the
       radial and tangential eigenvalues of the map give
-      v = sqrt(1 - b^2) / (1 - b^2 - l^2).  With l = sqrt(1 - b^2) tanh(s),
-      v dl = ds, and a chord from s0 (x) to s1 (y) has, with
-      delta = s1 - s0,
+      v = sqrt(1 + K b^2) / (1 + K b^2 + K l^2).  Let S, C and T be sinh,
+      cosh and tanh on the hyperboloid and sin, cos and tan on the sphere.
+      With l = sqrt(1 + K b^2) T(s), v dl = ds, and a chord from s0 (x) to
+      s1 (y) has, with delta = s1 - s0,
 
-          rho = (s1 - s0) / ((tanh s1 - tanh s0) cosh^2 s0)
-              = (delta / sinh delta) cosh s1 / cosh s0.
+          rho = (s1 - s0) / ((T(s1) - T(s0)) C^2(s0))
+              = (delta / S(delta)) C(s1) / C(s0).
 
       b drops out.  The chord stays in the ball exactly when
-      tanh^2 s <= (R~^2 - b^2) / (1 - b^2), which is largest, tanh^2 R,
-      at b = 0.  So the extremes of rho are those over s0, s1 in [-R, R],
-      and b = 0 (a chord through the centre) is the worst case.
-    - Inside that square, d ln rho / d s1 = q'(delta) + tanh s1 and
-      d ln rho / d s0 = -q'(delta) - tanh s0, q = ln(delta / sinh delta).
-      Both vanish only where tanh s0 = tanh s1, so delta = 0, and then
-      only at s0 = s1 = 0, where rho = 1.  The edges reach below and above
-      that, 2R / sinh(2R) at (-R, R) and R coth(R) at (0, R), so the
-      extremes lie on the edges.  As rho(s0, s1) = rho(-s0, -s1), two
-      edges remain: x on the rim (s0 = -R) gives
-      rho_A = (delta / sinh delta) cosh(delta - R) / cosh R, and y on the
-      rim (s1 = -R) gives rho_B = (delta / sinh delta) cosh R /
-      cosh(delta - R), both over delta in [0, 2R].  rho_B / rho_A =
-      cosh^2 R / cosh^2(delta - R) >= 1, so gamma_p = min rho_A and
-      1/gamma_n = max rho_B (``_ratio_extreme``).
+      T^2(s) <= (R~^2 - b^2) / (1 + K b^2), which is largest, T^2(R), at
+      b = 0 (R~ < 1 on the hyperboloid).  So the extremes of rho are those
+      over s0, s1 in [-R, R], and b = 0 (a chord through the centre) is the
+      worst case.
+    - Inside that square, d ln rho / d s1 = q'(delta) - K T(s1) and
+      d ln rho / d s0 = -q'(delta) + K T(s0), q = ln(delta / S(delta)).
+      Both vanish only where T(s0) = T(s1), so delta = 0, and then only at
+      s0 = s1 = 0, where rho = 1.  The edges reach below and above that
+      (2R / S(2R) at (-R, R), and R C(R) / S(R) at (0, R), lie on either
+      side of 1), so the extremes lie on the edges.  As
+      rho(s0, s1) = rho(-s0, -s1), two edges remain: x on the rim
+      (s0 = -R) gives rho_A = (delta / S(delta)) C(delta - R) / C(R), and
+      y on the rim (s1 = -R) gives rho_B = (delta / S(delta)) C(R) /
+      C(delta - R), both over delta in [0, 2R].
+    - rho_B / rho_A = C^2(R) / C^2(delta - R), and |delta - R| <= R.  On
+      the hyperboloid that is at least 1, so gamma_p = min rho_A and
+      1/gamma_n = max rho_B.  On the sphere cos(delta - R) >= cos R, the
+      edges swap roles, and gamma_p = min rho_B and 1/gamma_n = max rho_A.
+      ``_ratio_extreme`` finds each.
 
-    At R = 1 this gives [0.51454, 1.36452], where bounding each distortion
-    factor on its own (cosh^-3 R, cosh^2 R) gives [0.2722, 2.3811].  The
-    squares of two radii nest, so gamma_p and gamma_n are nonincreasing in
-    R, and both tend to 1 as R goes to 0.
+    At R = 1 this gives [0.51454, 1.36452] on the hyperboloid, where
+    bounding each distortion factor on its own (cosh^-3 R, cosh^2 R) gives
+    [0.2722, 2.3811], and [0.61356, 2.44642] on the sphere, where
+    (cos^2 R, cos^-3 R) gives [0.2919, 6.3400].  The squares of two radii
+    nest, so gamma_p and gamma_n are nonincreasing in R, and both tend to
+    1 as R goes to 0.
 
-    On the hyperboloid L_tilde = L cosh^4 R (1 + 4 R tanh R) bounds the
-    second derivative of f = F o from_ball along every line of the ball,
-    for F whose minimizer x* lies in the ball, as the library assumes
-    throughout (``bench.rgd_budget``'s initial gap 2 L R^2, the restart
-    rounds' radii):
+    L_tilde bounds the second derivative of f = F o from_ball along every
+    line of the ball, for F whose minimizer x* lies in the ball, as the
+    library assumes throughout (``bench.rgd_budget``'s initial gap 2 L R^2,
+    the restart rounds' radii):
 
     - The map sends geodesics to lines, so along x~ + tau e, |e| = 1, f is
       F along a unit-speed geodesic, reparametrized by its metric speed
       sigma = ds / dtau (the v above): (f o line)'' = sigma^2 Hess F(u, u)
       + sigma' <grad F, u>, u the geodesic's unit tangent.
-    - With r^2 = b^2 + l^2 <= tanh^2 R, sigma = sqrt(1 - b^2) / (1 - r^2)
-      <= cosh^2 R, and |sigma'| = |d sigma / dl| = 2 |l| sqrt(1 - b^2) /
-      (1 - r^2)^2 <= 2 tanh R cosh^4 R.  Both maxima fall at b = 0 on the
-      rim, l = tanh R.
     - |Hess F(u, u)| <= L, and |grad F(x)| <= L d(x, x*) <= 2 L R, since
       grad F(x*) = 0 and the gradient is L-Lipschitz along the geodesic.
+    - On the hyperboloid, with r^2 = b^2 + l^2 <= tanh^2 R,
+      sigma = sqrt(1 - b^2) / (1 - r^2) <= cosh^2 R, and
+      |sigma'| = |d sigma / dl| = 2 |l| sqrt(1 - b^2) / (1 - r^2)^2 <=
+      2 tanh R cosh^4 R.  Both maxima fall at b = 0 on the rim,
+      l = tanh R.  So L_tilde = L cosh^4 R (1 + 4 R tanh R).
+    - On the sphere, with c = 1 + b^2 >= 1, sigma = sqrt(c) / (c + l^2)
+      <= 1, and |sigma'| = g(c, l) = 2 |l| sqrt(c) / (c + l^2)^2.  Over all
+      c >= 1 and l, d ln g / d|l| = 1/|l| - 4 |l| / (c + l^2) vanishes
+      only at l^2 = c/3, where g = 9 / (8 sqrt(3) c) <= 9 / (8 sqrt 3),
+      attained at b = 0, l = tan(pi/6).  For R >= pi/6 that point lies in
+      the ball.  For R <= pi/6 every ball point has l^2 <= tan^2 R <= 1/3
+      <= c/3, so g rises with |l| to the rim l^2 = sec^2 R - c, where
+      g = 2 cos^4 R sqrt(c (sec^2 R - c)); that falls in c for
+      c >= sec^2 R / 2, which holds as sec^2 R <= 4/3 < 2, so the maximum
+      is at c = 1 (b = 0): 2 tan R cos^4 R = 2 sin R cos^3 R.  So
+      |sigma'| <= m(R), 2 sin R cos^3 R for R <= pi/6 and 9 / (8 sqrt 3)
+      beyond, and L_tilde = L (1 + 2 R m(R)).
 
-    So |(f o line)''| <= L cosh^4 R + 2 tanh R cosh^4 R 2 L R.  This is at
-    least 1.5 times below the per-factor sqrt(44) L max(1, R) cosh^4 R at
-    every R (1.64 times at R = 1, about 6.6 times as R goes to 0).  The
-    spherical constants still bound each distortion factor on its own.
+    On the hyperboloid L_tilde is at least 1.5 times below the per-factor
+    sqrt(44) L max(1, R) cosh^4 R at every R (1.64 times at R = 1, about
+    6.6 times as R goes to 0).  On the sphere it is at most
+    L (1 + pi 9 / (8 sqrt 3)) = 3.04 L, and at least 2.88 times below the
+    per-factor sqrt(44) L max(1, R) at every R < pi/2 (2.885 times at
+    R = 1, where it is 2.299 L; about 6.6 times as R goes to 0).
     """
     if L <= 0:
         raise GeometryError("smoothness constant must be positive")
-    root44 = math.sqrt(44.0)
+    shrink = 1.0 - RATIO_MARGIN
+    gamma_n = min(1.0, shrink / _ratio_extreme(sign, R, sign))
+    gamma_p = min(1.0, shrink * _ratio_extreme(sign, R, -sign))
     if sign == HYPERBOLIC:
         ch = math.cosh(R)
-        shrink = 1.0 - RATIO_MARGIN
         return DeformationConstants(
-            gamma_n=min(1.0, shrink / _ratio_extreme(R, -1)),
-            gamma_p=min(1.0, shrink * _ratio_extreme(R, 1)),
+            gamma_n=gamma_n,
+            gamma_p=gamma_p,
             L_tilde=L * ch**4 * (1.0 + 4.0 * R * math.tanh(R)),
             dist_lo=1.0,
             dist_hi=ch**2,
         )
-    co = math.cos(R)
+    m = 2.0 * math.sin(R) * math.cos(R) ** 3 if R <= math.pi / 6 else 9.0 / (8.0 * math.sqrt(3.0))
     return DeformationConstants(
-        gamma_n=co**3,
-        gamma_p=co**2,
-        L_tilde=root44 * L * max(1.0, R),
-        dist_lo=co**2,
+        gamma_n=gamma_n,
+        gamma_p=gamma_p,
+        L_tilde=L * (1.0 + 2.0 * R * m),
+        dist_lo=math.cos(R) ** 2,
         dist_hi=1.0,
     )
 

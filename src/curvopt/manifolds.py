@@ -115,6 +115,13 @@ def distance(x, y, sign):
     argument outside [-1, 1] / [1, inf) by more than ``DOMAIN_TOL`` raises,
     and so does a NaN one, which a point with a NaN or infinite entry gives
     (the chord of [inf, -inf] to any point is pi/2 on the circle).
+
+    On the hyperboloid the chord of two model points is spacelike.  One
+    whose Minkowski square falls below -``DOMAIN_TOL`` |x - y| (|x_d| +
+    |y_d|) raises: a point off the model, such as 2 x for x, gives one
+    (x_d is the last coordinate, at least 1 on the model, and the tolerance
+    covers the rounding of coordinates of size |x_d|).  A square that is
+    NaN, as it is when it overflows, gives a NaN distance.
     """
     c = inner(x, y, sign)
     # Each test is written so that NaN fails it.
@@ -125,7 +132,13 @@ def distance(x, y, sign):
         return 2.0 * np.arctan2(np.sqrt(rowsum(dm * dm)), np.sqrt(rowsum(dp * dp)))
     if not np.all(-c >= 1.0 - DOMAIN_TOL):
         raise GeometryError("arccosh argument below 1 beyond tolerance, or NaN")
-    return 2.0 * np.arcsinh(0.5 * norm(x - y, sign))
+    dm = x - y
+    e2 = rowsum(dm * dm)
+    sq = e2 - 2.0 * dm[..., -1] * dm[..., -1]  # inner(dm, dm, sign)
+    # The first test, which model pairs pass but for rounding, spares them the second.
+    if (sq < 0.0).any() and np.any(sq < -DOMAIN_TOL * np.sqrt(e2) * (np.abs(x[..., -1]) + np.abs(y[..., -1]))):
+        raise GeometryError("timelike chord: the points do not both lie on the hyperboloid")
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(sq, 0.0)))
 
 
 def exp_map(x, v, sign):

@@ -25,6 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+# The clip ufunc itself: ndarray.clip reaches it through numpy's Python
+# wrapper ``_methods._clip``, which doubles the cost of a one-point call.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x keeps it in numpy.core
+    from numpy.core.umath import clip as _clip
+
 from .geomap import _LIGHTLIKE, BALL_TOL, _ball_scale, _isometry, ball_radius, from_ball, pullback_gradient
 from .manifolds import (
     HYPERBOLIC,
@@ -126,7 +133,7 @@ def _theta_k(c, sign, weights=None):
         theta = np.arccosh(np.maximum(c, _ONE))
         un = np.sqrt(np.maximum(c * c - _ONE, _TINY))
     else:
-        theta = np.arccos(c.clip(_NEG_ONE, _ONE))
+        theta = np.arccos(_clip(c, _NEG_ONE, _ONE))
         un = np.sqrt(np.maximum(_ONE - c * c, _TINY))
     return theta, (theta if weights is None else weights * theta) / un
 

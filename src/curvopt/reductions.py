@@ -291,17 +291,20 @@ def planned_iterations(stages, R, R_0, recenter):
       on a fixed frame (there R_k / R is fixed).  From the ball centre D =
       r~, tanh r or tan r, so q is a constant times (1 + 4 r tanh r)
       cosh(r)^2 (sinh(r) / r)^2 / (gamma_n^2 gamma_p) on the hyperboloid
-      and max(1, r) (tan(r) / r)^2 / cos(r)^8 on the sphere (r < pi/2):
-      products of positive nondecreasing factors of r.  A fixed-frame
-      round k >= 1 has D = min(2 r~, R_k / dist_lo), so q is the smaller of
-      4 times that and a constant times L~ / (dist_lo^2 gamma_n^2 gamma_p),
-      which is cosh(r)^4 (1 + 4 r tanh r) / (gamma_n^2 gamma_p) on the
-      hyperboloid (dist_lo = 1) and max(1, r) / cos(r)^12 on the sphere
+      and (1 + 2 r m(r)) (tan(r) / r)^2 / (gamma_n^2 gamma_p) on the
+      sphere (r < pi/2): products of positive nondecreasing factors of r.
+      A fixed-frame round k >= 1 has D = min(2 r~, R_k / dist_lo), so q is
+      the smaller of 4 times that and a constant times
+      L~ / (dist_lo^2 gamma_n^2 gamma_p), which is cosh(r)^4 (1 + 4 r tanh r)
+      / (gamma_n^2 gamma_p) on the hyperboloid (dist_lo = 1) and
+      (1 + 2 r m(r)) / (cos(r)^4 gamma_n^2 gamma_p) on the sphere
       (dist_lo = cos(r)^2); the smaller of two nondecreasing functions is
-      nondecreasing.  On the hyperboloid gamma_n and gamma_p are extremes
-      of the directional ratio over nested domains, the squares [-r, r]^2
-      of ``geomap.deformation_constants_for``, so both are nonincreasing in
-      r.
+      nondecreasing.  On both models gamma_n and gamma_p are extremes of
+      the directional ratio over nested domains, the squares [-r, r]^2 of
+      ``geomap.deformation_constants_for``, so both are nonincreasing in r.
+      On the sphere 1 + 2 r m(r) is nondecreasing: m(r) = 2 sin r cos^3 r
+      has derivative 2 cos^2 r (cos^2 r - 3 sin^2 r) >= 0 up to pi/6, where
+      it reaches the constant 9 / (8 sqrt 3) it keeps beyond.
 
     The upper bound sqrt(2 g_i / sc_i) is not planned with on its own: on
     the sphere it can exceed pi/2, where the map constants are undefined.

@@ -198,13 +198,12 @@ def test_criterion_02_extreme_ratios_hyperbolic():
 def test_criterion_02_extreme_ratios_spherical():
     """Spherical side of the factor-2 check.
 
-    Known to be unattainable: on the sphere at R=1 the attainable ratio
-    range over all configurations is about [0.615, 2.446] (verified by
-    dense brute force over the full configuration space), while the
-    closed-form constants give [0.292, 6.340].  The constants bound each
-    deformation factor separately and the extremes cannot co-occur, so
-    they are conservative by more than a factor 2.  Kept as specified;
-    see the decisions ledger.
+    On the sphere at R=1 the attainable ratio range over all
+    configurations is about [0.615, 2.446] (verified by dense brute force
+    over the full configuration space).  The closed-form constants are
+    its exact extremes, [0.61356, 2.44642], moved outward by a relative
+    1e-13 (``geomap.deformation_constants_for``).  While they bounded each
+    deformation factor separately, [0.292, 6.340], this check failed.
     """
     rng = np.random.default_rng(SEED)
     res = checks.check_directional_ratio(1, 2, 1.0, 10_000, rng)

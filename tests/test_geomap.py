@@ -415,42 +415,110 @@ def _golden_extreme(f, a, b, sign, mp):
     return sign * max(fc, fd)
 
 
-def _ratio_reference(R):
-    """50-digit (gamma_p, 1/gamma_n) on the hyperboloid from the rim edges of the chord ratio.
+def _ratio_reference(R, sign=HYPERBOLIC):
+    """50-digit (gamma_p, 1/gamma_n) from the rim edges of the chord ratio through the centre.
 
-    With R~ = tanh R and S(u) = (R + atanh u) / (R~ + u) on (-R~, R~],
-    gamma_p = (1 - R~^2) min S and 1/gamma_n = max (1 - u^2) S(u).
+    In ball coordinates u on (-R~, R~], the chord from x~ = u0 to y~ = u1
+    has metric speed 1 / (1 + K u^2) and rho = (atT u1 - atT u0) (1 + K u0^2)
+    / (u1 - u0), atT = atanh (hyperboloid) or atan (sphere).  With
+    S(u) = (R + atT u) / (R~ + u), x on the rim gives (1 + K R~^2) S(u) and
+    y on the rim (1 + K u^2) S(u).  On the hyperboloid gamma_p is the least
+    of the first and 1/gamma_n the largest of the second; on the sphere the
+    edges swap.
     """
     mp = pytest.importorskip("mpmath").mp.clone()
     mp.dps = 50
     R = mp.mpf(R)
-    Rt = mp.tanh(R)
+    Rt, atT = (mp.tanh(R), mp.atanh) if sign == HYPERBOLIC else (mp.tan(R), mp.atan)
 
     def S(u):
-        return (R + mp.atanh(u)) / (Rt + u)
+        return (R + atT(u)) / (Rt + u)
 
-    lo = _golden_extreme(lambda u: (1 - Rt**2) * S(u), -Rt, Rt, -1, mp)
-    hi = _golden_extreme(lambda u: (1 - u**2) * S(u), -Rt, Rt, 1, mp)
-    return lo, hi
+    def x_on_rim(u):
+        return (1 + sign * Rt**2) * S(u)
+
+    def y_on_rim(u):
+        return (1 + sign * u**2) * S(u)
+
+    lo_edge, hi_edge = (x_on_rim, y_on_rim) if sign == HYPERBOLIC else (y_on_rim, x_on_rim)
+    return _golden_extreme(lo_edge, -Rt, Rt, -1, mp), _golden_extreme(hi_edge, -Rt, Rt, 1, mp)
 
 
-def _chord_ratio(R, b, l0, l1):
-    """d(x, y) / (|y~ - x~| v(x~)) on the H^2 pole frame for x~ = (l0, b), y~ = (l1, b).
+def _chord_ratio(R, b, l0, l1, sign=HYPERBOLIC):
+    """d(x, y) / (|y~ - x~| v(x~)) on the pole frame of the 2-d model for x~ = (l0, b), y~ = (l1, b).
 
     v(x~) is the metric speed of from_ball along the chord, from the
-    derivative of p = (x~, 1) / sqrt(1 - |x~|^2); the frame is the identity.
+    derivative of p = (x~, 1) / sqrt(1 + K |x~|^2); the frame is the identity.
     """
-    frame = make_frame(pole(2, CurvatureClass.hyperbolic()), R)
+    frame = make_frame(pole(2, CurvatureClass(sign)), R)
     xt = np.stack([l0, b], axis=-1)
     yt = np.stack([l1, b], axis=-1)
     e = np.sign(l1 - l0)[..., None] * np.array([1.0, 0.0])
-    s2 = 1.0 - (xt * xt).sum(-1, keepdims=True)
-    p_dot = np.concatenate([e, np.zeros_like(s2)], -1) / np.sqrt(s2) + np.concatenate(
+    s2 = 1.0 + sign * (xt * xt).sum(-1, keepdims=True)
+    p_dot = np.concatenate([e, np.zeros_like(s2)], -1) / np.sqrt(s2) - sign * np.concatenate(
         [xt, np.ones_like(s2)], -1
     ) * (xt * e).sum(-1, keepdims=True) / s2**1.5
-    speed = np.sqrt(np.maximum(inner(p_dot, p_dot, HYPERBOLIC), 0.0))
-    d = distance(from_ball(frame, xt), from_ball(frame, yt), HYPERBOLIC)
+    speed = np.sqrt(np.maximum(inner(p_dot, p_dot, sign), 0.0))
+    d = distance(from_ball(frame, xt), from_ball(frame, yt), sign)
     return d / (np.abs(l1 - l0) * speed)
+
+
+def _assert_bounds_every_chord(sign, R, rng):
+    """Random chords (b, l0, l1) of the ball, biased toward chords near the
+    centre with ends on the rim, then the two rim edges of chords through
+    the centre, all measured through the maps."""
+    dc = deformation_constants_for(sign, R, 1.0)
+    Rt = ball_radius(sign, R)
+    n = 20_000
+    b = Rt * rng.uniform(0.0, 1.0, n) ** 2
+    half = np.sqrt(Rt**2 - b**2)
+    l0, l1 = (half * np.clip(rng.uniform(-1.3, 1.3, (2, n)), -1.0, 1.0))
+    keep = np.abs(l1 - l0) > 1e-6
+    rho = _chord_ratio(R, b[keep], l0[keep], l1[keep], sign)
+    assert np.all(rho >= dc.gamma_p * (1 - 1e-9)) and np.all(rho <= (1 + 1e-9) / dc.gamma_n)
+    lo, hi = _ratio_reference(R, sign)
+    assert rho.min() > lo and rho.max() < hi
+    # The extremes come from chords of the edge formulas, found here by a
+    # grid: on the hyperboloid x on the rim (l0 = -R~) gives the least ratio
+    # and y on the rim (l1 = -R~) the largest; on the sphere they swap.
+    u = (np.tanh if sign == HYPERBOLIC else np.tan)(np.linspace(-R, R, 20_001)[1:])
+    rim = np.full_like(u, -Rt)
+    zero = np.zeros_like(u)
+    x_on_rim, y_on_rim = _chord_ratio(R, zero, rim, u, sign), _chord_ratio(R, zero, u, rim, sign)
+    least, largest = (x_on_rim, y_on_rim) if sign == HYPERBOLIC else (y_on_rim, x_on_rim)
+    assert least.min() == pytest.approx(float(lo), rel=1e-6)
+    assert largest.max() == pytest.approx(float(hi), rel=1e-6)
+
+
+def _worst_line_curvature(sign, R, seed=11):
+    """Largest second difference of f = 1/2 d(., a)^2 o from_ball along lines of the ball, over L~.
+
+    Lines x~ + tau v, with the anchor a and x~ biased to the rim and 30% of
+    the lines radial.  F is L-smooth on the ball, with L = 2R coth 2R on the
+    hyperboloid and L = 1 on the sphere, and its minimizer a lies in the ball.
+    """
+    rng = np.random.default_rng(seed)
+    n, d = 3000, 3
+    frame = make_frame(pole(d, CurvatureClass(sign)), R)
+    Rt = frame.R_tilde
+    h = 1e-3 * min(Rt, 1.0 - Rt if sign == HYPERBOLIC else 1.0)
+
+    def rim_biased(radius):
+        u = rng.standard_normal((n, d))
+        r = radius * np.clip(rng.uniform(0.0, 1.3, n), 0.0, 1.0)
+        return u * (r / np.linalg.norm(u, axis=1))[:, None]
+
+    a = from_ball(frame, rim_biased(Rt))
+    x = rim_biased(Rt - h)  # so that the stencil stays in the ball
+    v = np.where((rng.random(n) < 0.3)[:, None], x, rng.standard_normal((n, d)))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+
+    def f(y):
+        return 0.5 * distance(from_ball(frame, y), a, sign) ** 2
+
+    second = (f(x + h * v) - 2.0 * f(x) + f(x - h * v)) / h**2
+    L = 2.0 * R / math.tanh(2.0 * R) if sign == HYPERBOLIC else 1.0
+    return second.max() / deformation_constants_for(sign, R, L).L_tilde
 
 
 class TestDeformationConstants:
@@ -474,32 +542,7 @@ class TestDeformationConstants:
 
     @pytest.mark.parametrize("R", [1e-3, 0.3, 1.0, 3.0, 9.0])
     def test_hyperbolic_smoothness_bounds_every_line(self, R):
-        # Second differences of f = 1/2 d(., a)^2 o from_ball along lines
-        # x~ + tau v of the ball, with the anchor a and x~ biased to the rim
-        # and 30% of the lines radial.  F is L-smooth on the ball with
-        # L = 2R coth 2R, and its minimizer a lies in the ball.
-        rng = np.random.default_rng(11)
-        n, d = 3000, 3
-        frame = make_frame(pole(d, CurvatureClass.hyperbolic()), R)
-        Rt = frame.R_tilde
-        h = 1e-3 * min(Rt, 1.0 - Rt)
-
-        def rim_biased(radius):
-            u = rng.standard_normal((n, d))
-            r = radius * np.clip(rng.uniform(0.0, 1.3, n), 0.0, 1.0)
-            return u * (r / np.linalg.norm(u, axis=1))[:, None]
-
-        a = from_ball(frame, rim_biased(Rt))
-        x = rim_biased(Rt - h)  # so that the stencil stays in the ball
-        v = np.where((rng.random(n) < 0.3)[:, None], x, rng.standard_normal((n, d)))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-
-        def f(y):
-            return 0.5 * distance(from_ball(frame, y), a, HYPERBOLIC) ** 2
-
-        second = (f(x + h * v) - 2.0 * f(x) + f(x - h * v)) / h**2
-        L = 2.0 * R / math.tanh(2.0 * R)
-        worst = second.max() / deformation_constants_for(HYPERBOLIC, R, L).L_tilde
+        worst = _worst_line_curvature(HYPERBOLIC, R)
         assert worst <= 1.0
         if R < 0.01:  # nearly attained as R goes to 0
             assert worst > 0.99
@@ -524,27 +567,7 @@ class TestDeformationConstants:
 
     @pytest.mark.parametrize("R", [0.3, 1.0, 1.5, 3.0])
     def test_hyperbolic_bounds_every_chord(self, R, rng):
-        # Random chords (b, l0, l1) of the ball, biased toward chords near the
-        # centre with ends on the rim, then the two rim edges of chords
-        # through the centre, all measured through the maps.
-        dc = deformation_constants_for(HYPERBOLIC, R, 1.0)
-        Rt = math.tanh(R)
-        n = 20_000
-        b = Rt * rng.uniform(0.0, 1.0, n) ** 2
-        half = np.sqrt(Rt**2 - b**2)
-        l0, l1 = (half * np.clip(rng.uniform(-1.3, 1.3, (2, n)), -1.0, 1.0))
-        keep = np.abs(l1 - l0) > 1e-6
-        rho = _chord_ratio(R, b[keep], l0[keep], l1[keep])
-        assert np.all(rho >= dc.gamma_p * (1 - 1e-9)) and np.all(rho <= (1 + 1e-9) / dc.gamma_n)
-        lo, hi = _ratio_reference(R)
-        assert rho.min() > lo and rho.max() < hi
-        # The extremes come from chords of the edge formulas: x on the rim
-        # (l0 = -R~), and y on the rim (l1 = -R~), found here by a grid.
-        u = np.tanh(np.linspace(-R, R, 20_001)[1:])
-        rim = np.full_like(u, -Rt)
-        zero = np.zeros_like(u)
-        assert _chord_ratio(R, zero, rim, u).min() == pytest.approx(float(lo), rel=1e-6)
-        assert _chord_ratio(R, zero, u, rim).max() == pytest.approx(float(hi), rel=1e-6)
+        _assert_bounds_every_chord(HYPERBOLIC, R, rng)
 
     def test_hyperbolic_directional_ratio_sandwich(self):
         # check_directional_ratio at 10x run_grid's default samples on the H cells.
@@ -562,17 +585,76 @@ class TestDeformationConstants:
         assert best / 200 < 1e-3
 
     def test_spherical_r1(self):
-        dc = deformation_constants_for(SPHERICAL, 1.0, 1.0)
-        assert dc.gamma_p == pytest.approx(math.cos(1.0) ** 2, abs=1e-15)
-        assert dc.gamma_n == pytest.approx(math.cos(1.0) ** 3, abs=1e-15)
+        dc = deformation_constants_for(SPHERICAL, 1.0, 2.0)
+        assert dc.gamma_p == pytest.approx(0.61356, abs=5e-6)
+        assert 1.0 / dc.gamma_n == pytest.approx(2.44642, abs=5e-6)
         assert dc.dist_lo == pytest.approx(math.cos(1.0) ** 2, abs=1e-15)
         assert dc.dist_hi == 1.0
+        m = 9.0 / (8.0 * math.sqrt(3.0))  # R = 1 > pi/6
+        assert dc.L_tilde == pytest.approx(2.0 * (1.0 + 2.0 * m), rel=1e-12)
+        assert dc.L_tilde == pytest.approx(2.0 * 2.29904, abs=5e-5)
 
     def test_small_radius_limit(self):
-        dc = deformation_constants_for(SPHERICAL, 1e-9, 3.0)
+        # gamma_p and gamma_n are 1 - O(R^2); m(R) = 2 sin R cos^3 R below pi/6.
+        R = 1e-9
+        dc = deformation_constants_for(SPHERICAL, R, 3.0)
         assert dc.gamma_p == pytest.approx(1.0, abs=1e-12)
         assert dc.gamma_n == pytest.approx(1.0, abs=1e-12)
-        assert dc.L_tilde == pytest.approx(math.sqrt(44.0) * 3.0, rel=1e-9)
+        assert dc.L_tilde == 3.0 * (1.0 + 2.0 * R * (2.0 * math.sin(R) * math.cos(R) ** 3))
+        assert dc.L_tilde == pytest.approx(3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("R", [1e-3, 0.3, 0.7, 1.0, 1.4])
+    def test_spherical_ratio_extremes_match_references(self, R):
+        dc = deformation_constants_for(SPHERICAL, R, 2.0)
+        lo, hi = _ratio_reference(R, SPHERICAL)
+        assert dc.gamma_p == pytest.approx(float(lo), rel=1e-12)
+        assert 1.0 / dc.gamma_n == pytest.approx(float(hi), rel=1e-12)
+        assert dc.gamma_p <= lo and 1.0 / dc.gamma_n >= hi
+
+    @pytest.mark.parametrize("R", [1e-6, 1e-3, 0.1, 0.5, math.pi / 6, 0.7, 1.0, 1.4, math.nextafter(math.pi / 2, 0.0)])
+    def test_spherical_not_above_the_per_factor_bounds(self, R):
+        # Never looser than cos^2 R, cos^3 R and sqrt(44) L max(1, R); L~ is at
+        # least 2.88x below the last.
+        dc = deformation_constants_for(SPHERICAL, R, 1.0)
+        assert math.cos(R) ** 2 <= dc.gamma_p <= 1.0
+        assert math.cos(R) ** 3 <= dc.gamma_n <= 1.0
+        assert dc.L_tilde * 2.88 <= math.sqrt(44.0) * max(1.0, R)
+
+    def test_spherical_smoothness_is_continuous_and_nondecreasing(self):
+        # m(R) switches from 2 sin R cos^3 R to its maximum 9 / (8 sqrt 3) at pi/6.
+        R = np.linspace(1e-4, 1.57, 2000)
+        L_tilde = np.array([deformation_constants_for(SPHERICAL, r, 1.0).L_tilde for r in R])
+        assert np.all(np.diff(L_tilde) >= 0.0)
+        below, at = (deformation_constants_for(SPHERICAL, r, 1.0).L_tilde for r in (math.pi / 6 - 1e-12, math.pi / 6))
+        assert at - below == pytest.approx(0.0, abs=1e-11)
+
+    @pytest.mark.parametrize("R", [1e-3, 0.3, 0.7, 1.0, 1.4])
+    def test_spherical_smoothness_bounds_every_line(self, R):
+        # The worst |f''| here is 1.02 / 1.08 / 1.18 / 1.33 at R = 0.3 / 0.7 / 1 / 1.4,
+        # against L~ = 1.31 / 1.91 / 2.30 / 2.82.
+        worst = _worst_line_curvature(SPHERICAL, R)
+        assert worst <= 1.0
+        if R < 0.01:  # nearly attained as R goes to 0
+            assert worst > 0.99
+
+    @pytest.mark.parametrize("R", [0.3, 1.0, 1.4])
+    def test_spherical_bounds_every_chord(self, R, rng):
+        _assert_bounds_every_chord(SPHERICAL, R, rng)
+
+    def test_spherical_checks_at_ten_times_the_samples(self):
+        # The smoothness, relaxed-convexity and ratio checks at 10x run_grid's
+        # default samples on the S cells.
+        rng = np.random.default_rng(9)
+        for check in (checks.check_mapped_smoothness, checks.check_relaxed_convexity, checks.check_directional_ratio):
+            for d in checks.DEFAULT_DIMS:
+                for R in dict(checks.DEFAULT_GRID)[SPHERICAL]:
+                    res = check(SPHERICAL, d, R, 20_000, rng)
+                    assert res.ok, res
+
+    def test_spherical_call_cost(self):
+        # The same bisection as on the hyperboloid, on sin, cos and tan.
+        best = min(timeit.repeat(lambda: deformation_constants_for(SPHERICAL, 1.0, 1.0), number=200, repeat=5))
+        assert best / 200 < 1e-3
 
     def test_frame_delegation(self, rng):
         frame = random_frame(CurvatureClass.hyperbolic(), 2, 0.8, rng)

@@ -16,6 +16,7 @@ from curvopt import (
     pole,
 )
 from curvopt.bench import ConfigError, ExperimentConfig
+from curvopt.geomap import from_ball, make_frame, to_ball
 from curvopt.manifolds import (
     HYPERBOLIC,
     SPHERICAL,
@@ -147,6 +148,40 @@ class TestDistance:
         good = np.array([0.0, 1.0])
         with pytest.raises(GeometryError):
             distance(bad, good, HYPERBOLIC)
+
+    def test_timelike_chord_raises(self):
+        # e - 2e has Minkowski square -1 and -<e, 2e> = 2 >= 1: this read as distance 0.
+        e = np.array([0.0, 0.0, 1.0])
+        for kernel in (distance, log_map):
+            for y in (2.0 * e, np.stack([e, 2.0 * e])):
+                with pytest.raises(GeometryError, match="timelike chord"):
+                    kernel(e, y, HYPERBOLIC)
+
+    # Past R = 8 on the hyperboloid the arccosh domain test of <x, y>, whose tolerance
+    # does not grow with the coordinates, refuses some coincident model points: a
+    # refusal this property leaves out.
+    @given(sign=st.sampled_from([SPHERICAL, HYPERBOLIC]), d=st.integers(1, 5),
+           R=st.floats(1e-6, 1.0), seed=st.integers(0, 2**16),
+           pair=st.sampled_from(["same", "near", "far", "ball-round-trip"]))
+    @settings(max_examples=150)
+    def test_no_model_pair_is_refused(self, sign, d, R, seed, pair):
+        # R is drawn as a share of the largest radius tried: 1.5 on the sphere, 8 on the hyperboloid.
+        R *= 1.5 if sign == SPHERICAL else 8.0
+        rng = np.random.default_rng(seed)
+        e = pole(d, CurvatureClass(sign)).coords
+        x = random_in_ball(e, sign, R, rng, 64, boundary_bias=True)
+        if pair == "same":
+            y = x.copy()
+        elif pair == "near":
+            t = 10.0 ** rng.uniform(-14.0, -4.0, (64, 1))
+            y = exp_map(x, t * random_tangent(x, sign, rng), sign)
+        elif pair == "far":
+            y = random_in_ball(e, sign, R, rng, 64, boundary_bias=True)
+        else:
+            frame = make_frame(pole(d, CurvatureClass(sign)), R)
+            y = from_ball(frame, to_ball(frame, x))
+        dist, v = distance(x, y, sign), log_map(x, y, sign)
+        assert np.all(np.isfinite(dist)) and np.all(dist >= 0.0) and np.all(np.isfinite(v))
 
 
 class TestExpLog:

@@ -69,16 +69,16 @@ RUN_DIGESTS = {
         "971d6f377101187e13a0a80317f7bc50566c5a821466c7566250d8d989e56eb7",
     ),
     ("s5", "axgd"): (
-        "f98b4c90f2008c3f6a13b371c3b059521d57a7b9fcc6cd1b9eb700a1132f9e43",
-        "409b38c77a3532041cc53351b327e3a1b063ed770067b707fd8da48e697dc52b",
+        "b813588d8e8d087da0e032b7f9da4709c61baaf2b3e75e17c99515283777716f",
+        "f0df0a99c85c82d700942a792278b56912c0254c2e7aa63b0956902bceea2744",
     ),
     ("s5", "restart_sc"): (
-        "3946527c189c9af05989bb2e050a31584af8798db5ec689a3eab74a1a058fdf8",
-        "90fec41aae082af149e136363c09bef95dc843961125560ecba646f99c927134",
+        "cd6f1aeef2efefa525f86d19d5313e59a4c77247debd173e40d422e0519afbcc",
+        "b71b860fbdfa136679816f3b17df24ed6e704841eb34b5723557a910e91a909d",
     ),
     ("s5", "reduce_gc"): (
-        "0688b7f0762add0cf9370c6ba585a16318123797970be94c8cbaa18260d3ef7a",
-        "1fbca628336efb5426490ee704dae7ba84474df85a6de72c8b2a8ea627bf0687",
+        "b3657a5408bf8ff3b222047e4274302025e99a3e40caa9f57d993f53632abad0",
+        "39ebd8468b2ebe7560c7553dcf22b3e253d18683a4371a8490d4df12d3615919",
     ),
     ("s5", "rgd"): (
         "8781ef47e565a4f92b2491b48e57ea9ac091c774b2cdbfaba94c8146ba4634d3",
@@ -117,7 +117,7 @@ SWEEP_DIGESTS = {
         "df26a9aa9bafd72267d4326bb2ba9cc6e19b7461f6b4d8f6ac6733921365c411",
     ),
 }
-VERIFY_DIGEST = "1ef5c3b52422b1e24fb4141b3de44d501227991d0c807d872d8e361217d7dd90"
+VERIFY_DIGEST = "30d799c14ccc471842cfe03fa3f4554109e38831c3056c4ec9d8f9af129815d4"
 
 
 def _sha(data):
