@@ -54,7 +54,7 @@ from .manifolds import (
     pole,
     random_in_ball,
 )
-from .objectives import FrechetObjective, MappedObjective, load_anchors, with_constants
+from .objectives import FrechetObjective, MappedObjective, delta_constants, load_anchors, with_constants
 from .reductions import plan_gconvex_via_sc, plan_strongly_gconvex, refuse_below_floor
 
 SOLVERS = ("axgd", "rgd", "restart_sc", "reduce_gc")
@@ -141,15 +141,26 @@ class ExperimentConfig:
         sign = SPHERICAL if self.manifold == "spherical" else HYPERBOLIC
         if self.curvature * sign <= 0:
             raise ConfigError("curvature: sign must match the manifold")
+        R = math.sqrt(abs(self.curvature)) * self.R
         try:
-            ball_radius(sign, math.sqrt(abs(self.curvature)) * self.R)
+            ball_radius(sign, R)
         except GeometryError as err:
             raise ConfigError(f"R: on the unit-curvature model, {err}") from None
+        if self.solver == "reduce_gc":  # its regularizer's constants hold on diameter 2R
+            _refuse_reach(sign, 2.0 * R, f"R: reduce_gc regularizes over the reach 2R = {2.0 * R:.6g}")
         if self.weights not in ("equal", "random"):
             raise ConfigError(f"weights: unknown value {self.weights!r}")
         if self.condition is not None and self.condition <= 0:
             raise ConfigError("condition: must be positive")
         return self
+
+
+def _refuse_reach(sign, reach, what):
+    """Raise ``ConfigError`` starting ``what`` when the squared distance has no constants over ``reach``."""
+    try:
+        delta_constants(float(sign), float(sign), reach)
+    except GeometryError as err:
+        raise ConfigError(f"{what} on the unit-curvature model, and {err}") from None
 
 
 def _cast(kind, text):
@@ -207,6 +218,21 @@ def build_instance(cfg):
     Anchor files always hold unit-model coordinates; a curvature K only
     scales the ball radius to sqrt|K| R (and would scale L and mu by 1/|K|,
     which the built-in objective derives itself on the unit model).
+
+    The objective declares its constants on the reach of its anchors: the
+    farthest anchor's distance from x0, plus R, plus a padding of 0.75 R
+    for ``restart_sc`` and ``reduce_gc``, whose rounds re-centre their
+    balls.  The padding covers every ball within 1.75 R of x0.  Round 0 of
+    a re-centred restart runs on B(x0, R), and round k >= 1 on B(x_k, R_k),
+    R_k = R / 2^(k/2), with x_k within R_k of x* and d(x0, x*) <= R.  Round
+    1 stays within R + R_1 (x_1 lies in round 0's ball) and rounds 3 on
+    within R + 2 R_3, both 1.71 R.  Round 2 does not: round 0 may end at
+    x_1 = x*, R from x0, and round 1 at x_2, R/2 past x* on the far side
+    from x0, each within its certified target, so B(x_2, R/2) reaches 2 R.
+    An anchor file whose reach leaves the domain of
+    ``objectives.delta_constants`` (on the sphere, reach < pi/2) is refused
+    naming anchors_file, the solver and the reach; drawn anchors are kept
+    inside it.
     """
     cfg.validate()
     space = CurvatureClass(SPHERICAL if cfg.curvature > 0 else HYPERBOLIC)
@@ -226,6 +252,10 @@ def build_instance(cfg):
             raise ConfigError(
                 f"anchor_count: {cfg.anchor_count} does not match the {len(anchors)} anchors of anchors_file"
             )
+        far = float(np.max(distance(x0.coords, np.stack([a.coords for a in anchors]), space.sign)))
+        reach = far + R + padding  # the reach FrechetObjective declares its constants for
+        _refuse_reach(space.sign, reach, f"anchors_file: with {cfg.solver}, the farthest anchor ({far:.6g}), "
+                      f"R ({R:.6g}) and the padding ({padding:.6g}) reach {reach:.6g}")
     else:
         r_a = 0.75 * R
         if space.sign == SPHERICAL:

@@ -312,8 +312,11 @@ ALL_CHECKS = [
 
 
 def run_grid(checks=None, n=2000, seed=0):
-    """Run checks over the DEFAULT_GRID x DEFAULT_DIMS cells; returns a list of CheckResult."""
-    checks = checks or ALL_CHECKS
+    """Run checks over the DEFAULT_GRID x DEFAULT_DIMS cells; returns a list of CheckResult.
+
+    ``checks=None`` runs ALL_CHECKS; an empty list runs none.
+    """
+    checks = ALL_CHECKS if checks is None else checks
     results = []
     for check in checks:
         rng = np.random.default_rng(seed)

@@ -40,9 +40,11 @@ from .manifolds import (
     distance,
     inner,
     norm,
+    on_model,
     rowsum,
 )
 
+# How far beyond the ball radius, R + BALL_TOL or R~ + BALL_TOL, a point may lie.
 BALL_TOL = 1e-9
 # Hyperboloid coordinates have size cosh R, so -<p, p> (true value 1) carries
 # a rounding error of about cosh(R)^2 x 2.2e-16.  Above this radius (16.4)
@@ -137,13 +139,15 @@ def _isometry(frame, v, inverse=False):
 
 
 def to_ball(frame, x):
-    """Map manifold point(s) into the ball: x~ = (p_1..p_d)/p_{d+1}, p = M x."""
+    """Map manifold point(s) into the ball: x~ = (p_1..p_d)/p_{d+1}, p = M x.
+
+    A point that ``manifolds.on_model`` refuses raises, as the map would
+    read it as the model point on its ray, and so does one farther than
+    R + BALL_TOL from the centre.  Both tests are written so that NaN fails
+    them.
+    """
     xc = x.coords if isinstance(x, AmbientPoint) else np.asarray(x, dtype=float)
-    # The map would read a point off the model as the model point on its ray.  Both
-    # tests are written so that NaN fails them.  sq = |x|^2 is the rounding scale of <x, x>.
-    sq = rowsum(xc * xc)
-    xx = sq if frame.sign == SPHERICAL else sq - 2.0 * xc[..., -1] ** 2  # <x, x>, one rowsum for both
-    if not np.all(np.abs(xx - frame.sign) <= BALL_TOL * sq):
+    if not np.all(on_model(xc, frame.sign)):
         raise GeometryError("point lies off the model")
     dist = distance(frame.x0.coords, xc, frame.sign)
     if not np.all(dist <= frame.R + BALL_TOL):
@@ -438,22 +442,14 @@ def deformation_constants_for(sign, R, L):
     gamma_n = min(1.0, shrink / _ratio_extreme(sign, R, sign))
     gamma_p = min(1.0, shrink * _ratio_extreme(sign, R, -sign))
     if sign == HYPERBOLIC:
-        ch = math.cosh(R)
-        return DeformationConstants(
-            gamma_n=gamma_n,
-            gamma_p=gamma_p,
-            L_tilde=L * ch**4 * (1.0 + 4.0 * R * math.tanh(R)),
-            dist_lo=1.0,
-            dist_hi=ch**2,
-        )
-    m = 2.0 * math.sin(R) * math.cos(R) ** 3 if R <= math.pi / 6 else 9.0 / (8.0 * math.sqrt(3.0))
-    return DeformationConstants(
-        gamma_n=gamma_n,
-        gamma_p=gamma_p,
-        L_tilde=L * (1.0 + 2.0 * R * m),
-        dist_lo=math.cos(R) ** 2,
-        dist_hi=1.0,
-    )
+        c = math.cosh(R)
+        L_tilde = L * c**4 * (1.0 + 4.0 * R * math.tanh(R))
+    else:
+        c = math.cos(R)
+        m = 2.0 * math.sin(R) * c**3 if R <= math.pi / 6 else 9.0 / (8.0 * math.sqrt(3.0))
+        L_tilde = L * (1.0 + 2.0 * R * m)
+    # d(x, y) / |x~ - y~| lies between 1 and C(R)^2 on both models.
+    return DeformationConstants(gamma_n, gamma_p, L_tilde, min(1.0, c**2), max(1.0, c**2))
 
 
 def deformation_constants(frame, L):

@@ -27,9 +27,11 @@ import numpy as np
 SPHERICAL = 1
 HYPERBOLIC = -1
 
-# Tolerance for distance-domain violations: <x, y> may drift outside the
-# arccos/arccosh domain by rounding up to this amount; anything larger
-# signals a broken invariant and raises.
+# The one tolerance of the model tests, relative to the rounding scale of
+# the product tested: <p, p> of a point may miss K by DOMAIN_TOL |p|^2
+# (``on_model``), and <x, y> of a pair may leave the arccos/arccosh domain by
+# DOMAIN_TOL, times x_d y_d on the hyperboloid (``distance``).  Anything
+# larger signals a broken invariant.
 DOMAIN_TOL = 1e-9
 
 
@@ -99,6 +101,20 @@ def project_point(p, sign):
     return p / np.sqrt(q)[..., None]
 
 
+def on_model(p, sign):
+    """Whether each point p lies on the unit model as written, not renormalized.
+
+    <p, p> must be K to within DOMAIN_TOL |p|^2, |p|^2 being its rounding
+    scale, and on the hyperboloid p_d must be positive (the upper sheet).
+    NaN fails each test, and a point with an infinite entry, or whose
+    square overflows, fails the finite |p|^2 test.
+    """
+    sq = rowsum(p * p)
+    pp = sq if sign == SPHERICAL else sq - 2.0 * p[..., -1] ** 2  # <p, p>, one rowsum for both
+    ok = (np.abs(pp - sign) <= DOMAIN_TOL * sq) & (sq < np.inf)
+    return ok if sign == SPHERICAL else ok & (p[..., -1] > 0.0)
+
+
 def project_tangent(x, v, sign):
     """Remove the component of v normal to the tangent space at x."""
     c = inner(v, x, sign)
@@ -111,17 +127,21 @@ def distance(x, y, sign):
     2 atan2(|x - y|, |x + y|) on the sphere and 2 asinh(|x - y|_L / 2) on
     the hyperboloid, which resolve distances down to rounding of the
     coordinates; arccos/arccosh of <x, y> lose every distance below about
-    sqrt(2 eps) ~ 2e-8.  <x, y> still guards the domain: an arccos/arccosh
-    argument outside [-1, 1] / [1, inf) by more than ``DOMAIN_TOL`` raises,
-    and so does a NaN one, which a point with a NaN or infinite entry gives
-    (the chord of [inf, -inf] to any point is pi/2 on the circle).
+    sqrt(2 eps) ~ 2e-8.  <x, y> still guards the domain, with the relative
+    ``DOMAIN_TOL`` of ``on_model``: on the sphere, where the rounding scale
+    of <x, y> is 1, an arccos argument outside [-1, 1] by more than
+    DOMAIN_TOL raises.  On the hyperboloid both points must lie on the upper
+    sheet, x_d > 0 and y_d > 0 (x_d is the last coordinate), and -<x, y> may
+    fall below 1 by DOMAIN_TOL x_d y_d, the rounding scale of <x, y>, and no
+    more.  A NaN <x, y>, which a point with a NaN or infinite entry gives
+    (the chord of [inf, -inf] to any point is pi/2 on the circle), raises too.
 
     On the hyperboloid the chord of two model points is spacelike.  One
-    whose Minkowski square falls below -``DOMAIN_TOL`` |x - y| (|x_d| +
-    |y_d|) raises: a point off the model, such as 2 x for x, gives one
-    (x_d is the last coordinate, at least 1 on the model, and the tolerance
-    covers the rounding of coordinates of size |x_d|).  A square that is
-    NaN, as it is when it overflows, gives a NaN distance.
+    whose Minkowski square falls below -``DOMAIN_TOL`` |x - y| (x_d + y_d)
+    raises: a point off the model, such as 2 x for x, gives one (x_d is at
+    least 1 on the model, and the tolerance covers the rounding of
+    coordinates of size x_d).  A square that is NaN, as it is when it
+    overflows, gives a NaN distance.
     """
     c = inner(x, y, sign)
     # Each test is written so that NaN fails it.
@@ -130,13 +150,14 @@ def distance(x, y, sign):
             raise GeometryError("arccos argument outside [-1, 1] beyond tolerance, or NaN")
         dm, dp = x - y, x + y
         return 2.0 * np.arctan2(np.sqrt(rowsum(dm * dm)), np.sqrt(rowsum(dp * dp)))
-    if not np.all(-c >= 1.0 - DOMAIN_TOL):
-        raise GeometryError("arccosh argument below 1 beyond tolerance, or NaN")
+    xd, yd = x[..., -1], y[..., -1]
+    if not np.all((-c >= 1.0 - DOMAIN_TOL * (xd * yd)) & (xd > 0.0) & (yd > 0.0)):
+        raise GeometryError("a point off the upper sheet, or an arccosh argument below 1 beyond tolerance, or NaN")
     dm = x - y
     e2 = rowsum(dm * dm)
     sq = e2 - 2.0 * dm[..., -1] * dm[..., -1]  # inner(dm, dm, sign)
     # The first test, which model pairs pass but for rounding, spares them the second.
-    if (sq < 0.0).any() and np.any(sq < -DOMAIN_TOL * np.sqrt(e2) * (np.abs(x[..., -1]) + np.abs(y[..., -1]))):
+    if (sq < 0.0).any() and np.any(sq < -DOMAIN_TOL * np.sqrt(e2) * (xd + yd)):
         raise GeometryError("timelike chord: the points do not both lie on the hyperboloid")
     return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(sq, 0.0)))
 

@@ -42,6 +42,7 @@ from .manifolds import (
     distance,
     inner,
     log_map,
+    on_model,
     random_in_ball,
     rowsum,
 )
@@ -149,9 +150,11 @@ class FrechetObjective(ManifoldObjective):
     ``center``/``radius`` describe the geodesic ball the objective will be
     evaluated on, and ``radius`` must pass ``geomap.ball_radius``; the
     declared constants are computed for the largest anchor distance
-    reachable there (plus ``padding``, for callers that re-center the ball
-    during a run).  On the sphere that reach must stay below pi/2, which is
-    also exactly the g-convexity condition.
+    reachable there, max_j d(center, a_j) + radius + ``padding``.  A caller
+    that re-centres the ball during a run holds the constants only on balls
+    within radius + padding of ``center``; ``bench.build_instance`` states
+    which rounds of a restart its 0.75 R covers.  On the sphere the reach
+    must stay below pi/2, which is also exactly the g-convexity condition.
 
     The solvers call ``grad_c`` on one 1-D point at a time, so a point takes
     its own branch: 1-D ``.dot`` with the stored transposed rows
@@ -405,9 +408,6 @@ class MappedObjective:
 
 # Anchor-set files: one anchor per line, d+1 whitespace-separated ambient
 # coordinates, with a header line `# class=<spherical|hyperbolic> d=<int>`.
-# Rows must lie on the unit model as written: |<p,p> - sign| <= ANCHOR_TOL |p|^2
-# in the ambient metric, |p|^2 being the rounding scale of <p,p>.
-ANCHOR_TOL = 1e-9
 _CLASS_SIGNS = {"spherical": SPHERICAL, "hyperbolic": HYPERBOLIC}
 
 
@@ -422,7 +422,13 @@ def save_anchors(path, space, anchors):
 
 
 def load_anchors(path, space=None):
-    """Read an anchor file; returns (CurvatureClass, list[AmbientPoint])."""
+    """Read an anchor file; returns (CurvatureClass, list[AmbientPoint]).
+
+    Each row must lie on the unit model as written (``manifolds.on_model``:
+    |<p,p> - K| <= DOMAIN_TOL |p|^2 in the ambient metric, and p_d > 0 on
+    the hyperboloid); a row off it raises with its file and line, rather
+    than being renormalized.
+    """
     header = None
     rows = []
     with open(path) as fh:
@@ -460,11 +466,10 @@ def load_anchors(path, space=None):
         if len(row) != d + 1:
             raise GeometryError(f"{path}:{lineno}: anchor row length does not match d={d}")
         p = np.asarray(row)
-        residual = abs(float(inner(p, p, space.sign)) - space.sign)
-        if not residual <= ANCHOR_TOL * float(p @ p):
+        if not on_model(p, space.sign):
             raise GeometryError(
                 f"{path}:{lineno}: anchor is off the unit {name} model "
-                f"(|<p,p> - {space.sign}| = {residual:.3g})"
+                f"(<p,p> = {inner(p, p, space.sign):.10g}, p_d = {p[-1]:.10g})"
             )
         anchors.append(AmbientPoint(p, space))
     return space, anchors

@@ -422,6 +422,31 @@ class TestCli:
         assert len(summary) == 3
 
 
+def test_coincident_points_at_radius_16_are_traced(tmp_path):
+    # distance's absolute arccosh guard refused dist_to_opt at the converged
+    # iterate, where -<x, x*> falls below 1 - 1e-9 by rounding alone: the run
+    # finished without --output (389 evals) and exited 2 with it.
+    cfg = tmp_path / "r16.cfg"
+    cfg.write_text("R = 16\nanchor_count = 1\nsolver = rgd\nepsilon = 1e-2\nseed = 1\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows[-1][1] == "389"
+    assert all(math.isfinite(float(row[3])) and float(row[3]) >= 0.0 for row in rows)
+
+
+def test_rim_anchor_still_runs_where_it_ran(tmp_path):
+    # The reach refusals below refuse no config that ran: axgd and rgd take an S^3 anchor
+    # 0.999 R from the pole at R = 0.6 and 0.7, and reduce_gc takes R = 0.78 < pi/4.
+    for R in (0.6, 0.7):
+        path = tmp_path / f"rim{R}.txt"
+        path.write_text(_rim_anchors(R))
+        for solver in ("axgd", "rgd"):
+            build_instance(ExperimentConfig(manifold="spherical", d=3, curvature=1.0, R=R, anchors_file=str(path),
+                                            solver=solver))
+    build_instance(ExperimentConfig(manifold="spherical", d=3, curvature=1.0, R=0.78, solver="reduce_gc"))
+
+
 def test_sweep_series_monotone(tmp_path):
     cfg = ExperimentConfig(seed=9)
     series = run_sweep(cfg, "epsilon", [1e-1, 1e-2, 1e-3], str(tmp_path))
@@ -573,6 +598,14 @@ def _solve_started(*args, **kwargs):
 
 
 README_H2 = "weights = random\nseed = 20240\n"
+SPHERE_S3 = "manifold = spherical\nd = 3\ncurvature = 1.0\n"
+
+
+def _rim_anchors(R):
+    """An S^3 anchor file whose one anchor lies 0.999 R from the pole."""
+    return f"# class=spherical d=3\n{math.sin(0.999 * R)!r} 0 0 {math.cos(0.999 * R)!r}\n"
+
+
 RUN = ["run", "--config", "{cfg}", "--output", "{out}"]
 SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
 
@@ -597,6 +630,17 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
         ),
         (RUN, "anchors_file = {anchors}\n", "# class=hyperbolic d=2\n0 0 1\n0 0 abc\n", False, "{anchors}:3:"),
         (RUN, "manifold = spherical\ncurvature = 4.0\nR = 0.8\n", None, False, "R:"),
+        # These exited with "error: sqrt(K_max) D must stay below pi/2", which names no config key.
+        (RUN, SPHERE_S3 + "R = 0.6\nsolver = restart_sc\nanchors_file = {anchors}\n", _rim_anchors(0.6), False,
+         "error: anchors_file: with restart_sc, the farthest anchor (0.5994), R (0.6) and the padding (0.45) "
+         "reach 1.6494 on the unit-curvature model, and sqrt(K_max) D must stay below pi/2"),
+        (RUN, SPHERE_S3 + "R = 0.7\nsolver = reduce_gc\nanchors_file = {anchors}\n", _rim_anchors(0.7), False,
+         "error: anchors_file: with reduce_gc, the farthest anchor (0.6993), R (0.7) and the padding (0.525) "
+         "reach 1.9243 on the unit-curvature model, and sqrt(K_max) D must stay below pi/2"),
+        (RUN, SPHERE_S3 + "R = 0.8\nsolver = reduce_gc\n", None, False,
+         "error: R: reduce_gc regularizes over the reach 2R = 1.6 on the unit-curvature model, and sqrt(K_max) D"),
+        (RUN, SPHERE_S3 + "R = 0.85\nsolver = reduce_gc\n", None, False,
+         "error: R: reduce_gc regularizes over the reach 2R = 1.7 on the unit-curvature model, and sqrt(K_max) D"),
         (RUN, "curvature = 0\n", None, False, "curvature:"),
         (RUN, "epsilon = 1e-2\n", None, True, "line-search"),
         # Certified budgets of 2.25e22 (axgd) and 3.3e8 (rgd) iterations.
@@ -671,7 +715,8 @@ SWEEP = ["sweep", "--config", "{cfg}", "--output-dir", "{out}"]
     ids=[
         "empty-anchor-file", "missing-anchor-file", "anchor-file-is-a-directory", "run-missing-config",
         "sweep-missing-config", "off-model-anchor", "non-numeric-anchor",
-        "hemisphere", "flat", "line-search-error", "axgd-budget", "rgd-budget",
+        "hemisphere", "restart-rim-anchor-reach", "reduce-rim-anchor-reach", "reduce-drawn-0.8", "reduce-drawn-0.85",
+        "flat", "line-search-error", "axgd-budget", "rgd-budget",
         "axgd-round-over-cap", "restart-round-over-cap", "radius",
         "reduce-below-floor", "reduce-far-below-floor", "restart-below-floor", "axgd-below-floor",
         "rgd-below-floor", "reduce-over-cap",

@@ -41,6 +41,12 @@ def test_all_checks_pass_on_reduced_grid():
     assert not bad, "\n".join(bad)
 
 
+def test_an_empty_check_list_runs_no_check():
+    # An empty list was read as "all": at n = 20 it ran the 180 cells of ten checks.
+    assert checks.run_grid(checks=[], n=20) == []
+    assert len(checks.run_grid(checks=[checks.check_eq1_consistency], n=20)) == len(checks.run_grid(n=20)) // 10
+
+
 def test_validate_constants_flags_bad_declarations(space):
     center, F = frechet_instance(space, 2, 0.8, 3, seed=31)
     good = validate_constants(F, center, 0.8, n=500)

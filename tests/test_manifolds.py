@@ -16,7 +16,8 @@ from curvopt import (
     pole,
 )
 from curvopt.bench import ConfigError, ExperimentConfig
-from curvopt.geomap import from_ball, make_frame, to_ball
+from curvopt.geomap import MAX_HYPERBOLIC_R, from_ball, make_frame, to_ball
+from curvopt.objectives import load_anchors
 from curvopt.manifolds import (
     HYPERBOLIC,
     SPHERICAL,
@@ -157,16 +158,15 @@ class TestDistance:
                 with pytest.raises(GeometryError, match="timelike chord"):
                     kernel(e, y, HYPERBOLIC)
 
-    # Past R = 8 on the hyperboloid the arccosh domain test of <x, y>, whose tolerance
-    # does not grow with the coordinates, refuses some coincident model points: a
-    # refusal this property leaves out.
     @given(sign=st.sampled_from([SPHERICAL, HYPERBOLIC]), d=st.integers(1, 5),
            R=st.floats(1e-6, 1.0), seed=st.integers(0, 2**16),
            pair=st.sampled_from(["same", "near", "far", "ball-round-trip"]))
     @settings(max_examples=150)
     def test_no_model_pair_is_refused(self, sign, d, R, seed, pair):
-        # R is drawn as a share of the largest radius tried: 1.5 on the sphere, 8 on the hyperboloid.
-        R *= 1.5 if sign == SPHERICAL else 8.0
+        # R is drawn as a share of the largest radius tried: 1.5 on the sphere, and on the
+        # hyperboloid MAX_HYPERBOLIC_R, or 8 for the round trip: from R = 9 on, to_ball
+        # refuses some exact rim points, as its absolute BALL_TOL does not grow with R.
+        R *= 1.5 if sign == SPHERICAL else 8.0 if pair == "ball-round-trip" else MAX_HYPERBOLIC_R
         rng = np.random.default_rng(seed)
         e = pole(d, CurvatureClass(sign)).coords
         x = random_in_ball(e, sign, R, rng, 64, boundary_bias=True)
@@ -182,6 +182,86 @@ class TestDistance:
             y = from_ball(frame, to_ball(frame, x))
         dist, v = distance(x, y, sign), log_map(x, y, sign)
         assert np.all(np.isfinite(dist)) and np.all(dist >= 0.0) and np.all(np.isfinite(v))
+
+
+def _bump(x):
+    """x with its last coordinate scaled by 1 + 1e-6: off the model at every radius."""
+    x = x.copy()
+    x[..., -1] *= 1.0 + 1e-6
+    return x
+
+
+class TestOneModelRule:
+    """``on_model`` for points and ``distance``'s relative guard for pairs.
+
+    The guard -<x, y> >= 1 - DOMAIN_TOL, absolute, refused coincident model
+    points from R of about 8 on the hyperboloid, and it read a pair of
+    lower-sheet points as a valid pair.
+    """
+
+    @pytest.mark.parametrize("R", [8.0, 8.5, 9.0, 12.0, MAX_HYPERBOLIC_R])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_model_pair_is_refused_at_large_radii(self, R, seed):
+        rng = np.random.default_rng(seed)
+        e = pole(3, CurvatureClass.hyperbolic()).coords
+        x = random_in_ball(e, HYPERBOLIC, R, rng, 2000, boundary_bias=True)
+        t = 10.0 ** rng.uniform(-14.0, -4.0, (2000, 1))
+        pairs = {
+            "same": x.copy(),
+            "near": exp_map(x, t * random_tangent(x, HYPERBOLIC, rng), HYPERBOLIC),
+            "far": random_in_ball(e, HYPERBOLIC, R, rng, 2000, boundary_bias=True),
+        }
+        for name, y in pairs.items():
+            dist, v = distance(x, y, HYPERBOLIC), log_map(x, y, HYPERBOLIC)
+            assert np.all(np.isfinite(dist)) and np.all(dist >= 0.0) and np.all(np.isfinite(v)), name
+            if name == "same":
+                assert np.all(dist == 0.0)
+
+    @staticmethod
+    def _bad_points(sign, R):
+        """Drawn points of the radius-R ball, each spoiled: off the model, off the upper sheet, NaN or inf."""
+        e = pole(2, CurvatureClass(sign)).coords
+        x = random_in_ball(e, sign, R, np.random.default_rng(7), 4)
+        bad = {"bumped": _bump(x), "twice-the-pole": 2.0 * e}
+        if sign == HYPERBOLIC:
+            bad["lower-sheet"] = -x
+        for value in (math.nan, math.inf, -math.inf):
+            for j in (0, -1):
+                p = x[1].copy()
+                p[j] = value
+                bad[f"{value}-at-{j}"] = p
+        return e, x, bad
+
+    @pytest.mark.parametrize("sign,R", [(SPHERICAL, 0.5), (HYPERBOLIC, 0.5), (HYPERBOLIC, 12.0)])
+    def test_to_ball_and_load_anchors_refuse_bad_points(self, tmp_path, sign, R):
+        e, x, bad = self._bad_points(sign, R)
+        frame = make_frame(pole(2, CurvatureClass(sign)), R)
+        name = "spherical" if sign == SPHERICAL else "hyperbolic"
+        path = tmp_path / "anchors.txt"
+        with np.errstate(invalid="ignore"):
+            for p in bad.values():
+                with pytest.raises(GeometryError):
+                    to_ball(frame, p)
+                for row in np.atleast_2d(p):
+                    path.write_text(f"# class={name} d=2\n0 0 1\n" + " ".join(f"{v:.17g}" for v in row) + "\n")
+                    with pytest.raises(GeometryError, match=":3: anchor is off the unit"):
+                        load_anchors(path)
+
+    @pytest.mark.parametrize("sign,R", [(SPHERICAL, 0.5), (HYPERBOLIC, 0.5), (HYPERBOLIC, 12.0)])
+    def test_distance_refuses_bad_pairs(self, sign, R):
+        e, x, bad = self._bad_points(sign, R)
+        pairs = {"bumped": (x, _bump(x)), "twice-the-pole": (e, 2.0 * e)}
+        if sign == HYPERBOLIC:
+            y = random_in_ball(e, sign, R, np.random.default_rng(8), 4)
+            pairs.update({"lower-lower": (-x, -y), "upper-lower": (x, -y), "lower-upper": (-x, y),
+                          "lower-self": (-x, -x)})
+        pairs.update({what: (e, p) for what, p in bad.items() if "inf" in what or "nan" in what})
+        with np.errstate(invalid="ignore"):
+            for p, q in pairs.values():
+                for kernel in (distance, log_map):
+                    for a, b in ((p, q), (q, p)):
+                        with pytest.raises(GeometryError):
+                            kernel(a, b, sign)
 
 
 class TestExpLog:

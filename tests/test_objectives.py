@@ -468,6 +468,13 @@ class TestAnchorFiles:
         with pytest.raises(GeometryError, match=":3: anchor is off the unit"):
             load_anchors(path)
 
+    def test_lower_sheet_row_rejected(self, tmp_path):
+        # It raised "point is not timelike on the upper hyperboloid sheet", with no file or line.
+        path = tmp_path / "anchors.txt"
+        path.write_text("# class=hyperbolic d=2\n0 0 1\n0.5210953054937474 0 -1.1276259652063807\n")
+        with pytest.raises(GeometryError, match=r"anchors\.txt:3: anchor is off the unit hyperbolic model"):
+            load_anchors(path)
+
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
